@@ -2,8 +2,6 @@
 
 Every subcommand prints one JSON document.  Exit codes: 0 on success,
 1 on a domain error (with an error JSON on stdout), 2 on usage errors.
-The TRIPLEPOINT_THREADS environment variable caps internal parallelism
-(0 = auto); all current computations run in a single process.
 """
 from __future__ import annotations
 
@@ -18,6 +16,7 @@ from .surfaces import Surface, load_points, SCHEMA_VERSION
 from . import bounds as bounds_mod
 from . import invariants as inv_mod
 from . import constructions, families, singular
+from .singular import DomainError
 
 
 def _emit(data, path=None):
@@ -29,10 +28,6 @@ def _emit(data, path=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-class DomainError(Exception):
-    pass
 
 
 def _parse_range(text):

@@ -13,8 +13,8 @@ from .poly import MultiPoly, poly_determinant, InexactDivisionError
 from .linalg import Matrix, kernel_basis, rank, invert
 from .surfaces import ProjPoint, Surface
 from .singular import (certify_ordinary_triple_point, CertificationFailure,
-                       local_jet, common_projective_zeros, _wrap,
-                       enumerate_singular_points)
+                       DomainError, local_jet, common_projective_zeros,
+                       _wrap, enumerate_singular_points)
 from .constructions import reciprocal_transform, forms_with_multiplicity, \
     MultiplicityAssignment
 
@@ -45,13 +45,18 @@ def _ensure_certified(X: Surface, points):
         certify_ordinary_triple_point(X, P)
 
 
+class NoCertifiedMember(DomainError):
+    """No member of a linear system certifies at the declared points."""
+
+
 def _member_search(field, gens, points, fixed, meta):
     """Pick coefficients for a linear combination of the generators whose
     surface certifies at every declared point.
 
     fixed: explicit coefficient tuple (entries may be None to search).
     Over a finite field the singular points are also enumerated, and
-    members with singularities beyond the declared ones are rejected.
+    members with singularities beyond the declared ones are rejected;
+    when the field is too large to sweep, metadata["checks"] says so.
     """
     if all(c is not None for c in fixed):
         candidates = [tuple(field(c) for c in fixed)]
@@ -85,14 +90,15 @@ def _member_search(field, gens, points, fixed, meta):
         if field.kind != "QQ":
             try:
                 extra = set(enumerate_singular_points(X)) - set(points)
-            except ValueError:
+            except ValueError as exc:
+                X.metadata["checks"] = {"sweep": f"skipped: {exc}"}
                 extra = set()
             if extra:
                 last_error = f"extra singular point {sorted(extra)[0]}"
                 continue
         return X
-    raise RuntimeError(f"no member certifies at the declared points "
-                       f"({last_error})")
+    raise NoCertifiedMember(f"no member certifies at the declared points "
+                            f"({last_error})")
 
 
 def _collinear_triple(points) -> bool:
@@ -146,7 +152,7 @@ def quintic_with_triple_points(points, selector=None, seed=0):
             return X
         except CertificationFailure:
             continue
-    raise RuntimeError("no certified member found")
+    raise NoCertifiedMember("no certified member found")
 
 
 # -- sextic K3 families --------------------------------------------------

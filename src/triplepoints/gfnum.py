@@ -1,10 +1,20 @@
-"""numpy-backed arithmetic mod p for the hot linear-algebra paths.
+"""numpy-backed arithmetic mod p for the hot linear-algebra paths and
+the singular-point sweep.
 
 Residues are stored as int64.  Elimination multiplies a residue by a
 residue before reducing, so products must stay below 2**63; primes below
 2**31 keep every intermediate within 2**62.
+
+The sweep reduces after every product or contraction.  A contraction
+over the exponent axis sums at most d+1 products of residues below p,
+where d is the largest exponent; over GF(p^2) the real part adds n times
+a second such sum (u^2 = n).  So every intermediate is below
+(d+1) * (p-1)**2 * (1+n), and sweep_chart refuses inputs where that
+could reach 2**63.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -78,76 +88,78 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
     return r
 
 
-def modpow(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    """Vectorized pow(base, e, p) for int64 arrays."""
-    result = np.ones_like(base)
-    b = np.mod(base, p)
-    while e:
-        if e & 1:
-            result = result * b % p
-        b = b * b % p
-        e >>= 1
-    return result
+def _mul(x, y, p: int, n: int, op=np.multiply):
+    """Product of values given as parts: (residues,) over GF(p), or
+    (real, u) over GF(p^2) = GF(p)[u], u^2 = n.  op is the elementwise
+    product or a contraction such as np.tensordot."""
+    if len(x) == 1:
+        return (op(x[0], y[0]) % p,)
+    (xa, xb), (ya, yb) = x, y
+    return ((op(xa, ya) + n * op(xb, yb)) % p,
+            (op(xa, yb) + op(xb, ya)) % p)
 
 
-def eval_poly_batch(terms, coords, p: int) -> np.ndarray:
-    """Evaluate a GF(p) polynomial at many points at once.
+def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:
+    """Common zeros of polys on the chart (0,..,0,1,t_1,..,t_f) of P^3.
 
-    terms: list of (exponent 4-tuple, residue); coords: (N, 4) int64 array.
+    polys: list of {exponent 4-tuple: residue}, or {exps: (a, b)} over
+    GF(p^2) = GF(p)[u], u^2 = nonresidue.  Field elements are indexed
+    0..q-1 in canonical order (a*p + b over GF(p^2)).  Returns the
+    (m, f) array of element indices of the zeros' free coordinates, rows
+    in lexicographic order.
+
+    The first polynomial is evaluated on the whole q^f grid by fibres:
+    its dense coefficient tensor is contracted one free axis at a time
+    with the Vandermonde table V[t, e] = t^e.  The others, sparsest
+    first, are evaluated only at the survivors, by lookups in V.
     """
-    n = coords.shape[0]
-    total = np.zeros(n, dtype=np.int64)
-    pw_cache = [{} for _ in range(4)]
-    for exps, c in terms:
-        v = np.full(n, c % p, dtype=np.int64)
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            pw = pw_cache[i].get(e)
-            if pw is None:
-                pw = modpow(coords[:, i], e, p)
-                pw_cache[i][e] = pw
-            v = v * pw % p
-        total = (total + v) % p
-    return total
-
-
-def eval_poly_batch_ext(terms, coords_a, coords_b, p: int, n_res: int):
-    """Evaluate over GF(p^2) = GF(p)[u], u^2 = n_res, at many points.
-
-    terms: list of (exps, (a, b)); coordinates given as two int64 arrays
-    of the u^0 and u^1 parts.  Returns (real part, u part).
-    """
-    npts = coords_a.shape[0]
-    tot_a = np.zeros(npts, dtype=np.int64)
-    tot_b = np.zeros(npts, dtype=np.int64)
-    pw_cache = [{} for _ in range(4)]
-
-    def ext_mul(xa, xb, ya, yb):
-        return ((xa * ya + n_res * (xb * yb % p)) % p,
-                (xa * yb + xb * ya) % p)
-
-    def ext_pow(xa, xb, e):
-        ra = np.ones(npts, dtype=np.int64)
-        rb = np.zeros(npts, dtype=np.int64)
-        while e:
-            if e & 1:
-                ra, rb = ext_mul(ra, rb, xa, xb)
-            xa, xb = ext_mul(xa, xb, xa, xb)
-            e >>= 1
-        return ra, rb
-
-    for exps, (ca, cb) in terms:
-        va = np.full(npts, ca % p, dtype=np.int64)
-        vb = np.full(npts, cb % p, dtype=np.int64)
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            pw = pw_cache[i].get(e)
-            if pw is None:
-                pw = ext_pow(coords_a[:, i].copy(), coords_b[:, i].copy(), e)
-                pw_cache[i][e] = pw
-            va, vb = ext_mul(va, vb, pw[0], pw[1])
-        tot_a = (tot_a + va) % p
-        tot_b = (tot_b + vb) % p
-    return tot_a, tot_b
+    n = nonresidue or 0
+    q = p * p if nonresidue else p
+    f = 3 - chart
+    # terms without the zeroed coordinates, keyed by free exponents
+    restricted = []
+    for g in polys:
+        terms = [(e[chart + 1:], c if nonresidue else (c,))
+                 for e, c in g.items() if not any(e[:chart])]
+        if terms:
+            restricted.append(terms)
+    restricted.sort(key=len)
+    deg = max((max(e, default=0) for terms in restricted
+               for e, _ in terms), default=0)
+    if (deg + 1) * (p - 1)**2 * (1 + n) >= 2**63:
+        raise ValueError("sweep contraction could overflow int64")
+    t = np.arange(q, dtype=np.int64)
+    elems = (t // p, t % p) if nonresidue else (t,)
+    cols = [(np.ones(q, dtype=np.int64),) + (np.zeros(q, dtype=np.int64),)
+            * (len(elems) - 1)]
+    for _ in range(deg):
+        cols.append(_mul(cols[-1], elems, p, n))
+    vander = tuple(np.stack([c[k] for c in cols], axis=1)
+                   for k in range(len(elems)))
+    if restricted:
+        dense = tuple(np.zeros((deg + 1,) * f, dtype=np.int64)
+                      for _ in elems)
+        for e, c in restricted[0]:
+            for k, part in enumerate(c):
+                dense[k][e] += part
+        vals = tuple(d % p for d in dense)
+        for _ in range(f):
+            vals = _mul(vals, vander, p, n, partial(np.tensordot, axes=(0, 1)))
+        idx = np.flatnonzero(np.logical_and.reduce([v == 0 for v in vals]))
+    else:
+        idx = np.arange(q**f)
+    pts = np.empty((f, idx.size), dtype=np.int64)
+    for j in range(f):
+        pts[j] = idx // q**(f - 1 - j) % q
+    for terms in restricted[1:]:
+        if not pts.shape[1]:
+            break
+        total = tuple(np.zeros(pts.shape[1], dtype=np.int64) for _ in elems)
+        for e, c in terms:
+            v = c
+            for j, ej in enumerate(e):
+                if ej:
+                    v = _mul(v, tuple(V[pts[j], ej] for V in vander), p, n)
+            total = tuple((a + b) % p for a, b in zip(total, v))
+        pts = pts[:, np.logical_and.reduce([v == 0 for v in total])]
+    return pts.T

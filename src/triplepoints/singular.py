@@ -15,7 +15,12 @@ from . import gfnum
 from .surfaces import ProjPoint, Surface, SCHEMA_VERSION
 
 
-class CertificationFailure(Exception):
+class DomainError(Exception):
+    """The input is well formed but the computation it asks for fails;
+    the CLI reports it as one error document with exit code 1."""
+
+
+class CertificationFailure(DomainError):
     """A point is not an ordinary triple point; .reason says why."""
 
     def __init__(self, point, reason, **info):
@@ -219,14 +224,6 @@ def is_ordinary_triple_point(X, P) -> bool:
 _ENUM_LIMIT = 6_000_000
 
 
-def _p3_chart_coords(q_elems, chart):
-    """Canonical representatives (…,1,a,b,…) of one chart of P^3."""
-    free = 3 - chart
-    import itertools
-    for tail in itertools.product(q_elems, repeat=free):
-        yield (0,) * chart + (1,) + tail
-
-
 def lift_poly(g: MultiPoly, big: Field) -> MultiPoly:
     """Lift a GF(p) polynomial into GF(p^2)."""
     return MultiPoly(big, {ex: big.lift(c) for ex, c in g.terms.items()})
@@ -235,60 +232,21 @@ def lift_poly(g: MultiPoly, big: Field) -> MultiPoly:
 def common_projective_zeros(polys, field: Field):
     """All points of P^3 over the finite field where every poly vanishes.
 
-    Brute-force chart sweep; canonical points in lexicographic order of
-    their canonical coordinates.
+    Chart-by-chart sweep (gfnum.sweep_chart); canonical points in
+    lexicographic order of their canonical coordinates.
     """
     if field.kind == "QQ":
         raise ValueError("enumeration requires a finite field")
-    p = field.p
     q = field.order
     if q**3 + q**2 + q + 1 > _ENUM_LIMIT:
         raise ValueError(f"P^3 over order-{q} field is too large to sweep")
+    elems = list(field.elements())
+    terms = [{e: c.val for e, c in g.terms.items()} for g in polys]
     found = []
-    if field.kind == "GF":
-        terms_list = [[(ex, c.val) for ex, c in g.terms.items()] for g in polys]
-        for chart in range(4):
-            free = 3 - chart
-            n = p**free
-            coords = np.zeros((n, 4), dtype=np.int64)
-            coords[:, chart] = 1
-            idx = np.arange(n)
-            for j in range(free):
-                coords[:, chart + 1 + j] = (idx // p**(free - 1 - j)) % p
-            ok = np.ones(n, dtype=bool)
-            for terms in terms_list:
-                vals = gfnum.eval_poly_batch(terms, coords, p)
-                ok &= vals == 0
-                if not ok.any():
-                    break
-            for row in coords[ok]:
-                found.append(ProjPoint(field, [int(v) for v in row]))
-    else:
-        n_res = field.nonresidue
-        terms_list = [[(ex, c.val) for ex, c in g.terms.items()] for g in polys]
-        elems = [(a, b) for a in range(p) for b in range(p)]
-        ea = np.array([t[0] for t in elems], dtype=np.int64)
-        eb = np.array([t[1] for t in elems], dtype=np.int64)
-        for chart in range(4):
-            free = 3 - chart
-            n = (p * p)**free
-            ca = np.zeros((n, 4), dtype=np.int64)
-            cb = np.zeros((n, 4), dtype=np.int64)
-            ca[:, chart] = 1
-            idx = np.arange(n)
-            for j in range(free):
-                sel = (idx // (p * p)**(free - 1 - j)) % (p * p)
-                ca[:, chart + 1 + j] = ea[sel]
-                cb[:, chart + 1 + j] = eb[sel]
-            ok = np.ones(n, dtype=bool)
-            for terms in terms_list:
-                va, vb = gfnum.eval_poly_batch_ext(terms, ca, cb, p, n_res)
-                ok &= (va == 0) & (vb == 0)
-                if not ok.any():
-                    break
-            for ra, rb in zip(ca[ok], cb[ok]):
-                found.append(ProjPoint(
-                    field, [(int(a), int(b)) for a, b in zip(ra, rb)]))
+    for chart in range(4):
+        for row in gfnum.sweep_chart(terms, chart, field.p, field.nonresidue):
+            found.append(ProjPoint(
+                field, [0] * chart + [1] + [elems[i] for i in row]))
     found.sort(key=lambda P: P.sort_key())
     return found
 

@@ -97,6 +97,34 @@ def test_construct_with_params(capsys, tmp_path):
     assert code == 1 and "error" in data
 
 
+def test_construct_septic_failed_certification_is_a_domain_error(capsys):
+    code, data = run(capsys, "construct", "--family", "septic-s4",
+                     "--field", "GF:7", "--params", "mu=1,nu=3")
+    assert code == 1
+    assert data["error"].startswith("CertificationFailure")
+
+
+def test_construct_ell_224_failed_certification_is_a_domain_error(
+        capsys, tmp_path):
+    base = str(tmp_path / "ell.json")
+    code, _ = run(capsys, "construct", "--family", "ell-222", "--field",
+                  "GF:7", "--params", "lambda=1,mu=1,nu=1,b1=1,b2=1,b3=1,"
+                  "b4=1,b5=1,b6=1,alpha=1", "-o", base)
+    assert code == 0
+    code, data = run(capsys, "construct", "--family", "ell-224", "--base",
+                     base, "--fundamental", "0,1,2,3")
+    assert code == 1
+    assert data["error"].startswith("CertificationFailure")
+
+
+def test_construct_without_certified_member_is_a_domain_error(capsys):
+    # alpha = beta = 0 leaves only the zero form to search
+    code, data = run(capsys, "construct", "--family", "k3-228", "--field",
+                     "GF:31", "--params", "lambda=3,alpha=0,beta=0")
+    assert code == 1
+    assert data["error"].startswith("NoCertifiedMember")
+
+
 def test_construct_reciprocal_family(capsys, tmp_path):
     base = tmp_path / "base.json"
     code, _ = run(capsys, "construct", "--family", "k3-444",

@@ -9,7 +9,7 @@ from triplepoints.singular import (certify, equisingular_tangent_dimension,
                                    singular_scheme_degree)
 from triplepoints.invariants import geometric_genus, resolved_invariants
 from triplepoints.constructions import generic_points
-from triplepoints import families as fam
+from triplepoints import families as fam, singular
 
 QQ = Field.QQ()
 F7 = Field.GF(7)
@@ -190,6 +190,16 @@ def test_k3_228(k228):
     assert ProjPoint(F31, [3, 1, 1, 1]) in X.points
     # two planes each hold five of the points
     assert len(fam.detect_minus_one_conics(X.points)) == 2
+
+
+def test_member_search_records_a_skipped_sweep(k228, monkeypatch):
+    assert "checks" not in k228.metadata
+    monkeypatch.setattr(singular, "_ENUM_LIMIT", 1000)
+    X = fam.sextic_k3_228(F31, 3)
+    assert X.f == k228.f
+    assert X.metadata["checks"]["sweep"].startswith("skipped: P^3 over "
+                                                    "order-31 field")
+    assert X.to_json()["metadata"]["checks"] == X.metadata["checks"]
 
 
 def test_k3_228_quartic_triple_point(k228):

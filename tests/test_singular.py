@@ -1,14 +1,18 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from triplepoints import gfnum
 from triplepoints.fields import Field
-from triplepoints.poly import MultiPoly
+from triplepoints.poly import MultiPoly, exponents_of_degree
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import (CertificationFailure, local_jet,
                                    multiplicity, certify_ordinary_triple_point,
                                    is_ordinary_triple_point,
+                                   common_projective_zeros,
                                    enumerate_singular_points, lift_poly,
                                    jacobian_hilbert, singular_scheme_degree,
                                    equisingular_tangent_dimension, certify)
@@ -130,6 +134,72 @@ def test_enumerate_guards():
         enumerate_singular_points(Xg, e=3)
     with pytest.raises(ValueError):
         enumerate_singular_points(Xg, e=2)  # P^3 over GF(961) is too big
+
+
+# -- the sweep against pointwise evaluation ------------------------------
+
+F5 = Field.GF(5)
+F9 = Field.GF(3, 2)
+
+
+def _all_points(field):
+    elems = list(field.elements())
+    return [ProjPoint(field, [0] * chart + [1] + list(tail))
+            for chart in range(4)
+            for tail in itertools.product(elems, repeat=3 - chart)]
+
+
+ALL_POINTS = {F.tag: _all_points(F) for F in (F5, F9)}
+
+
+def assert_sweep_matches_pointwise(polys, field):
+    expected = sorted((P for P in ALL_POINTS[field.tag]
+                       if not any(g.evaluate(P.coords) for g in polys)),
+                      key=ProjPoint.sort_key)
+    assert common_projective_zeros(polys, field) == expected
+
+
+@st.composite
+def form_lists(draw, field):
+    """1-3 homogeneous forms of degrees 0-3, some divisible by x."""
+    x = MultiPoly.variable(field, 0)
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(0, 3))
+        terms = draw(st.dictionaries(
+            st.sampled_from(exponents_of_degree(d)),
+            st.sampled_from(list(field.elements())), min_size=1,
+            max_size=5))
+        g = MultiPoly(field, terms)
+        polys.append(g * x if d and draw(st.booleans()) else g)
+    return polys
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F5, F9]).flatmap(
+    lambda F: st.tuples(st.just(F), form_lists(F))))
+def test_sweep_matches_pointwise_evaluation(case):
+    field, polys = case
+    assert_sweep_matches_pointwise(polys, field)
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=lambda F: F.tag)
+@pytest.mark.parametrize("texts", [
+    ["x", "y^2-z*w"],        # every zero lies at infinity (x = 0)
+    ["x*y", "x*z+x*w"],      # vanish identically on the charts x = 0
+    ["x^2+y^2", "3"],        # a nonzero constant has no zeros
+    ["0"],                   # the zero polynomial vanishes everywhere
+])
+def test_sweep_edge_cases_match_pointwise(texts, field):
+    polys = [MultiPoly.parse(t, field) for t in texts]
+    assert_sweep_matches_pointwise(polys, field)
+
+
+def test_sweep_refuses_int64_overflow():
+    # (d+1) * (p-1)^2 >= 2^63 for d = 10^15: refused before any table
+    # of d+1 powers is built
+    with pytest.raises(ValueError, match="overflow"):
+        gfnum.sweep_chart([{(0, 0, 0, 10**15): 1}], 0, 181)
 
 
 def test_lift_poly():
