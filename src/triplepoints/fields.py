@@ -114,9 +114,6 @@ class Field:
             return None
         return self.p if self.kind == "GF" else self.p * self.p
 
-    def prime_subfield(self) -> "Field":
-        return _QQ if self.kind == "QQ" else Field.GF(self.p)
-
     def extension(self) -> "Field":
         """The canonical quadratic extension (GF only)."""
         if self.kind != "GF":

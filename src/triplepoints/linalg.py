@@ -2,8 +2,11 @@
 
 A Matrix is a thin wrapper over a list of FieldElement rows.  Rank,
 reduced row echelon form and right null spaces are computed by exact
-Gaussian elimination; over prime fields a vectorized numpy path is used
-when the matrix is large enough to matter.
+Gaussian elimination.  Over prime fields, matrices large enough to
+matter go to the blocked kernel in gfnum, which holds only integers
+below 2**53 in float64 (its panel width is chosen from p to keep them
+there), uses int64 for large p, and checks p < 2**31 at entry; its
+results are exact and equal to those of the generic elimination here.
 """
 from __future__ import annotations
 
@@ -143,14 +146,6 @@ def kernel_basis(m: Matrix):
             v[pc] = -red.rows[r][j]
         basis.append(v)
     return basis
-
-
-def rank_of_rows(field, int_rows, ncols=None):
-    """Rank of a matrix given as integer rows (convenience, mod-p aware)."""
-    if not int_rows:
-        return 0
-    m = Matrix.from_ints(field, int_rows)
-    return rank(m)
 
 
 def invert(m: Matrix) -> Matrix:

@@ -281,22 +281,29 @@ def _hilbert_value(field, partials, d, k):
     if k < d - 1:
         return nmon
     mult_degree = k - d + 1
-    col = {e: j for j, e in enumerate(exponents_of_degree(k))}
+    if not partials:
+        return nmon
     if field.kind == "GF" and gfnum.NUMPY_SAFE_PRIME(field.p):
-        p = field.p
-        rows = []
-        for g in partials:
-            items = [(e, c.val) for e, c in g.terms.items()]
-            for m in exponents_of_degree(mult_degree):
-                row = np.zeros(nmon, dtype=np.int64)
-                for e, c in items:
-                    key = (e[0] + m[0], e[1] + m[1], e[2] + m[2], e[3] + m[3])
-                    row[col[key]] = (row[col[key]] + c) % p
-                rows.append(row)
-        if not rows:
-            return nmon
-        r = gfnum.rank_mod_p(np.array(rows), p)
+        # base-(k+1) keys: no exponent exceeds k, so a key names one
+        # monomial and keys sort like exponents_of_degree; the key of a
+        # product of monomials is the sum of their keys
+        digits = (k + 1) ** np.arange(3, -1, -1)
+        keys = np.array(exponents_of_degree(k)) @ digits
+        shifts = np.array(exponents_of_degree(mult_degree)) @ digits
+        rows, cols, vals = [], [], []
+        for i, g in enumerate(partials):
+            e = np.array(list(g.terms)) @ digits
+            rows.append(np.repeat(np.arange(i * len(shifts),
+                                            (i + 1) * len(shifts)), len(e)))
+            cols.append((shifts[:, None] + e).ravel())
+            vals.append(np.tile([c.val for c in g.terms.values()],
+                                len(shifts)))
+        mac = np.zeros((len(partials) * len(shifts), nmon), dtype=np.int64)
+        cols = nmon - 1 - np.searchsorted(keys[::-1], np.concatenate(cols))
+        np.add.at(mac, (np.concatenate(rows), cols), np.concatenate(vals))
+        r = gfnum.rank_mod_p(mac, field.p)
     else:
+        col = {e: j for j, e in enumerate(exponents_of_degree(k))}
         rows = []
         z = field.zero
         for g in partials:
@@ -306,8 +313,6 @@ def _hilbert_value(field, partials, d, k):
                     key = (e[0] + m[0], e[1] + m[1], e[2] + m[2], e[3] + m[3])
                     row[col[key]] = row[col[key]] + c
                 rows.append(row)
-        if not rows:
-            return nmon
         r = rank(Matrix(field, rows))
     return nmon - r
 
@@ -354,11 +359,6 @@ def singular_scheme_degree(X: Surface, k_max: int = None):
 
 
 # -- equisingular tangent space -----------------------------------------
-
-def _jet_coeff_vector(field, jet, order):
-    """Jet as a vector over local monomials of degree <= order."""
-    return jet.coeff_vector(order)
-
 
 def equisingular_tangent_dimension(X: Surface, points) -> int:
     """Dimension of the projective equisingular tangent space at X.

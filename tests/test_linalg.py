@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 
+from triplepoints import gfnum
 from triplepoints.fields import Field, FieldMismatchError
 from triplepoints.linalg import (Matrix, rref, rank, kernel_basis,
-                                 rank_of_rows, invert, solve_unique)
+                                 invert, solve_unique, _rref_generic)
 
 QQ = Field.QQ()
 F31 = Field.GF(31)
@@ -79,7 +81,6 @@ def test_numpy_and_generic_paths_agree():
         ints[7] = [(3 * a + 2 * b) % 31 for a, b in zip(ints[0], ints[1])]
         gf_rank = rank(Matrix.from_ints(F31, ints))
         rows = [list(r) for r in Matrix.from_ints(F31, ints).rows]
-        from triplepoints.linalg import _rref_generic
         assert gf_rank == len(_rref_generic(F31, rows))
         assert gf_rank <= 19
 
@@ -91,7 +92,6 @@ def test_numpy_rref_matches_generic():
     m = Matrix.from_ints(F31, ints)
     red, pivots = rref(m)  # numpy path (324 entries)
     rows = [list(r) for r in m.rows]
-    from triplepoints.linalg import _rref_generic
     gen_pivots = _rref_generic(F31, rows)
     assert list(pivots) == gen_pivots
     assert [[int(e) for e in r] for r in red.rows] == \
@@ -130,8 +130,54 @@ def test_solve_unique():
     assert solve_unique(m2, [QQ(1), QQ(1)]) is None
 
 
-def test_rank_of_rows():
-    assert rank_of_rows(F31, []) == 0
-    assert rank_of_rows(F31, [[1, 2], [2, 4]]) == 1
-    assert rank_of_rows(F31, [[1, 2], [2, 35]]) == 1  # 35 = 4 mod 31
-    assert rank_of_rows(QQ, [[1, 2], [2, 35]]) == 2
+# 2**31 - 1 runs in int64 with width-1 panels; 33554393 (near 2**25) runs
+# in float64 with width-8 panels and a reduction before every update
+KERNEL_PRIMES = (2, 3, 31, 101, 33554393, 2**31 - 1)
+
+
+def _kernel_cases(rng, p):
+    """Integer matrices with planted dependencies, zero rows and columns,
+    thin shapes, and entries outside [0, p), negatives included."""
+    def rand(nrows, ncols):
+        return [[rng.randint(-3 * p, 3 * p) for _ in range(ncols)]
+                for _ in range(nrows)]
+    cases = [rand(1, 1), [[p]], rand(1, 150), rand(80, 1), [[0] * 9] * 4,
+             rand(40, 45)]
+    for nrows, ncols, rk in ((80, 150, 24), (60, 70, 40), (100, 40, 12)):
+        # staggered leading zeros spread the pivots over several panels
+        base = [[0] * (t * ncols // (rk + 2)) + row[t * ncols // (rk + 2):]
+                for t, row in enumerate(rand(rk, ncols))]
+        rows = [[sum(c * b[j] for c, b in zip(comb, base)) % p
+                 + p * rng.randint(-2, 2) for j in range(ncols)]
+                for comb in rand(nrows, rk)]
+        for i in rng.sample(range(nrows), nrows // 8):
+            rows[i] = [0] * ncols
+        for j in rng.sample(range(ncols), ncols // 8):
+            for row in rows:
+                row[j] = 0
+        cases.append(rows)
+    return cases
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_matches_generic_elimination(p):
+    field = Field.GF(p)
+    rng = random.Random(p)
+    for ints in _kernel_cases(rng, p):
+        rows = [list(r) for r in Matrix.from_ints(field, ints).rows]
+        gen_pivots = _rref_generic(field, rows)
+        arr = np.array(ints, dtype=np.int64)
+        assert gfnum.rank_mod_p(arr, p) == len(gen_pivots)
+        red, pivots = gfnum.rref_mod_p(arr, p)
+        assert pivots == gen_pivots
+        assert red.tolist() == [[e.val for e in r] for r in rows]
+        assert np.array_equal(arr, np.array(ints, dtype=np.int64))
+
+
+def test_kernel_refuses_primes_beyond_its_bound():
+    a = np.eye(3, dtype=np.int64)
+    for p in (2**31, 2**61 - 1):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            gfnum.rank_mod_p(a, p)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            gfnum.rref_mod_p(a, p)

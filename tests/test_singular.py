@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triplepoints import gfnum
+from triplepoints import families as fam, gfnum
 from triplepoints.fields import Field
 from triplepoints.poly import MultiPoly, exponents_of_degree
 from triplepoints.surfaces import ProjPoint, Surface
@@ -240,6 +240,19 @@ def test_singular_scheme_cubic_cone_plateau():
     res = singular_scheme_degree(X)
     assert res["hilbert"][:6] == [1, 4, 7, 8, 8, 8]
     assert res.get("degree") == 8
+
+
+@pytest.mark.parametrize("build, hilbert", [
+    (fam.sextic_ten_gf31,
+     [1, 4, 10, 20, 35, 52, 68, 80, 85, 81, 80, 80, 80]),
+    (lambda: fam.septic_s4(Field.GF(101), 1, 2),
+     [1, 4, 10, 20, 35, 56, 80, 104, 125, 140, 146, 140, 131, 128, 128, 128]),
+], ids=["ten-point-sextic", "septic-s4-gf101"])
+def test_singular_scheme_full_hilbert_sequence(build, hilbert):
+    # every middle value is a Macaulay rank mod p; a wrong one would not
+    # show in the final degree
+    res = singular_scheme_degree(build())
+    assert res == {"degree": hilbert[-1], "hilbert": hilbert}
 
 
 def test_singular_scheme_positive_dimensional():
