@@ -78,17 +78,40 @@ def cmd_classify_sextic(args):
     _emit(row.to_json())
 
 
-def _parse_params(text, field):
+# family -> (constructor in families, required keys in argument order,
+# optional keys in argument order); the constructor is looked up by name
+# at call time
+_PARAM_FAMILIES = {
+    "septic-s4": ("septic_s4", ("mu", "nu"), ()),
+    "k3-444": ("sextic_k3_444", ("a1", "a2", "a3", "b1", "b2", "b3"),
+               ("alpha", "beta")),
+    "k3-228": ("sextic_k3_228", ("lambda",), ("alpha", "beta")),
+    "ell-222": ("sextic_elliptic_222",
+                ("lambda", "mu", "nu", "b1", "b2", "b3", "b4", "b5", "b6"),
+                ("alpha", "beta", "gamma")),
+}
+
+
+def _parse_params(text, field, required, optional=()):
+    """key=value pairs: each required key once, optional keys at most
+    once, no other key."""
     if field is None:
         raise DomainError("--field is required for this family")
-    params = {}
-    if not text:
-        return params
-    for item in text.split(","):
-        k, _, v = item.partition("=")
-        if not _:
-            raise DomainError(f"bad parameter {item!r}, expected key=value")
-        params[k.strip()] = field.parse(v.strip())
+    items = [item.partition("=") for item in text.split(",")] if text else []
+    for k, eq, _ in items:
+        if not eq:
+            raise DomainError(f"bad parameter {k!r}, expected key=value")
+    params = {k.strip(): field.parse(v.strip()) for k, _, v in items}
+    keys = [k.strip() for k, _, _ in items]
+    for what, bad in (
+            ("unknown", [k for k in keys if k not in required + optional]),
+            ("repeated", sorted({k for k in keys if keys.count(k) > 1})),
+            ("missing", [k for k in required if k not in params])):
+        if bad:
+            raise DomainError(
+                f"{what} parameter {', '.join(bad)} (required: "
+                f"{', '.join(required)}; optional: "
+                f"{', '.join(optional) or 'none'})")
     return params
 
 
@@ -97,24 +120,11 @@ def cmd_construct(args):
     fam = args.family
     if fam == "sextic-ten-gf31":
         X = families.sextic_ten_gf31()
-    elif fam == "septic-s4":
-        p = _parse_params(args.params, field)
-        X = families.septic_s4(field, p["mu"], p["nu"])
-    elif fam == "k3-444":
-        p = _parse_params(args.params, field)
-        X = families.sextic_k3_444(
-            field, p["a1"], p["a2"], p["a3"], p["b1"], p["b2"], p["b3"],
-            p.get("alpha"), p.get("beta"))
-    elif fam == "k3-228":
-        p = _parse_params(args.params, field)
-        X = families.sextic_k3_228(field, p["lambda"],
-                                   p.get("alpha"), p.get("beta"))
-    elif fam == "ell-222":
-        p = _parse_params(args.params, field)
-        X = families.sextic_elliptic_222(
-            field, p["lambda"], p["mu"], p["nu"],
-            p["b1"], p["b2"], p["b3"], p["b4"], p["b5"], p["b6"],
-            p.get("alpha"), p.get("beta"), p.get("gamma"))
+    elif fam in _PARAM_FAMILIES:
+        ctor, required, optional = _PARAM_FAMILIES[fam]
+        p = _parse_params(args.params, field, required, optional)
+        X = getattr(families, ctor)(field, *(p[k] for k in required),
+                                    *(p.get(k) for k in optional))
     elif fam in ("k3-246", "ell-224"):
         if not args.base:
             raise DomainError(f"{fam} requires --base")

@@ -155,39 +155,15 @@ class TriplePointCertificate:
         return f"TriplePointCertificate({self.point})"
 
 
-def _cone_smooth_rank(cone_jet_part, field, local_indices):
+def _cone_smooth_rank(cone_jet_part, field):
     """Rank of degree-2-monomial multiples of the cone's partials.
 
     cone_jet_part: local exponent triple -> coefficient (degree 3).
     Full rank 15 means the three partial quadrics have no common
     projective zero, i.e. the cubic is smooth.
     """
-    # partials of the ternary cubic with respect to the 3 local variables
-    partials = []
-    for i in range(3):
-        d = {}
-        for e, c in cone_jet_part.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            nc = c * e[i]
-            if nc:
-                d[tuple(ne)] = d.get(tuple(ne), field.zero) + nc
-        partials.append(d)
-    deg2 = exponents_of_degree(2, 3)
-    deg4 = exponents_of_degree(4, 3)
-    col = {e: j for j, e in enumerate(deg4)}
-    rows = []
-    for q in partials:
-        for m in deg2:
-            row = [field.zero] * 15
-            for e, c in q.items():
-                if c:
-                    key = (e[0] + m[0], e[1] + m[1], e[2] + m[2])
-                    row[col[key]] = row[col[key]] + c
-            rows.append(row)
-    return rank(Matrix(field, rows))
+    partials = _partials(field, *_arrays(field, cone_jet_part))
+    return _rank(field, _macaulay(field, partials, 4))
 
 
 def certify_ordinary_triple_point(X: Surface, P: ProjPoint) -> TriplePointCertificate:
@@ -205,7 +181,7 @@ def certify_ordinary_triple_point(X: Surface, P: ProjPoint) -> TriplePointCertif
         raise CertificationFailure(
             P, "multiplicity", multiplicity=(0 if m is None else m))
     cone = jet.part(3)
-    r = _cone_smooth_rank(cone, X.field, jet.local_indices)
+    r = _cone_smooth_rank(cone, X.field)
     if r != 15:
         raise CertificationFailure(P, "tangent cone singular", rank=r)
     return TriplePointCertificate(P, 3, jet.homogeneous_part_poly(3), r)
@@ -273,48 +249,117 @@ def enumerate_singular_points(X: Surface, e: int = 1):
     return common_projective_zeros(polys, base)
 
 
+# -- Macaulay matrices --------------------------------------------------
+#
+# A polynomial is a pair (exps, vals): an int array with one exponent row
+# per term, and the coefficients.  Over a GF(p) that the numpy kernel
+# takes, vals are int64 residues; over any other field they are the
+# FieldElements themselves in an object array, so one code path serves
+# every field.
+
+def _numeric(field) -> bool:
+    return field.kind == "GF" and gfnum.NUMPY_SAFE_PRIME(field.p)
+
+
+def _zeros(field, shape):
+    if _numeric(field):
+        return np.zeros(shape, dtype=np.int64)
+    return np.full(shape, field.zero, dtype=object)
+
+
+def _ints(field, ints):
+    """Integers as coefficients: residues over a numeric field, Python
+    ints (which FieldElement arithmetic accepts) otherwise."""
+    a = np.array(ints, dtype=object)
+    return (a % field.p).astype(np.int64) if _numeric(field) else a
+
+
+def _arrays(field, terms):
+    """(exps, vals) of a nonzero exponent -> coefficient dict."""
+    exps = np.array(list(terms), dtype=np.int64)
+    if _numeric(field):
+        return exps, np.array([c.val for c in terms.values()], dtype=np.int64)
+    return exps, np.array(list(terms.values()), dtype=object)
+
+
+def _collect(field, exps, vals):
+    """Add up the terms of equal exponents and drop zero terms; None for
+    the zero polynomial."""
+    if _numeric(field):
+        # vals may be products of two residues, below 2**62: reduce them
+        # before they are summed
+        vals = vals % field.p
+    digits = (int(exps.max()) + 1) ** np.arange(exps.shape[1])
+    keys, first, where = np.unique(exps @ digits, return_index=True,
+                                   return_inverse=True)
+    exps = exps[first]
+    out = _zeros(field, len(keys))
+    np.add.at(out, where, vals)
+    if _numeric(field):
+        out %= field.p
+    keep = out.astype(bool)
+    return (exps[keep], out[keep]) if keep.any() else None
+
+
+def _partials(field, exps, vals):
+    """The nonzero partial derivatives, in variable order."""
+    out = []
+    for i, unit in enumerate(np.eye(exps.shape[1], dtype=exps.dtype)):
+        has = exps[:, i] > 0
+        g = has.any() and _collect(field, exps[has] - unit, vals[has]
+                                   * _ints(field, exps[has, i].tolist()))
+        if g:
+            out.append(g)
+    return out
+
+
+def _macaulay(field, gens, k):
+    """Macaulay matrix of nonzero homogeneous gens in degree k.
+
+    One row per generator g and monomial m of degree k - deg g (in
+    exponents_of_degree order), holding the coefficients of m*g; one
+    column per monomial of degree k, in exponents_of_degree order.
+    """
+    n = gens[0][0].shape[1]
+    # base-(k+1) keys: no exponent exceeds k, so a key names one
+    # monomial and keys sort like exponents_of_degree (descending); the
+    # key of a product of monomials is the sum of their keys
+    digits = (k + 1) ** np.arange(n - 1, -1, -1)
+    keys = np.array(exponents_of_degree(k, n)) @ digits
+    rows, cols, vals, top = [], [], [], 0
+    for exps, v in gens:
+        shifts = np.array(exponents_of_degree(k - int(exps[0].sum()), n))
+        shifts = shifts @ digits
+        rows.append(np.repeat(np.arange(top, top + len(shifts)), len(v)))
+        cols.append((shifts[:, None] + exps @ digits).ravel())
+        vals.append(np.tile(v, len(shifts)))
+        top += len(shifts)
+    mac = _zeros(field, (top, len(keys)))
+    cols = len(keys) - 1 - np.searchsorted(keys[::-1], np.concatenate(cols))
+    # the terms of one generator land in distinct columns of its rows
+    mac[np.concatenate(rows), cols] = np.concatenate(vals)
+    return mac
+
+
+def _rank(field, mac) -> int:
+    if _numeric(field):
+        return gfnum.rank_mod_p(mac, field.p)
+    return rank(Matrix(field, mac.tolist()))
+
+
 # -- Jacobian Hilbert function ------------------------------------------
 
 def _hilbert_value(field, partials, d, k):
-    """h(k) = dim (R/J)_k for J generated by the four partials."""
+    """h(k) = dim (R/J)_k for J generated by the nonzero partials of a
+    degree-d form, given as (exps, vals) pairs."""
     nmon = num_monomials(k)
-    if k < d - 1:
+    if k < d - 1 or not partials:
         return nmon
-    mult_degree = k - d + 1
-    if not partials:
-        return nmon
-    if field.kind == "GF" and gfnum.NUMPY_SAFE_PRIME(field.p):
-        # base-(k+1) keys: no exponent exceeds k, so a key names one
-        # monomial and keys sort like exponents_of_degree; the key of a
-        # product of monomials is the sum of their keys
-        digits = (k + 1) ** np.arange(3, -1, -1)
-        keys = np.array(exponents_of_degree(k)) @ digits
-        shifts = np.array(exponents_of_degree(mult_degree)) @ digits
-        rows, cols, vals = [], [], []
-        for i, g in enumerate(partials):
-            e = np.array(list(g.terms)) @ digits
-            rows.append(np.repeat(np.arange(i * len(shifts),
-                                            (i + 1) * len(shifts)), len(e)))
-            cols.append((shifts[:, None] + e).ravel())
-            vals.append(np.tile([c.val for c in g.terms.values()],
-                                len(shifts)))
-        mac = np.zeros((len(partials) * len(shifts), nmon), dtype=np.int64)
-        cols = nmon - 1 - np.searchsorted(keys[::-1], np.concatenate(cols))
-        np.add.at(mac, (np.concatenate(rows), cols), np.concatenate(vals))
-        r = gfnum.rank_mod_p(mac, field.p)
-    else:
-        col = {e: j for j, e in enumerate(exponents_of_degree(k))}
-        rows = []
-        z = field.zero
-        for g in partials:
-            for m in exponents_of_degree(mult_degree):
-                row = [z] * nmon
-                for e, c in g.terms.items():
-                    key = (e[0] + m[0], e[1] + m[1], e[2] + m[2], e[3] + m[3])
-                    row[col[key]] = row[col[key]] + c
-                rows.append(row)
-        r = rank(Matrix(field, rows))
-    return nmon - r
+    return nmon - _rank(field, _macaulay(field, partials, k))
+
+
+def _jacobian(X: Surface):
+    return _partials(X.field, *_arrays(X.field, X.f.terms))
 
 
 def jacobian_hilbert(X: Surface, k_max: int = None):
@@ -324,38 +369,116 @@ def jacobian_hilbert(X: Surface, k_max: int = None):
         k_max = 4 * d
     if k_max < d - 1:
         raise ValueError("k_max must be at least degree - 1")
-    partials = [g for g in X.f.gradient() if g]
+    partials = _jacobian(X)
     return [_hilbert_value(X.field, partials, d, k) for k in range(k_max + 1)]
 
 
-def singular_scheme_degree(X: Surface, k_max: int = None):
-    """Degree of the singular scheme, or a positive-dimensional verdict.
+def _restrict(field, gens, i):
+    """The gens on the plane w + i*x + i^2*y + i^3*z = 0, in x, y, z.
 
-    Computes the Jacobian Hilbert function until it is constant on three
-    consecutive values (the degree) or the cutoff is hit with a strictly
-    increasing tail (positive-dimensional); one retry at 2*k_max before
-    giving up.
-
-    Returns {"degree": n, "hilbert": [...]} or
-    {"verdict": "positive-dimensional", "hilbert": [...]}.
+    w^f becomes L^f for L = -(i*x + i^2*y + i^3*z), read from a table of
+    the powers of L.
     """
+    table = []
+    for f in range(max(int(e[:, 3].max()) for e, _ in gens) + 1):
+        es = exponents_of_degree(f, 3)
+        table.append((np.array(es), _ints(field, [
+            (-1) ** f * comb(f, a) * comb(f - a, b) * i ** (a + 2 * b + 3 * c)
+            for a, b, c in es])))
+    out = []
+    for exps, vals in gens:
+        e3, v3 = [], []
+        for f in np.unique(exps[:, 3]):
+            on = exps[:, 3] == f
+            te, tv = table[f]
+            e3.append((exps[on, None, :3] + te).reshape(-1, 3))
+            v3.append((vals[on, None] * tv).ravel())
+        g = _collect(field, np.concatenate(e3), np.concatenate(v3))
+        if g is not None:
+            out.append(g)
+    return out
+
+
+def _regular_plane(field, partials, t):
+    """The first i in 1..4 with (R/(J + l_i))_t = 0, or None.
+
+    l_i = w + i*x + i^2*y + i^3*z; for p < 5 only i = 1..p, whose
+    values mod p are distinct.  A point P != 0 lies on at most 3 of the 4
+    planes, since l_i(P) is a nonzero cubic in i.
+    """
+    for i in range(1, min(4, field.char or 4) + 1):
+        gens = _restrict(field, partials, i)
+        if gens and (_rank(field, _macaulay(field, gens, t))
+                     == num_monomials(t, 3)):
+            return i
+    return None
+
+
+def _settle(X: Surface, k_max):
+    """(singular_scheme_degree's result, how it was settled)."""
     d = X.degree
     if k_max is None:
         k_max = 4 * d
-    partials = [g for g in X.f.gradient() if g]
+    field = X.field
+    partials = _jacobian(X)
     h = []
     for attempt in range(2):
         limit = k_max * (attempt + 1)
-        k = len(h)
-        while k <= limit:
-            h.append(_hilbert_value(X.field, partials, d, k))
-            k += 1
+        while len(h) <= limit:
+            k = len(h)
+            h.append(_hilbert_value(field, partials, d, k))
             if len(h) >= 3 and h[-1] == h[-2] == h[-3] and len(h) > d:
-                return {"degree": h[-1], "hilbert": h}
+                return ({"degree": h[-1], "hilbert": h},
+                        {"method": "plateau", "proven": False,
+                         "computed_to": k})
+            if k >= d and h[k] == h[k - 1]:
+                i = _regular_plane(field, partials, k - 1)
+                if i is not None:
+                    plane = MultiPoly.parse(
+                        f"w+{i}*x+{i ** 2}*y+{i ** 3}*z", field)
+                    return ({"degree": h[k], "hilbert": h + [h[k]]},
+                            {"method": "regularity", "proven": True,
+                             "plane": str(plane), "regular_from": k - 1,
+                             "computed_to": k})
         if h[-1] > h[-2] > h[-3]:
-            return {"verdict": "positive-dimensional", "hilbert": h}
+            return ({"verdict": "positive-dimensional", "hilbert": h},
+                    {"method": "growth", "proven": False,
+                     "computed_to": len(h) - 1})
     raise ArithmeticError("Hilbert function did not stabilize; "
                           f"tail {h[-5:]}")
+
+
+def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
+    """Degree of the singular scheme, or a positive-dimensional verdict.
+
+    Computes h(k) = dim (R/J)_k, J the Jacobian ideal, for k = 0, 1, ...
+    and after each value tries, in this order:
+
+    - plateau (a heuristic): three equal values in a row past degree d.
+    - regularity certificate: k >= d, h(k) = h(k-1), and
+      (R/(J + l))_{k-1} = 0 for one of the planes l = w + i*x + i^2*y +
+      i^3*z, i = 1..4 (a rank in x, y, z).  Then (R/(J + l))_k = 0 too,
+      so multiplication by l maps (R/J)_{k-1} onto (R/J)_k, and as
+      h(k) = h(k-1) also injectively: (J : l)_{k-1} = J_{k-1} and
+      (J + l)_{k-1} = R_{k-1}.  By Bayer-Stillman (Invent. Math. 87,
+      1987, Thm 1.10 (b), j = 1) J is (k-1)-regular, so h(t) = h(k) for
+      all t >= k-1.  The degree must be k-1: a zero cokernel at k with
+      h(k) = h(k-1) is not the theorem's hypothesis.  The result is the
+      plateau rule's one degree later; its last value h(k+1) is proven,
+      not computed.
+    - growth: at the cutoff k_max a strictly increasing tail is taken as
+      positive-dimensional; otherwise one retry up to 2*k_max.
+
+    Returns {"degree": n, "hilbert": [...]} or
+    {"verdict": "positive-dimensional", "hilbert": [...]}.  A dict passed
+    as evidence gets how it was settled: "method" (plateau, regularity
+    or growth), "proven", "computed_to" (the last degree computed) and,
+    for regularity, "plane" and "regular_from" (k-1).
+    """
+    result, how = _settle(X, k_max)
+    if evidence is not None:
+        evidence.update(how)
+    return result
 
 
 # -- equisingular tangent space -----------------------------------------
@@ -420,12 +543,14 @@ class _wrap:
 # -- certification pipeline ---------------------------------------------
 
 class CertificationReport:
-    def __init__(self, surface, points_info, hilbert, expected_degree, verdict):
+    def __init__(self, surface, points_info, hilbert, expected_degree, verdict,
+                 degree_evidence=None):
         self.surface = surface
         self.points_info = points_info
         self.hilbert = hilbert
         self.expected_degree = expected_degree
         self.verdict = verdict
+        self.degree_evidence = degree_evidence
 
     def to_json(self):
         return {
@@ -434,6 +559,7 @@ class CertificationReport:
             "field": self.surface.field.tag,
             "points": self.points_info,
             "hilbert": self.hilbert,
+            "degree_evidence": self.degree_evidence,
             "expected_degree": self.expected_degree,
             "verdict": self.verdict,
         }
@@ -444,7 +570,9 @@ def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
 
     Over a finite field the singular points are enumerated; over the
     rationals the declared (or supplied) points are used.  hilbert=None
-    computes the Hilbert evidence automatically over finite fields.
+    computes the Hilbert evidence automatically over finite fields;
+    degree_evidence then says how its degree was settled (see
+    singular_scheme_degree), and is None when it was not computed.
     """
     finite = X.field.kind != "QQ"
     if points is None:
@@ -472,9 +600,11 @@ def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
         infos.append(info)
     expected = 8 * n_certified
     hseq = None
+    evidence = None
     verdict = "failed"
     if hilbert:
-        result = singular_scheme_degree(X)
+        evidence = {}
+        result = singular_scheme_degree(X, evidence=evidence)
         hseq = result["hilbert"]
         if "verdict" in result:
             verdict = "positive-dimensional-singular-locus"
@@ -486,4 +616,4 @@ def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
             verdict = "certified-rational-only"
     else:
         verdict = "certified-rational-only" if all_ok and infos else "failed"
-    return CertificationReport(X, infos, hseq, expected, verdict)
+    return CertificationReport(X, infos, hseq, expected, verdict, evidence)

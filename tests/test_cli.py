@@ -125,6 +125,34 @@ def test_construct_without_certified_member_is_a_domain_error(capsys):
     assert data["error"].startswith("NoCertifiedMember")
 
 
+def test_certify_reports_how_the_degree_was_settled(capsys, tmp_path):
+    surf = str(tmp_path / "ten.json")
+    run(capsys, "construct", "--family", "sextic-ten-gf31", "-o", surf)
+    code, report = run(capsys, "certify", "-i", surf)
+    assert code == 0
+    assert report["degree_evidence"] == {
+        "method": "regularity", "proven": True, "plane": "x+y+z+w",
+        "regular_from": 10, "computed_to": 11}
+    assert report["hilbert"][-3:] == [80, 80, 80]
+
+
+@pytest.mark.parametrize("family, params, named", [
+    ("septic-s4", "mu=1,nu=2,zz=3", "unknown parameter zz"),
+    ("k3-228", "lambda=3,alpah=2", "unknown parameter alpah"),
+    ("septic-s4", "mu=1", "missing parameter nu"),
+    ("septic-s4", "mu=1,nu=2,mu=3", "repeated parameter mu"),
+    ("ell-222", "lambda=1,mu=1,nu=1,b1=1,b2=1,b3=1,b4=1,b5=1",
+     "missing parameter b6"),
+])
+def test_construct_rejects_unknown_repeated_and_missing_params(
+        capsys, family, params, named):
+    code, data = run(capsys, "construct", "--family", family, "--field",
+                     "GF:31", "--params", params)
+    assert code == 1
+    assert data["error"].startswith(f"DomainError: {named} (required: ")
+    assert "optional: " in data["error"]
+
+
 def test_construct_reciprocal_family(capsys, tmp_path):
     base = tmp_path / "base.json"
     code, _ = run(capsys, "construct", "--family", "k3-444",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triplepoints import families as fam, gfnum
+from triplepoints import families as fam, gfnum, singular
 from triplepoints.fields import Field
 from triplepoints.poly import MultiPoly, exponents_of_degree
 from triplepoints.surfaces import ProjPoint, Surface
@@ -253,6 +253,134 @@ def test_singular_scheme_full_hilbert_sequence(build, hilbert):
     # show in the final degree
     res = singular_scheme_degree(build())
     assert res == {"degree": hilbert[-1], "hilbert": hilbert}
+
+
+def test_regularity_certificate_is_sound():
+    # whenever the plane check fires at K, the Hilbert function computed
+    # directly is constant from K-1 on and matches the returned list, its
+    # proven last value included
+    rng = random.Random(20261018)
+    fired = 0
+    for _ in range(60):
+        F = Field.GF(rng.choice([5, 7, 11, 13]))
+        mons = exponents_of_degree(rng.randint(3, 5))
+        terms = {e: F(rng.randrange(1, F.p))
+                 for e in rng.sample(mons, rng.randint(2, 8))}
+        X = Surface(MultiPoly(F, terms))
+        how = {}
+        res = singular_scheme_degree(X, k_max=6, evidence=how)
+        if how["method"] != "regularity":
+            continue
+        fired += 1
+        K = how["computed_to"]
+        assert how["regular_from"] == K - 1
+        h = jacobian_hilbert(X, K + 3)
+        assert h[K - 1:] == [h[K]] * 5, (str(X.f), F.tag)
+        assert res["hilbert"] == h[:K + 2]
+    assert fired >= 15
+
+
+@pytest.mark.parametrize("field", [F31, QQ, Field.GF(5, 2)],
+                         ids=lambda F: F.tag)
+def test_macaulay_matrix_rows_are_monomial_multiples(field):
+    f = MultiPoly.parse("3*x^4*w-x*y*z*w^2+2*y^2*w^3+z^5-x^2*y^3+7*w^5",
+                        field)
+    for k in (4, 6):
+        mac = singular._macaulay(field, singular._jacobian(Surface(f)), k)
+        expected = [[(m * g).terms.get(e, field.zero)
+                     for e in exponents_of_degree(k)]
+                    for g in f.gradient() if g
+                    for m in (MultiPoly(field, {e: field.one})
+                              for e in exponents_of_degree(k - 4))]
+        assert [[field(int(v)) if field == F31 else v for v in row]
+                for row in mac.tolist()] == expected
+
+
+@pytest.mark.parametrize("field", [F31, QQ, Field.GF(5, 2)],
+                         ids=lambda F: F.tag)
+def test_plane_restriction_matches_substitution(field):
+    f = MultiPoly.parse("3*x^4*w-x*y*z*w^2+2*y^2*w^3+z^5-x^2*y^3+7*w^5",
+                        field)
+    x, y, z, w = (MultiPoly(field, {e: field.one}) for e in
+                  ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+    def poly(g):
+        # (exps, vals) in 3 or 4 variables as a MultiPoly in x, y, z, w
+        return MultiPoly(field, {
+            tuple(map(int, e)) + (0,) * (4 - len(e)):
+            v if isinstance(v, type(field.one)) else field(int(v))
+            for e, v in zip(*g)})
+    partials = singular._jacobian(Surface(f))
+    assert [poly(g) for g in partials] == [g for g in f.gradient() if g]
+    for i in range(1, 5):
+        on_plane = [x, y, z, (x * i + y * i**2 + z * i**3) * -1]
+        expected = [g.substitute(on_plane) for g in f.gradient()]
+        assert ([poly(g) for g in singular._restrict(field, partials, i)]
+                == [g for g in expected if g])
+
+
+def test_regularity_certificate_is_checked_one_degree_below():
+    # h(5) = h(4) = 19 and (R/(J + l))_5 = 0 for l = x+y+z+w, yet h(6) = 18:
+    # only a zero cokernel at degree K-1 = 4 would prove the plateau
+    X = Surface(MultiPoly.parse("7*x^3*z+x*y*z^2+3*x*z^3+10*y*z^3+4*z^4"
+                                "+10*z^3*w+10*w^4", Field.GF(11)))
+    how = {}
+    res = singular_scheme_degree(X, evidence=how)
+    assert res == {"degree": 18, "hilbert": [1, 4, 10, 16, 19, 19, 18, 18, 18]}
+    assert how["regular_from"] == 6 and how["computed_to"] == 7
+
+
+def _counted(monkeypatch):
+    ks = []
+    value = singular._hilbert_value
+
+    def counting(field, partials, d, k):
+        ks.append(k)
+        return value(field, partials, d, k)
+    monkeypatch.setattr(singular, "_hilbert_value", counting)
+    return ks
+
+
+@pytest.mark.parametrize("build, k_last, plane", [
+    (fam.sextic_ten_gf31, 11, "x+y+z+w"),
+    (lambda: fam.septic_s4(Field.GF(101), 1, 2), 14, "x+y+z+w"),
+    # the planes for i = 1, 2 meet its singular points
+    (lambda: fam.sextic_k3_228(F31, F31(3)), 12, "3*x+9*y+27*z+w"),
+], ids=["ten-point-sextic", "septic-s4-gf101", "k3-228-gf31"])
+def test_regularity_certificate_skips_the_last_rank(monkeypatch, build,
+                                                    k_last, plane):
+    X = build()
+    ks = _counted(monkeypatch)
+    how = {}
+    res = singular_scheme_degree(X, evidence=how)
+    assert ks == list(range(k_last + 1))
+    assert how == {"method": "regularity", "proven": True, "plane": plane,
+                   "regular_from": k_last - 1, "computed_to": k_last}
+    assert len(res["hilbert"]) == k_last + 2
+    assert res["hilbert"][-1] == res["hilbert"][-2] == res["degree"]
+
+
+def test_no_certificate_on_a_positive_dimensional_locus(monkeypatch):
+    X = Surface(MultiPoly.parse("x^3+x*y^2+y^3", F31))
+    ks = _counted(monkeypatch)
+    how = {}
+    res = singular_scheme_degree(X, evidence=how)
+    assert res == {"verdict": "positive-dimensional", "hilbert":
+                   [1, 4, 8, 13, 19, 26, 34, 43, 53, 64, 76, 89, 103]}
+    assert ks == list(range(13))
+    assert how == {"method": "growth", "proven": False, "computed_to": 12}
+
+
+def test_regularity_certificate_over_the_rationals(monkeypatch):
+    # the same dict as the plateau rule, without the Fraction rank at k = 9
+    X, _ = triple_point_quartic(QQ)
+    ks = _counted(monkeypatch)
+    how = {}
+    res = singular_scheme_degree(X, evidence=how)
+    assert res == {"degree": 8,
+                   "hilbert": [1, 4, 10, 16, 19, 16, 11, 8, 8, 8]}
+    assert ks == list(range(9))
+    assert how["method"] == "regularity" and how["regular_from"] == 7
 
 
 def test_singular_scheme_positive_dimensional():
