@@ -115,6 +115,18 @@ def _parse_params(text, field, required, optional=()):
     return params
 
 
+def _parse_fundamental(text, n):
+    """Four comma-separated point indices in 0..n-1."""
+    try:
+        idx = [int(v) for v in text.split(",")]
+    except ValueError:
+        idx = []
+    if len(idx) != 4 or not all(0 <= i < n for i in idx):
+        raise DomainError(f"--fundamental takes four point indices in "
+                          f"0..{n - 1}, got {text!r}")
+    return idx
+
+
 def cmd_construct(args):
     field = Field.parse_tag(args.field) if args.field else None
     fam = args.family
@@ -129,8 +141,8 @@ def cmd_construct(args):
         if not args.base:
             raise DomainError(f"{fam} requires --base")
         base = Surface.load(args.base)
-        idx = [int(v) for v in args.fundamental.split(",")]
-        fundamental = [base.points[i] for i in idx]
+        fundamental = [base.points[i] for i in
+                       _parse_fundamental(args.fundamental, len(base.points))]
         ctor = (families.sextic_k3_246 if fam == "k3-246"
                 else families.sextic_elliptic_224)
         X = ctor(base, fundamental)

@@ -7,10 +7,12 @@ from __future__ import annotations
 import random
 from math import comb
 
+import numpy as np
+
 from .poly import MultiPoly, poly_determinant, exponents_of_degree
 from .linalg import Matrix, kernel_basis
 from .surfaces import ProjPoint, Surface
-from .singular import local_jet, _wrap
+from .singular import _jet_matrix, _matrix
 
 
 class MultiplicityAssignment:
@@ -50,18 +52,10 @@ def forms_with_multiplicity(degree: int, assignment: MultiplicityAssignment):
         raise ValueError("empty assignment")
     field = assignment.items[0][0].field
     mons = exponents_of_degree(degree)
-    # order-(m-1) jets of every monomial at every point give the rows
-    rows = []
-    for P, m in assignment:
-        k = m - 1
-        jets = []
-        for e in mons:
-            mj = local_jet(_wrap(MultiPoly(field, {e: field.one})), P, k)
-            jets.append(mj.coeff_vector(k))
-        ncond = comb(m + 2, 3)
-        for c in range(ncond):
-            rows.append([jets[j][c] for j in range(len(mons))])
-    coeffs = kernel_basis(Matrix(field, rows))
+    # the order-(m-1) jets of every monomial at a point are its conditions
+    rows = [_jet_matrix(field, P, np.array(mons), m - 1).T
+            for P, m in assignment]
+    coeffs = kernel_basis(_matrix(field, np.concatenate(rows)))
     return [MultiPoly.from_coeff_vector(field, mons, v) for v in coeffs]
 
 

@@ -13,8 +13,8 @@ from .poly import MultiPoly, poly_determinant, InexactDivisionError
 from .linalg import Matrix, kernel_basis, rank, invert
 from .surfaces import ProjPoint, Surface
 from .singular import (certify_ordinary_triple_point, CertificationFailure,
-                       DomainError, local_jet, common_projective_zeros,
-                       _wrap, enumerate_singular_points)
+                       DomainError, common_projective_zeros,
+                       enumerate_singular_points, _jets, _matrix)
 from .constructions import reciprocal_transform, forms_with_multiplicity, \
     MultiplicityAssignment
 
@@ -392,11 +392,7 @@ def sextic_ten_gf31():
     xyz = x * y * z
     gens = [q * q * q, xyz * q * w, xyz * g]
     center = ProjPoint(field, [1, 1, 1, 1])
-    rows = []
-    jets = [local_jet(_wrap(gg), center, 2).coeff_vector(2) for gg in gens]
-    for i in range(10):
-        rows.append([jets[j][i] for j in range(3)])
-    kern = kernel_basis(Matrix(field, rows))
+    kern = kernel_basis(_matrix(field, _jets(field, center, gens, 2).T))
     if len(kern) != 1:
         raise ArithmeticError(
             f"jet conditions give a {len(kern)}-dimensional kernel")

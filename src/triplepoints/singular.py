@@ -31,7 +31,7 @@ class CertificationFailure(DomainError):
 
 
 class LocalJet:
-    """Truncated Taylor expansion of a surface at a point.
+    """Truncated Taylor expansion of a surface or polynomial at a point.
 
     The chart coordinate is set to 1 and the remaining three coordinates,
     translated to the point, serve as local variables (in index order).
@@ -67,69 +67,16 @@ class LocalJet:
             terms[tuple(ge)] = c
         return MultiPoly(self.field, terms)
 
-    def coeff_vector(self, up_to: int):
-        """Coefficients against all local monomials of degree <= up_to."""
-        z = self.field.zero
-        out = []
-        for j in range(up_to + 1):
-            for e in exponents_of_degree(j, 3):
-                out.append(self.terms.get(e, z))
-        return out
 
-
-def _binomial_factors(field, base, e, k):
-    """Coefficients of (base + s)^e truncated at s^k, as a list."""
-    out = []
-    # term r: C(e, r) * base^(e-r) * s^r
-    base_pows = [field.one]
-    for _ in range(e):
-        base_pows.append(base_pows[-1] * base)
-    for r in range(min(e, k) + 1):
-        out.append(field(comb(e, r)) * base_pows[e - r])
-    return out
-
-
-def local_jet(X: Surface, P: ProjPoint, k: int) -> LocalJet:
-    """Order-k jet of X at P in the chart of P's leading coordinate."""
+def local_jet(X, P: ProjPoint, k: int) -> LocalJet:
+    """Order-k jet at P, in the chart of P's leading coordinate, of a
+    Surface or a MultiPoly."""
     if not (0 <= k):
         raise ValueError("negative jet order")
-    field = X.field
-    chart = P.chart
-    local = [i for i in range(4) if i != chart]
-    base = [P.coords[i] for i in local]
-    jet_terms = {}
-    fact_cache = {}
-    for e, c in X.f.terms.items():
-        # after setting the chart variable to 1, the term contributes
-        # c * prod_m (base_m + s_m)^(e_m) truncated at total degree k
-        parts = []
-        for m in range(3):
-            em = e[local[m]]
-            key = (m, em)
-            fl = fact_cache.get(key)
-            if fl is None:
-                fl = _binomial_factors(field, base[m], em, k)
-                fact_cache[key] = fl
-            parts.append(fl)
-        for r0, f0 in enumerate(parts[0]):
-            if not f0:
-                continue
-            for r1, f1 in enumerate(parts[1]):
-                if r0 + r1 > k:
-                    break
-                if not f1:
-                    continue
-                f01 = f0 * f1
-                for r2, f2 in enumerate(parts[2]):
-                    if r0 + r1 + r2 > k:
-                        break
-                    if not f2:
-                        continue
-                    key2 = (r0, r1, r2)
-                    v = c * f01 * f2
-                    s = jet_terms.get(key2)
-                    jet_terms[key2] = v if s is None else s + v
-    return LocalJet(field, chart, local, k, jet_terms)
+    f = X.f if isinstance(X, Surface) else X
+    jet = _matrix(f.field, _jets(f.field, P, [f], k)).rows[0]
+    return LocalJet(f.field, P.chart, [i for i in range(4) if i != P.chart],
+                    k, dict(zip(_jet_columns(k), jet)))
 
 
 def multiplicity(X: Surface, P: ProjPoint) -> int:
@@ -249,7 +196,7 @@ def enumerate_singular_points(X: Surface, e: int = 1):
     return common_projective_zeros(polys, base)
 
 
-# -- Macaulay matrices --------------------------------------------------
+# -- coefficient arrays: Macaulay matrices and jets ---------------------
 #
 # A polynomial is a pair (exps, vals): an int array with one exponent row
 # per term, and the coefficients.  Over a GF(p) that the numpy kernel
@@ -274,12 +221,39 @@ def _ints(field, ints):
     return (a % field.p).astype(np.int64) if _numeric(field) else a
 
 
+def _values(field, elems):
+    """An array of FieldElements as coefficients."""
+    a = np.array(elems, dtype=object)
+    if _numeric(field):
+        return np.array([c.val for c in a.flat],
+                        dtype=np.int64).reshape(a.shape)
+    return a
+
+
+def _matrix(field, arr) -> Matrix:
+    """A 2-d array of coefficients as a Matrix."""
+    if _numeric(field):
+        return gfnum.from_array(field, arr)
+    return Matrix(field, arr.tolist())
+
+
+def _mul(field, a, b):
+    """a * b elementwise, reduced over a numeric field."""
+    return a * b % field.p if _numeric(field) else a * b
+
+
+def _dot(field, a, b):
+    """a @ b.  Over a numeric field every product is reduced before the
+    sum, so a sum of n terms stays below n*p."""
+    if not _numeric(field):
+        return a @ b
+    return _mul(field, a[..., None], b).sum(axis=-2) % field.p
+
+
 def _arrays(field, terms):
     """(exps, vals) of a nonzero exponent -> coefficient dict."""
-    exps = np.array(list(terms), dtype=np.int64)
-    if _numeric(field):
-        return exps, np.array([c.val for c in terms.values()], dtype=np.int64)
-    return exps, np.array(list(terms.values()), dtype=object)
+    return (np.array(list(terms), dtype=np.int64),
+            _values(field, list(terms.values())))
 
 
 def _collect(field, exps, vals):
@@ -344,7 +318,56 @@ def _macaulay(field, gens, k):
 def _rank(field, mac) -> int:
     if _numeric(field):
         return gfnum.rank_mod_p(mac, field.p)
-    return rank(Matrix(field, mac.tolist()))
+    return rank(_matrix(field, mac))
+
+
+# -- jets ---------------------------------------------------------------
+#
+# At a point P the chart variable is set to 1 and the other three,
+# translated to P, are the local variables s_0, s_1, s_2.  A jet is a
+# vector over the local monomials of degree <= k (_jet_columns).
+
+def _jet_columns(k):
+    """Local exponent triples of degree 0, 1, ..., k, each degree in
+    exponents_of_degree order."""
+    return [e for j in range(k + 1) for e in exponents_of_degree(j, 3)]
+
+
+def _jet_matrix(field, P, exps, k):
+    """Order-k jets at P of the monomials with exponent rows exps, one row
+    each.
+
+    With b_m the local coordinates of P and e_m the exponents of the local
+    variables, a monomial becomes prod_m (b_m + s_m)^e_m, so its entry in
+    column (r_0, r_1, r_2) is prod_m B[e_m, r_m, m] for the binomial
+    table B[e, r, m] = C(e, r) * b_m^(e - r).  Over a numeric GF(p) the
+    table holds residues and the product is reduced after every factor,
+    so no intermediate exceeds (p-1)**2 < 2**62, as p < 2**31.
+    """
+    local = [i for i in range(4) if i != P.chart]
+    e = exps[:, local]
+    pows = [[field.one] * 3]
+    for _ in range(int(e.max())):
+        pows.append([c * P.coords[i] for c, i in zip(pows[-1], local)])
+    # comb(a, r) = 0 where a < r, so the clipped power there is harmless
+    shift = np.subtract.outer(np.arange(len(pows)), np.arange(k + 1))
+    table = _mul(field, _ints(field, [[[comb(a, r)] for r in range(k + 1)]
+                                      for a in range(len(pows))]),
+                 _values(field, pows)[np.maximum(shift, 0)])
+    factors = table[e[:, None], np.array(_jet_columns(k)), np.arange(3)]
+    return _mul(field, _mul(field, factors[..., 0], factors[..., 1]),
+                factors[..., 2])
+
+
+def _jets(field, P, polys, k):
+    """Order-k jets at P of the polynomials, one row each (zero for the
+    zero polynomial): their coefficients times the jets of their terms."""
+    out = _zeros(field, (len(polys), comb(k + 3, 3)))
+    for row, g in zip(out, polys):
+        if g:
+            exps, vals = _arrays(field, g.terms)
+            row[:] = _dot(field, vals, _jet_matrix(field, P, exps, k))
+    return out
 
 
 # -- Jacobian Hilbert function ------------------------------------------
@@ -492,52 +515,21 @@ def equisingular_tangent_dimension(X: Surface, points) -> int:
     (f itself always qualifies).
     """
     field = X.field
-    d = X.degree
     for P in points:
         certify_ordinary_triple_point(X, P)
     partials = X.f.gradient()
-    mons = exponents_of_degree(d)
-    cond_rows = []
+    mons = np.array(exponents_of_degree(X.degree))
+    rows = []
     for P in points:
-        jets = [local_jet(_wrap(g), P, 2) if g else None for g in partials]
-        jet_vecs = []
-        for j in jets:
-            if j is None:
-                jet_vecs.append([field.zero] * 10)
-            else:
-                jet_vecs.append(j.coeff_vector(2))
-        # annihilator of the span of the four jets
-        functionals = kernel_basis(Matrix(field, jet_vecs))
-        if not functionals:
-            continue
-        # order-2 jets of every degree-d monomial at P
-        mono_jets = []
-        for e in mons:
-            mj = local_jet(_wrap(MultiPoly(field, {e: field.one})), P, 2)
-            mono_jets.append(mj.coeff_vector(2))
-        for phi in functionals:
-            row = []
-            for mv in mono_jets:
-                s = field.zero
-                for a, b in zip(phi, mv):
-                    if a and b:
-                        s = s + a * b
-                row.append(s)
-            cond_rows.append(row)
-    nmon = len(mons)
-    r = rank(Matrix(field, cond_rows)) if cond_rows else 0
-    return nmon - r - 1
-
-
-class _wrap:
-    """Adapter exposing a bare polynomial with the Surface jet interface."""
-
-    __slots__ = ("field", "f", "degree")
-
-    def __init__(self, f):
-        self.field = f.field
-        self.f = f
-        self.degree = max(f.degree(), 0)
+        # annihilator of the span of the partials' jets, applied to the
+        # order-2 jets of every degree-d monomial
+        jets = _matrix(field, _jets(field, P, partials, 2))
+        functionals = kernel_basis(jets)
+        if functionals:
+            rows.append(_dot(field, _values(field, functionals),
+                             _jet_matrix(field, P, mons, 2).T))
+    r = _rank(field, np.concatenate(rows)) if rows else 0
+    return len(mons) - r - 1
 
 
 # -- certification pipeline ---------------------------------------------
@@ -572,11 +564,16 @@ def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
     rationals the declared (or supplied) points are used.  hilbert=None
     computes the Hilbert evidence automatically over finite fields;
     degree_evidence then says how its degree was settled (see
-    singular_scheme_degree), and is None when it was not computed.
+    singular_scheme_degree).  When it is not computed, degree_evidence is
+    {"method": "skipped", "proven": False, "reason": ...}, the reason
+    "rational field; pass --hilbert" or "not requested" (hilbert=False).
     """
     finite = X.field.kind != "QQ"
     if points is None:
         points = enumerate_singular_points(X) if finite else X.points
+    evidence = {"method": "skipped", "proven": False,
+                "reason": ("not requested" if hilbert is False
+                           else "rational field; pass --hilbert")}
     if hilbert is None:
         hilbert = finite
     infos = []
@@ -600,7 +597,6 @@ def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
         infos.append(info)
     expected = 8 * n_certified
     hseq = None
-    evidence = None
     verdict = "failed"
     if hilbert:
         evidence = {}

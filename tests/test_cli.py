@@ -167,6 +167,28 @@ def test_construct_reciprocal_family(capsys, tmp_path):
     assert len(data["points"]) == 9
 
 
+@pytest.fixture(scope="module")
+def k3_444_file(tmp_path_factory):
+    base = tmp_path_factory.mktemp("k3") / "base.json"
+    assert main(["construct", "--family", "k3-444", "--field", "GF:29",
+                 "--params", "a1=-1,a2=-1,a3=-1,b1=0,b2=0,b3=0",
+                 "-o", str(base)]) == 0
+    return str(base)
+
+
+@pytest.mark.parametrize("flag", [
+    ["--fundamental", "0,1,3,-5"], ["--fundamental", "0,1,3,9"],
+    ["--fundamental", "0,1,x,4"], []],
+    ids=["negative", "out-of-range", "non-integer", "missing"])
+def test_construct_rejects_bad_fundamental_indices(capsys, k3_444_file,
+                                                   flag):
+    code, data = run(capsys, "construct", "--family", "k3-246", "--base",
+                     k3_444_file, *flag)
+    assert code == 1
+    assert data["error"].startswith(
+        "DomainError: --fundamental takes four point indices in 0..8")
+
+
 def test_construct_quintic_from_points_file(capsys, tmp_path):
     ptsfile = tmp_path / "points.json"
     save_points(ptsfile, generic_points(F31, 3, seed=0))

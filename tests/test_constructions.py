@@ -5,7 +5,7 @@ import pytest
 from triplepoints.fields import Field
 from triplepoints.poly import MultiPoly
 from triplepoints.surfaces import ProjPoint, Surface
-from triplepoints.singular import local_jet, _wrap, certify
+from triplepoints.singular import local_jet, certify
 from triplepoints.constructions import (MultiplicityAssignment,
                                         forms_with_multiplicity,
                                         quadrics_through, echelon_basis,
@@ -42,12 +42,55 @@ def test_forms_with_multiplicity_dimensions():
     assert len(quadrics_through(pts7)) == 3
 
 
+# the reduced-echelon basis of test_forms_vanish_to_assigned_order, pinned
+# entry by entry so that a change in how jets are taken cannot move it
+ASSIGNED_ORDER_BASIS = [
+    "16*x^4+30*x^3*y+23*x^3*z+16*x^2*y^2+8*x^2*y*z+x^2*z^2",
+    "12*x^4+20*x^3*y+28*x^3*z+27*x^3*w+30*x^2*y^2+23*x^2*y*z+4*x^2*y*w"
+    "+x^2*z*w",
+    "9*x^4+17*x^3*y+25*x^3*w+2*x^2*y^2+15*x^2*y*w+x^2*w^2",
+    "22*x^4+15*x^3*y+10*x^3*z+21*x^2*y^2+14*x^2*y*z+4*x*y^3+x*y^2*z",
+    "x^4+2*x^3*y+10*x^3*w+9*x^2*y^2+14*x^2*y*w+23*x*y^3+x*y^2*w",
+    "10*x^4+20*x^3*y+13*x^3*z+17*x^2*y^2+4*x^2*y*z+15*x*y^3+x*y*z^2",
+    "17*x^4+18*x^3*z+22*x^3*w+28*x^2*y^2+16*x^2*y*z+2*x^2*y*w+x*y^3+x*y*z*w",
+    "16*x^4+10*x^3*y+5*x^3*w+6*x^2*y^2+x^2*y*w+29*x*y^3+x*y*w^2",
+    "6*x^4+26*x^3*y+29*x^3*z+28*x^2*y^2+24*x^2*y*z+2*x*y^3+x*z^3",
+    "6*x^4+4*x^3*y+18*x^3*z+20*x^3*w+27*x^2*y^2+25*x^2*y*z+8*x^2*y*w+27*x*y^3"
+    "+x*z^2*w",
+    "21*x^4+28*x^3*y+11*x^3*z+18*x^3*w+28*x^2*y^2+11*x^2*y*z+25*x^2*y*w"
+    "+8*x*y^3+x*z*w^2",
+    "29*x^4+10*x^3*y+2*x^3*w+28*x^2*y^2+2*x^2*y*w+15*x*y^3+x*w^3",
+    "11*x^3*y+15*x^3*z+18*x^2*y^2+19*x*y^3+17*y^4+y^3*z",
+    "26*x^4+23*x^3*y+15*x^3*w+12*x^2*y^2+2*x*y^3+11*y^4+y^3*w",
+    "16*x^4+18*x^3*y+22*x^3*z+23*x^2*y^2+19*x^2*y*z+14*x*y^3+21*y^4+y^2*z^2",
+    "4*x^4+19*x^3*y+26*x^3*z+11*x^3*w+20*x^2*y^2+11*x^2*y*z+25*x^2*y*w"
+    "+17*x*y^3+30*y^4+y^2*z*w",
+    "3*x^4+19*x^3*y+21*x^3*w+27*x^2*y^2+22*x^2*y*w+30*x*y^3+3*y^4+y^2*w^2",
+    "28*x^4+8*x^3*z+5*x^2*y^2+3*x^2*y*z+17*x*y^3+15*y^4+y*z^3",
+    "23*x^4+8*x^3*y+29*x^3*z+13*x^3*w+6*x^2*y^2+9*x^2*y*z+x^2*y*w+21*x*y^3"
+    "+17*y^4+y*z^2*w",
+    "2*x^4+26*x^3*y+14*x^3*z+29*x^3*w+3*x^2*y^2+12*x^2*y*z+9*x^2*y*w+20*x*y^3"
+    "+11*y^4+y*z*w^2",
+    "3*x^4+8*x^3*y+11*x^3*w+9*x^2*y^2+5*x^2*y*w+2*x*y^3+29*y^4+y*w^3",
+    "16*x^4+2*x^3*y+19*x^3*z+27*x^2*y^2+19*x^2*y*z+29*x*y^3+24*y^4+z^4",
+    "23*x^4+12*x^3*y+27*x^3*z+28*x^3*w+30*x^2*y^2+3*x^2*y*z+28*x^2*y*w"
+    "+5*x*y^3+21*y^4+z^3*w",
+    "22*x^4+19*x^3*y+7*x^3*z+18*x^3*w+10*x^2*y^2+23*x^2*y*z+2*x^2*y*w+9*x*y^3"
+    "+30*y^4+z^2*w^2",
+    "16*x^4+5*x^3*y+21*x^3*z+26*x^3*w+8*x^2*y^2+5*x^2*y*z+19*x^2*y*w+5*x*y^3"
+    "+3*y^4+z*w^3",
+    "4*x^4+11*x^3*y+22*x^3*w+16*x^2*y^2+20*x^2*y*w+9*x*y^3+22*y^4+w^4",
+]
+
+
 def test_forms_vanish_to_assigned_order():
     pts = generic_points(F31, 3, seed=9)
     assignment = [(pts[0], 2), (pts[1], 2), (pts[2], 1)]
-    for g in forms_with_multiplicity(4, assignment):
+    basis = forms_with_multiplicity(4, assignment)
+    assert [str(g) for g in basis] == ASSIGNED_ORDER_BASIS
+    for g in basis:
         for P, m in assignment:
-            jet = local_jet(_wrap(g), P, m - 1)
+            jet = local_jet(g, P, m - 1)
             assert jet.min_degree() is None  # vanishes to order m
 
 

@@ -190,6 +190,7 @@ def test_k3_228(k228):
     assert ProjPoint(F31, [3, 1, 1, 1]) in X.points
     # two planes each hold five of the points
     assert len(fam.detect_minus_one_conics(X.points)) == 2
+    assert equisingular_tangent_dimension(X, X.points) == 22
 
 
 def test_member_search_records_a_skipped_sweep(k228, monkeypatch):
@@ -305,6 +306,12 @@ def test_septic_s4():
     assert ProjPoint(QQ, [-2, 1, 2, 2]) in X.points
     assert certify(X, points=X.points, hilbert=False) \
         .to_json()["verdict"] == "certified-rational-only"
+
+
+def test_septic_s4_tangent_dimension_gf101():
+    X = fam.septic_s4(Field.GF(101), 1, 2)
+    assert len(X.points) == 16
+    assert equisingular_tangent_dimension(X, X.points) == 16
 
 
 def test_septic_s4_is_symmetric():

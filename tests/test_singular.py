@@ -29,24 +29,30 @@ def triple_point_quartic(field):
     return X, ProjPoint(field, [0, 0, 0, 1])
 
 
-def test_local_jet_is_taylor_expansion():
+@pytest.mark.parametrize("chart", range(4))
+@pytest.mark.parametrize("field", [QQ, F31, Field.GF(2147483647),
+                                   Field.GF(5, 2)],
+                         ids=["QQ", "GF31", "GF2147483647", "GF25"])
+def test_local_jet_is_taylor_expansion(field, chart):
     # summing the homogeneous parts at a displacement v recovers the
     # dehomogenized polynomial at P + v
-    rng = random.Random(41)
-    f = MultiPoly.parse("x^3+2*x*y*w+z^2*w-5*w^3+y^3", QQ)
-    X = Surface(f)
-    P = ProjPoint(QQ, [1, 2, -1, 3])
-    jet = local_jet(X, P, 3)
-    assert jet.chart == 0 and jet.local_indices == (1, 2, 3)
-    for _ in range(5):
-        v = [QQ(rng.randint(-4, 4)) for _ in range(3)]
-        full = [QQ.one] + [P.coords[i + 1] + v[i] for i in range(3)]
-        direct = f.evaluate(full)
-        vec = [QQ.zero, v[0], v[1], v[2]]
-        total = QQ.zero
-        for j in range(4):
-            total = total + jet.homogeneous_part_poly(j).evaluate(vec)
-        assert total == direct
+    rng = random.Random(41 + chart)
+    f = MultiPoly.parse("x^3+2*x*y*w+z^2*w-5*w^3+y^3+3*x*z^2-y*z*w", field)
+    P = ProjPoint(field, [0] * chart + [1] + [
+        field.random_element(rng) for _ in range(3 - chart)])
+    local = [i for i in range(4) if i != chart]
+    for X in (Surface(f), f):
+        jet = local_jet(X, P, 3)
+        assert jet.chart == chart and jet.local_indices == tuple(local)
+        for _ in range(5):
+            vec = [field.zero] * 4
+            for i in local:
+                vec[i] = field.random_element(rng)
+            direct = f.evaluate([c + v for c, v in zip(P.coords, vec)])
+            total = field.zero
+            for j in range(4):
+                total = total + jet.homogeneous_part_poly(j).evaluate(vec)
+            assert total == direct
 
 
 def test_local_jet_truncates():
@@ -421,6 +427,9 @@ def test_certify_report_rational():
     X, P = triple_point_quartic(QQ)
     report = certify(X, points=[P])
     assert report.to_json()["verdict"] == "certified-rational-only"
+    assert report.to_json()["degree_evidence"] == {
+        "method": "skipped", "proven": False,
+        "reason": "rational field; pass --hilbert"}
 
 
 def test_certify_report_failure():
@@ -430,6 +439,8 @@ def test_certify_report_failure():
     data = report.to_json()
     assert data["verdict"] == "failed"
     assert data["points"][0]["failure"] == "tangent cone singular"
+    assert data["degree_evidence"] == {"method": "skipped", "proven": False,
+                                       "reason": "not requested"}
 
 
 def test_certify_positive_dimensional_verdict():
