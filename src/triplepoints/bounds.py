@@ -4,8 +4,10 @@ bound from the singularity spectrum, plus their combination.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 
 class SpectrumDivisor:
@@ -49,16 +51,23 @@ class SpectrumDivisor:
 def brieskorn_spectrum(exponents) -> SpectrumDivisor:
     """Spectrum of the Brieskorn singularity sum of x_j^(a_j).
 
-    The multiset of sums i_1/a_1 + ... + i_n/a_n over 1 <= i_j <= a_j-1.
+    The multiset of sums i_1/a_1 + ... + i_n/a_n over 1 <= i_j <= a_j-1,
+    counted as numerators over L = lcm(a_j): the sparse convolution of the
+    sets {i * L/a_j}.
     """
     exponents = list(exponents)
     if not exponents or any(a < 2 for a in exponents):
         raise ValueError("exponents must all be at least 2")
-    counts = {}
-    for combo in itertools.product(*[range(1, a) for a in exponents]):
-        v = sum(Fraction(i, a) for i, a in zip(combo, exponents))
-        counts[v] = counts.get(v, 0) + 1
-    return SpectrumDivisor(counts.items())
+    den = lcm(*exponents)
+    counts = {0: 1}
+    for a in exponents:
+        step = den // a
+        out = {}
+        for n, m in counts.items():
+            for i in range(n + step, n + den, step):
+                out[i] = out.get(i, 0) + m
+        counts = out
+    return SpectrumDivisor((Fraction(n, den), m) for n, m in counts.items())
 
 
 def homogeneous_surface_spectrum(d: int) -> SpectrumDivisor:
@@ -79,31 +88,28 @@ def spectrum_bound(d: int, sing: SpectrumDivisor) -> int:
     changing only at the critical values {v, v-1} of both spectra, so the
     global minimum is attained either at a critical value (where the open
     interval excludes spectral values sitting on its endpoints) or on a
-    cell between two of them.  Both kinds are tried as candidates, plus a
-    point below the minimum.
+    cell between two of them; outside the critical range it meets no
+    spectral value.  Both kinds are counted on integers: the values times
+    twice the lcm of their denominators, so midpoints are integers too.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
     amb = homogeneous_surface_spectrum(d)
-    critical = sorted({w for v in amb.values() + sing.values()
-                       for w in (v, v - 1)})
-    candidates = [critical[0] - 1] + list(critical)
-    for u, v in zip(critical, critical[1:]):
-        if u != v:
-            candidates.append((u + v) / 2)
-    candidates.append(critical[-1] + Fraction(1, 2))
-    best = None
-    for a in candidates:
-        n_sing = sing.count_open(a, a + 1)
-        if n_sing == 0:
-            continue
-        n_amb = amb.count_open(a, a + 1)
-        q = n_amb // n_sing
-        if best is None or q < best:
-            best = q
-    if best is None:
+    unit = 2 * lcm(*(v.denominator for v in amb.values() + sing.values()))
+    spectra = [(np.array([v.numerator * (unit // v.denominator)
+                          for v, _ in spec]),
+                np.cumsum([0] + [m for _, m in spec]))
+               for spec in (amb, sing)]
+    critical = np.unique(np.concatenate(
+        [vals - shift for vals, _ in spectra for shift in (0, unit)]))
+    a = np.concatenate([critical, (critical[:-1] + critical[1:]) // 2])
+    # spectral numbers strictly inside (a, a + unit), for every candidate a
+    n_amb, n_sing = (total[np.searchsorted(vals, a + unit, side="left")]
+                     - total[np.searchsorted(vals, a, side="right")]
+                     for vals, total in spectra)
+    if not n_sing.any():
         raise ValueError("singularity spectrum meets no unit interval")
-    return best
+    return int((n_amb[n_sing > 0] // n_sing[n_sing > 0]).min())
 
 
 def polar_bound(d: int) -> int:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -31,16 +32,18 @@ def _emit(data, path=None):
 
 
 def _parse_range(text):
-    lo, _, hi = text.partition("..")
-    return range(int(lo), int(hi) + 1)
+    """lo..hi with integers lo <= hi."""
+    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
+    if not m or int(m[1]) > int(m[2]):
+        raise DomainError(f"--table takes lo..hi with integers lo <= hi, "
+                          f"got {text!r}")
+    return range(int(m[1]), int(m[2]) + 1)
 
 
 def cmd_bounds(args):
     if args.table:
-        table = {}
-        for d in _parse_range(args.table):
-            table[str(d)] = bounds_mod.combined_bound(d)
-        _emit({"table": table})
+        _emit({"table": {str(d): bounds_mod.combined_bound(d)
+                         for d in _parse_range(args.table)}})
         return
     if args.degree is None:
         raise DomainError("--degree or --table is required")
@@ -127,9 +130,24 @@ def _parse_fundamental(text, n):
     return idx
 
 
+# the flags each family reads, besides --family and --output
+_FLAGS = {"sextic-ten-gf31": ("field",),
+          **dict.fromkeys(_PARAM_FAMILIES, ("params", "field")),
+          "k3-246": ("base", "fundamental"), "ell-224": ("base", "fundamental"),
+          "quintic-nu": ("points", "field")}
+
+
 def cmd_construct(args):
     field = Field.parse_tag(args.field) if args.field else None
     fam = args.family
+    if fam not in _FLAGS:
+        raise DomainError(f"unknown family {fam!r}")
+    for flag in ("params", "field", "base", "fundamental", "points"):
+        value = getattr(args, flag)
+        # sextic-ten-gf31 is defined over GF(31) alone
+        if value and (flag not in _FLAGS[fam] or fam == "sextic-ten-gf31"
+                      and field != Field.GF(31)):
+            raise DomainError(f"family {fam} does not use --{flag} {value}")
     if fam == "sextic-ten-gf31":
         X = families.sextic_ten_gf31()
     elif fam in _PARAM_FAMILIES:
@@ -146,13 +164,11 @@ def cmd_construct(args):
         ctor = (families.sextic_k3_246 if fam == "k3-246"
                 else families.sextic_elliptic_224)
         X = ctor(base, fundamental)
-    elif fam == "quintic-nu":
+    else:
         if not args.points:
             raise DomainError("quintic-nu requires --points")
         pts = load_points(args.points, field)
         X = families.quintic_with_triple_points(pts)
-    else:
-        raise DomainError(f"unknown family {fam!r}")
     _emit(X.to_json(), args.output)
 
 

@@ -14,7 +14,7 @@ from .linalg import Matrix, kernel_basis, rank, invert
 from .surfaces import ProjPoint, Surface
 from .singular import (certify_ordinary_triple_point, CertificationFailure,
                        DomainError, common_projective_zeros,
-                       enumerate_singular_points, _jets, _matrix)
+                       enumerate_singular_points, _arrays, _jets, _matrix)
 from .constructions import reciprocal_transform, forms_with_multiplicity, \
     MultiplicityAssignment
 
@@ -392,7 +392,8 @@ def sextic_ten_gf31():
     xyz = x * y * z
     gens = [q * q * q, xyz * q * w, xyz * g]
     center = ProjPoint(field, [1, 1, 1, 1])
-    kern = kernel_basis(_matrix(field, _jets(field, center, gens, 2).T))
+    jets = _jets(field, center, [_arrays(field, g.terms) for g in gens], 2)
+    kern = kernel_basis(_matrix(field, jets.T))
     if len(kern) != 1:
         raise ArithmeticError(
             f"jet conditions give a {len(kern)}-dimensional kernel")

@@ -27,10 +27,6 @@ from functools import partial
 import numpy as np
 
 
-def NUMPY_SAFE_PRIME(p: int) -> bool:
-    return p < 2**31
-
-
 def to_array(m) -> np.ndarray:
     """Matrix over GF(p) -> int64 array of residues."""
     return np.array([[e.val for e in row] for row in m.rows], dtype=np.int64)

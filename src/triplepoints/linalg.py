@@ -95,8 +95,7 @@ def _rref_generic(field, rows):
 
 
 def _use_numpy(m: Matrix) -> bool:
-    return (m.field.kind == "GF" and gfnum.NUMPY_SAFE_PRIME(m.field.p)
-            and m.nrows * m.ncols >= 256)
+    return m.field.kind == "GF" and m.nrows * m.ncols >= 256
 
 
 def rref(m: Matrix):
@@ -111,8 +110,6 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
     if _use_numpy(m):
         return gfnum.rank_mod_p(gfnum.to_array(m), m.field.p)
     rows = [list(r) for r in m.rows]
@@ -126,15 +123,6 @@ def kernel_basis(m: Matrix):
     pivot-column entries determined by the RREF, and 0 in the other free
     positions; ordered by free column index.
     """
-    if m.ncols == 0:
-        return []
-    if m.nrows == 0:
-        basis = []
-        for j in range(m.ncols):
-            v = [m.field.zero] * m.ncols
-            v[j] = m.field.one
-            basis.append(v)
-        return basis
     red, pivots = rref(m)
     pivot_set = set(pivots)
     free = [j for j in range(m.ncols) if j not in pivot_set]
@@ -162,16 +150,3 @@ def invert(m: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     return Matrix(field, [row[n:] for row in red.rows[:n]])
 
-
-def solve_unique(m: Matrix, b):
-    """Solve M x = b when the solution exists and is unique, else None."""
-    aug = Matrix(m.field, [row + [bv] for row, bv in zip(m.rows, b)])
-    red, pivots = rref(aug)
-    if m.ncols in pivots:
-        return None  # inconsistent
-    if len(pivots) != m.ncols:
-        return None  # underdetermined
-    x = [m.field.zero] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.rows[r][m.ncols]
-    return x

@@ -74,9 +74,10 @@ def local_jet(X, P: ProjPoint, k: int) -> LocalJet:
     if not (0 <= k):
         raise ValueError("negative jet order")
     f = X.f if isinstance(X, Surface) else X
-    jet = _matrix(f.field, _jets(f.field, P, [f], k)).rows[0]
-    return LocalJet(f.field, P.chart, [i for i in range(4) if i != P.chart],
-                    k, dict(zip(_jet_columns(k), jet)))
+    field = f.field
+    jet = _jets(field, P, [_arrays(field, f.terms)], k)[0].tolist() if f else []
+    return LocalJet(field, P.chart, [i for i in range(4) if i != P.chart], k,
+                    {e: field(c) for e, c in zip(_jet_columns(k), jet) if c})
 
 
 def multiplicity(X: Surface, P: ProjPoint) -> int:
@@ -107,10 +108,11 @@ def _cone_smooth_rank(cone_jet_part, field):
 
     cone_jet_part: local exponent triple -> coefficient (degree 3).
     Full rank 15 means the three partial quadrics have no common
-    projective zero, i.e. the cubic is smooth.
+    projective zero, i.e. the cubic is smooth.  Read through _CONE_MAP.
     """
-    partials = _partials(field, *_arrays(field, cone_jet_part))
-    return _rank(field, _macaulay(field, partials, 4))
+    coeffs = _values(field, [cone_jet_part.get(e, field.zero)
+                             for e in exponents_of_degree(3, 3)])
+    return _rank(field, _dot(field, coeffs, _CONE_MAP).reshape(18, 15))
 
 
 def certify_ordinary_triple_point(X: Surface, P: ProjPoint) -> TriplePointCertificate:
@@ -130,7 +132,8 @@ def certify_ordinary_triple_point(X: Surface, P: ProjPoint) -> TriplePointCertif
     cone = jet.part(3)
     r = _cone_smooth_rank(cone, X.field)
     if r != 15:
-        raise CertificationFailure(P, "tangent cone singular", rank=r)
+        raise CertificationFailure(P, "tangent cone singular",
+                                   multiplicity=3, rank=r)
     return TriplePointCertificate(P, 3, jet.homogeneous_part_poly(3), r)
 
 
@@ -184,12 +187,7 @@ def enumerate_singular_points(X: Surface, e: int = 1):
         raise ValueError("enumeration requires a finite field")
     if e not in (1, 2):
         raise ValueError("extension degree must be 1 or 2")
-    if X.field.kind == "GF2":
-        if e != 1:
-            raise ValueError("already an extension field")
-        base = X.field
-    else:
-        base = X.field if e == 1 else X.field.extension()
+    base = X.field if e == 1 else X.field.extension()
     polys = [X.f] + [g for g in X.f.gradient() if g]
     if base != X.field:
         polys = [lift_poly(g, base) for g in polys]
@@ -199,13 +197,13 @@ def enumerate_singular_points(X: Surface, e: int = 1):
 # -- coefficient arrays: Macaulay matrices and jets ---------------------
 #
 # A polynomial is a pair (exps, vals): an int array with one exponent row
-# per term, and the coefficients.  Over a GF(p) that the numpy kernel
-# takes, vals are int64 residues; over any other field they are the
+# per term, and the coefficients.  Over GF(p), p < 2**31 by Field.GF,
+# vals are int64 residues; over any other field they are the
 # FieldElements themselves in an object array, so one code path serves
 # every field.
 
 def _numeric(field) -> bool:
-    return field.kind == "GF" and gfnum.NUMPY_SAFE_PRIME(field.p)
+    return field.kind == "GF"
 
 
 def _zeros(field, shape):
@@ -315,10 +313,39 @@ def _macaulay(field, gens, k):
     return mac
 
 
+def _cone_map():
+    """The integer map from the ten coefficients of a ternary cubic, in
+    exponents_of_degree order, to the flattened 18 x 15 degree-4 Macaulay
+    matrix of its three partials.  Row c is that matrix for x^c, whose
+    partials are c_j * x^(c - e_j); a zero one is written 0 * x_0^2 and
+    gives zero rows.  _macaulay does not reduce, so any GF(p) will do."""
+    rows = []
+    for c in np.array(exponents_of_degree(3, 3)):
+        rows.append(_macaulay(Field.GF(2), [
+            (np.array([c - e if c[j] else (2, 0, 0)]), c[j:j + 1])
+            for j, e in enumerate(np.eye(3, dtype=np.int64))], 4).ravel())
+    return np.array(rows)
+
+
+_CONE_MAP = _cone_map()
+
+
 def _rank(field, mac) -> int:
     if _numeric(field):
         return gfnum.rank_mod_p(mac, field.p)
     return rank(_matrix(field, mac))
+
+
+def _kernel(field, mat):
+    """kernel_basis of mat, one basis vector per row of an array."""
+    if not _numeric(field):
+        return _values(field, kernel_basis(_matrix(field, mat)))
+    red, pivots = gfnum.rref_mod_p(mat, field.p)
+    free = [j for j in range(mat.shape[1]) if j not in pivots]
+    out = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = -red[:len(pivots), free].T % field.p
+    return out
 
 
 # -- jets ---------------------------------------------------------------
@@ -346,27 +373,26 @@ def _jet_matrix(field, P, exps, k):
     """
     local = [i for i in range(4) if i != P.chart]
     e = exps[:, local]
-    pows = [[field.one] * 3]
+    base = _values(field, [P.coords[i] for i in local])
+    pows = [_values(field, [field.one] * 3)]
     for _ in range(int(e.max())):
-        pows.append([c * P.coords[i] for c, i in zip(pows[-1], local)])
+        pows.append(_mul(field, pows[-1], base))
     # comb(a, r) = 0 where a < r, so the clipped power there is harmless
     shift = np.subtract.outer(np.arange(len(pows)), np.arange(k + 1))
     table = _mul(field, _ints(field, [[[comb(a, r)] for r in range(k + 1)]
                                       for a in range(len(pows))]),
-                 _values(field, pows)[np.maximum(shift, 0)])
+                 np.array(pows)[np.maximum(shift, 0)])
     factors = table[e[:, None], np.array(_jet_columns(k)), np.arange(3)]
     return _mul(field, _mul(field, factors[..., 0], factors[..., 1]),
                 factors[..., 2])
 
 
 def _jets(field, P, polys, k):
-    """Order-k jets at P of the polynomials, one row each (zero for the
-    zero polynomial): their coefficients times the jets of their terms."""
+    """Order-k jets at P of (exps, vals) polynomials, one row each: their
+    coefficients times the jets of their terms."""
     out = _zeros(field, (len(polys), comb(k + 3, 3)))
-    for row, g in zip(out, polys):
-        if g:
-            exps, vals = _arrays(field, g.terms)
-            row[:] = _dot(field, vals, _jet_matrix(field, P, exps, k))
+    for row, (exps, vals) in zip(out, polys):
+        row[:] = _dot(field, vals, _jet_matrix(field, P, exps, k))
     return out
 
 
@@ -515,18 +541,18 @@ def equisingular_tangent_dimension(X: Surface, points) -> int:
     (f itself always qualifies).
     """
     field = X.field
+    # the points may come from a file: check them, not just trust them
     for P in points:
         certify_ordinary_triple_point(X, P)
-    partials = X.f.gradient()
+    partials = _jacobian(X)
     mons = np.array(exponents_of_degree(X.degree))
     rows = []
     for P in points:
         # annihilator of the span of the partials' jets, applied to the
         # order-2 jets of every degree-d monomial
-        jets = _matrix(field, _jets(field, P, partials, 2))
-        functionals = kernel_basis(jets)
-        if functionals:
-            rows.append(_dot(field, _values(field, functionals),
+        functionals = _kernel(field, _jets(field, P, partials, 2))
+        if len(functionals):
+            rows.append(_dot(field, functionals,
                              _jet_matrix(field, P, mons, 2).T))
     r = _rank(field, np.concatenate(rows)) if rows else 0
     return len(mons) - r - 1
@@ -589,8 +615,7 @@ def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
             n_certified += 1
         except CertificationFailure as exc:
             all_ok = False
-            info["multiplicity"] = exc.info.get(
-                "multiplicity", multiplicity(X, P))
+            info["multiplicity"] = exc.info["multiplicity"]
             info["tangent_cone"] = None
             info["smooth_rank"] = exc.info.get("rank")
             info["failure"] = exc.reason

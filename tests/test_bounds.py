@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -94,6 +95,42 @@ def test_spectrum_bound_is_a_true_minimum(d, num, den):
         return
     n_amb = amb.count_open(alpha, alpha + 1)
     assert n_amb // n_sing >= spectrum_bound(d, TRIPLE_POINT_SPECTRUM)
+
+
+def _enumerated_spectrum(exponents):
+    """The spectrum as the multiset of all sums i_1/a_1 + ... + i_n/a_n,
+    one Fraction per tuple of the i_j."""
+    counts = {}
+    for combo in itertools.product(*[range(1, a) for a in exponents]):
+        v = sum(Fraction(i, a) for i, a in zip(combo, exponents))
+        counts[v] = counts.get(v, 0) + 1
+    return SpectrumDivisor(counts.items())
+
+
+def _scanned_bound(amb, sing):
+    """The semicontinuity bound by scanning Fraction interval starts: every
+    critical value v or v - 1 of both spectra, the midpoints between them,
+    and one start below and one above them all."""
+    critical = sorted({w for v in amb.values() + sing.values()
+                       for w in (v, v - 1)})
+    candidates = ([critical[0] - 1] + critical
+                  + [(u + v) / 2 for u, v in zip(critical, critical[1:])]
+                  + [critical[-1] + Fraction(1, 2)])
+    return min(amb.count_open(a, a + 1) // sing.count_open(a, a + 1)
+               for a in candidates if sing.count_open(a, a + 1))
+
+
+@pytest.mark.parametrize("exponents", [[3, 3, 3], [2, 2, 2], [12, 12, 12],
+                                       [2, 3, 5], [4, 6, 9, 2]])
+def test_brieskorn_spectrum_matches_enumeration(exponents):
+    assert brieskorn_spectrum(exponents) == _enumerated_spectrum(exponents)
+
+
+def test_spectrum_bound_matches_fraction_scan():
+    for d in range(3, 21):
+        amb = _enumerated_spectrum([d, d, d])
+        for sing in (TRIPLE_POINT_SPECTRUM, NODE_SPECTRUM):
+            assert spectrum_bound(d, sing) == _scanned_bound(amb, sing), d
 
 
 def test_polar_bound_table():

@@ -37,6 +37,15 @@ def test_bounds_requires_argument(capsys):
     assert "error" in data
 
 
+@pytest.mark.parametrize("table", ["5..3", "3", "a..b"])
+def test_bounds_table_rejects_bad_ranges(capsys, table):
+    # an empty range used to print {"table": {}}, the others an int() error
+    code, data = run(capsys, "bounds", "--table", table)
+    assert code == 1
+    assert data["error"] == ("DomainError: --table takes lo..hi with "
+                             f"integers lo <= hi, got {table!r}")
+
+
 def test_spectrum(capsys):
     code, data = run(capsys, "spectrum", "--exponents", "3,3,3",
                      "--interval", "4/5,9/5")
@@ -151,6 +160,32 @@ def test_construct_rejects_unknown_repeated_and_missing_params(
     assert code == 1
     assert data["error"].startswith(f"DomainError: {named} (required: ")
     assert "optional: " in data["error"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--family", "sextic-ten-gf31", "--field", "GF:7", "--params", "mu=3"],
+     "--params mu=3"),
+    (["--family", "sextic-ten-gf31", "--field", "GF:7"], "--field GF:7"),
+    (["--family", "k3-444", "--field", "GF:29", "--params",
+      "a1=2,a2=3,a3=5,b1=7,b2=11,b3=13", "--base", "base.json"],
+     "--base base.json"),
+    (["--family", "ell-222", "--field", "GF:7", "--params",
+      "lambda=1,mu=1,nu=1,b1=1,b2=1,b3=1,b4=1,b5=1,b6=1",
+      "--fundamental", "0,1,2,3"], "--fundamental 0,1,2,3"),
+], ids=["sextic-ten-gf31-params", "sextic-ten-gf31-field", "k3-444-base",
+        "ell-222-fundamental"])
+def test_construct_rejects_flags_its_family_does_not_use(capsys, argv, named):
+    code, data = run(capsys, "construct", *argv)
+    assert code == 1
+    assert data["error"] == (f"DomainError: family {argv[1]} does not use "
+                             f"{named}")
+
+
+def test_construct_ten_point_sextic_takes_its_own_field(capsys):
+    code, data = run(capsys, "construct", "--family", "sextic-ten-gf31",
+                     "--field", "GF:31")
+    assert code == 0
+    assert data["field"] == "GF:31"
 
 
 def test_construct_reciprocal_family(capsys, tmp_path):

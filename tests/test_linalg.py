@@ -7,7 +7,7 @@ import sympy
 from triplepoints import gfnum
 from triplepoints.fields import Field, FieldMismatchError
 from triplepoints.linalg import (Matrix, rref, rank, kernel_basis,
-                                 invert, solve_unique, _rref_generic)
+                                 invert, _rref_generic)
 
 QQ = Field.QQ()
 F31 = Field.GF(31)
@@ -116,18 +116,6 @@ def test_invert():
                     [1 if i == j else 0 for i in range(4)]
     with pytest.raises(ValueError):
         invert(Matrix.from_ints(QQ, [[1, 2]]))
-
-
-def test_solve_unique():
-    m = Matrix.from_ints(QQ, [[2, 1], [1, 3]])
-    b = [QQ(5), QQ(10)]
-    x = solve_unique(m, b)
-    assert m.mul_vector(x) == b
-    # inconsistent
-    m2 = Matrix.from_ints(QQ, [[1, 1], [1, 1]])
-    assert solve_unique(m2, [QQ(1), QQ(2)]) is None
-    # underdetermined
-    assert solve_unique(m2, [QQ(1), QQ(1)]) is None
 
 
 # 2**31 - 1 runs in int64 with width-1 panels; 33554393 (near 2**25) runs

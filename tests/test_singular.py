@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from triplepoints import families as fam, gfnum, singular
 from triplepoints.fields import Field
+from triplepoints.linalg import Matrix, kernel_basis
 from triplepoints.poly import MultiPoly, exponents_of_degree
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import (CertificationFailure, local_jet,
@@ -404,12 +405,62 @@ def test_equisingular_tangent_dimension_no_points():
 
 
 def test_equisingular_tangent_dimension_triple_point():
-    X, P = triple_point_quartic(F31)
-    dim = equisingular_tangent_dimension(X, [P])
-    assert 0 < dim < 34
-    # the dimension is stable across fields of good characteristic
-    XQ, PQ = triple_point_quartic(QQ)
-    assert equisingular_tangent_dimension(XQ, [PQ]) == dim
+    # the dimension is stable across fields of good characteristic, on the
+    # mod-p annihilator path (GF(p)) and the object path (QQ, GF(p^2))
+    for field in (F31, QQ, Field.GF(5, 2), Field.GF(2147483647)):
+        X, P = triple_point_quartic(field)
+        assert equisingular_tangent_dimension(X, [P]) == 27, field
+
+
+def test_kernel_mod_p_matches_kernel_basis():
+    # the annihilators of the tangent dimension come from rref_mod_p over
+    # GF(p); they must be the vectors kernel_basis gives, in its order
+    rng = random.Random(11)
+    for field in (F7, F31, Field.GF(2147483647)):
+        for _ in range(25):
+            shape = (rng.randint(1, 6), rng.randint(1, 12))
+            mat = np.array([[rng.randrange(field.p) if rng.random() < 0.5
+                             else 0 for _ in range(shape[1])]
+                            for _ in range(shape[0])], dtype=np.int64)
+            mat[rng.randrange(shape[0])] = 0
+            expect = kernel_basis(Matrix(field, [[field(int(v)) for v in row]
+                                                 for row in mat]))
+            got = singular._kernel(field, mat)
+            assert [[field(int(v)) for v in row] for row in got] == expect
+
+
+CONE_FIELDS = [F7, F31, Field.GF(2147483647), Field.GF(5, 2), QQ]
+
+
+@pytest.mark.parametrize("field", CONE_FIELDS,
+                         ids=["GF7", "GF31", "GF2147483647", "GF25", "QQ"])
+def test_cone_map_matches_macaulay_of_partials(field):
+    # the fixed map from a cubic's coefficients gives the degree-4
+    # Macaulay matrix of its partials, with zero rows for zero partials
+    rng = random.Random(19)
+    cubics = exponents_of_degree(3, 3)
+    cones = [{(3, 0, 0): field.one}, {(2, 1, 0): field.one},
+             {(1, 1, 1): field.one, (3, 0, 0): field.one}]
+    cones += [{e: field.random_element(rng)
+               for e in rng.sample(cubics, rng.randint(1, 10))}
+              for _ in range(30)]
+    ranks = []
+    for cone in cones:
+        cone = {e: c for e, c in cone.items() if c}
+        if not cone:
+            continue
+        partials = singular._partials(field, *singular._arrays(field, cone))
+        mac = singular._macaulay(field, partials, 4)
+        coeffs = singular._values(field, [cone.get(e, field.zero)
+                                          for e in cubics])
+        mapped = singular._dot(field, coeffs, singular._CONE_MAP)
+        if len(partials) == 3:
+            assert (mapped.reshape(18, 15) == mac).all()
+        ranks.append(singular._cone_smooth_rank(cone, field))
+        assert ranks[-1] == singular._rank(field, mac)
+    # x^3, x^2*y and xyz + x^3 are singular cones; random ones are smooth
+    assert ranks[:3] == [6, 9, 13]
+    assert 15 in ranks
 
 
 def test_certify_report_finite_field():
@@ -439,6 +490,8 @@ def test_certify_report_failure():
     data = report.to_json()
     assert data["verdict"] == "failed"
     assert data["points"][0]["failure"] == "tangent cone singular"
+    assert (data["points"][0]["multiplicity"],
+            data["points"][0]["smooth_rank"]) == (3, 6)
     assert data["degree_evidence"] == {"method": "skipped", "proven": False,
                                        "reason": "not requested"}
 
