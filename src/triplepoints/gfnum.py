@@ -3,15 +3,19 @@ the singular-point sweep.
 
 Elimination (rank_mod_p, rref_mod_p) checks 2 <= p < 2**31 at entry and
 works by column panels, after Dumas, Giorgi and Pernet (ACM TOMS 35(3),
-2008): a panel's pivots are found in int64 residues, then all other rows
-are cleared by one matrix product.  Every factor of a product is a
-residue below p, so an update adds at most (panel width) * (p-1)**2 to
-an entry, and entries are reduced mod p only when a tracked bound says
-the next update could reach the limit of the working dtype.  The width
-is chosen from p alone: float64, whose matrix product is BLAS, while
-(p-1) + width * (p-1)**2 < 2**53, so float64 only ever holds integers
-below 2**53 and is exact; otherwise int64 with width 1, which p < 2**31
-keeps below 2**63.  No result depends on rounding.
+2008).  A panel is eliminated alone in int64 residues, without row swaps:
+any nonzero residue of a column is its pivot, the pivot row is retired
+by zeroing its later entries, and the multipliers are kept as LAPACK's
+getrf keeps L.  One matrix product then clears the rows below, A22 -=
+L21 (L11^-1 A12), with L11^-1 a product of I + (-N)^(2^j), L11 = I + N.
+Every factor of a product is a residue below p and every sum has at most
+width terms, so an update adds at most width * (p-1)**2 to an entry;
+entries are reduced mod p only when a tracked bound says the next update
+could reach the limit of the working dtype.  The width is chosen from p
+alone: float64, whose matrix product is BLAS, while (p-1) + width *
+(p-1)**2 < 2**53, so float64 only holds integers below 2**53 and is
+exact; otherwise int64 with width 1, which p < 2**31 keeps below 2**63.
+No result depends on rounding or on which rows become pivot rows.
 
 The sweep reduces after every product or contraction.  A contraction
 over the exponent axis sums at most d+1 products of residues below p,
@@ -37,20 +41,14 @@ def from_array(field, arr: np.ndarray):
     return Matrix(field, [[field(int(v)) for v in row] for row in arr])
 
 
-# widest panel: widths 16 to 48 timed within 10% of each other on the
-# Macaulay matrices of the septic and ten-point sextic certifications,
-# 8 and 64 slower
+# widest panel: on the Macaulay matrices of one benchmark pass 32 and 48
+# timed best, 12 to 24 up to 20% slower
 _PANEL = 32
 
 
 def _layout(p: int):
-    """Working dtype, panel width and exactness limit for elimination mod p.
-
-    An update adds at most width * (p-1)**2 to entries of magnitude at
-    most p-1 after a reduction.  The widest panel up to _PANEL that keeps
-    (p-1) + width * (p-1)**2 below 2**53 runs in float64; primes too large
-    for even width 1 run in int64, where p < 2**31 keeps it below 2**63.
-    """
+    """Working dtype, panel width and exactness limit for elimination mod p,
+    as the module docstring describes."""
     if not 2 <= p < 2**31:
         raise ValueError("elimination mod p needs a prime 2 <= p < 2**31")
     width = min(_PANEL, (2**53 - p) // (p - 1)**2)
@@ -64,17 +62,21 @@ def _residues(x, p: int) -> np.ndarray:
     return x.astype(np.int64, order="C") % p
 
 
-def _inverse_mod(s: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of a small int64 residue matrix whose leading
-    principal minors are all invertible (no row swaps are needed)."""
-    k = len(s)
-    m = np.concatenate([s, np.eye(k, dtype=np.int64)], axis=1)
-    for t in range(k):
-        m[t] = m[t] % p * pow(int(m[t, t] % p), -1, p) % p
-        f = m[:, t] % p
-        f[t] = 0
-        m -= f[:, None] * m[t]
-    return m[:, k:] % p
+def _mulmod(x, y, p: int, dtype) -> np.ndarray:
+    """x @ y mod p for residue matrices, summed in the working dtype."""
+    return _residues(np.matmul(x, y, dtype=dtype), p)
+
+
+def _unit_inverse(t, p: int, dtype) -> np.ndarray:
+    """Inverse mod p of a k x k unit triangular residue matrix t = I + N:
+    N is nilpotent, so it is the product of I + (-N)^(2^j) over 2^j < k."""
+    eye = np.eye(len(t), dtype=np.int64)
+    n = (eye - t) % p
+    x = eye + n
+    for _ in range((len(t) - 1).bit_length() - 1):
+        n = _mulmod(n, n, p, dtype)
+        x = _mulmod(x, eye + n, p, dtype)
+    return x
 
 
 def _eliminate(a, p: int, above: bool):
@@ -86,12 +88,16 @@ def _eliminate(a, p: int, above: bool):
     Rows above each panel's pivots are cleared only when `above` is set,
     which is all that distinguishes the reduced echelon form from a rank.
 
-    Every step below adds at most (p-1)**2 to an entry per pivot of the
-    panel, so by the choice of width no entry reaches the limit of the
-    dtype it is held in before it is reduced again.
+    Each panel column takes its largest residue as pivot; the update with
+    its multipliers (kept as a column of L, 1 at the pivot row) zeroes the
+    pivot row's later entries, which retires that row.  Only rows that
+    must move are swapped.  Every step adds at most (p-1)**2 to an entry
+    per pivot, so by the choice of width no entry reaches the limit of its
+    dtype before it is reduced again.
     """
     dtype, width, limit = _layout(p)
-    a = np.mod(a, p).astype(dtype, copy=False)
+    # one working copy, reduced in int64 and stored in the working dtype
+    a = np.mod(a, p, dtype=np.int64, out=np.empty(a.shape, dtype))
     nrows, ncols = a.shape
     step = (p - 1)**2
     bound = p - 1  # largest |entry| the next update can start from
@@ -100,45 +106,44 @@ def _eliminate(a, p: int, above: bool):
     for c0 in range(0, ncols, width):
         if r == nrows:
             break
-        # find the panel's pivot columns and rows by forward elimination
-        # of the panel alone, then move the pivot rows up to row r
         w = _residues(a[r:, c0:c0 + width].T, p)  # one row per column
-        order = np.arange(nrows - r)
-        cols = []
+        piv, mult = [], []  # (row, column, 1 / pivot), and L by columns
         for j in range(len(w)):
-            k = len(cols)
-            col = w[j, k:] % p
-            nz = col.nonzero()[0]
-            if not nz.size:
-                continue
-            i = k + int(nz[0])
-            if i != k:
-                col[[0, i - k]] = col[[i - k, 0]]
-                w[:, [k, i]] = w[:, [i, k]]
-                order[[k, i]] = order[[i, k]]
-            w[j + 1:, k + 1:] -= (w[j + 1:, k, None] % p
-                                  * (col[1:] * pow(int(col[0]), -1, p) % p))
-            cols.append(j)
-        moved = np.flatnonzero(order != np.arange(nrows - r))
-        a[r + moved] = a[r + order[moved]]
-        k = len(cols)
-        pivots.extend(c0 + j for j in cols)
-        r += k
+            col = w[j] % p
+            i = int(col.argmax())
+            if col[i]:
+                piv.append((i, j, pow(int(col[i]), -1, p)))
+                mult.append(col * piv[-1][2] % p)
+                w[j + 1:] -= w[j + 1:, i, None] % p * mult[-1]
+        k = len(piv)
+        pivots.extend(c0 + j for _, j, _ in piv)
+        top, r = r, r + k
         if not k or not above and (r == nrows or c0 + width >= ncols):
             continue  # nothing to clear, or the rank is already known
-        # the pivot rows, reduced to 1 at their pivot and 0 at the others;
-        # each sum of the product has k terms below (p-1)**2
-        u = _residues(a[r - k:r, c0:], p)
-        u = _residues(_inverse_mod(u[:, cols], p).astype(dtype)
-                      @ u.astype(dtype), p).astype(dtype)
-        a[r - k:r, c0:] = u
-        rest = [a[r:, c0:]] + ([a[:r - k, c0:]] if above else [])
+        rows, cols, inverses = np.array(piv).T
+        low = np.array(mult, dtype=dtype).T
+        del w, mult  # a smaller peak on the largest matrices
+        # the pivot rows from column c0, reduced by the panel's pivots
+        u = _mulmod(_unit_inverse(low[rows], p, dtype),
+                    _residues(a[top + rows, c0:], p), p, dtype)
+        # the other rows among the top k take the places of pivot rows
+        down, up = rows[rows >= k], np.delete(np.arange(k), rows[rows < k])
+        a[top + down] = a[top + up]
+        low[down] = low[up]
+        updates = [(a[r:, c0 + width:], low[k:], u[:, width:])]
+        if above:  # normalise the pivot rows and clear them from above
+            u = u * inverses[:, None] % p
+            u = _mulmod(_unit_inverse(u[:, cols], p, dtype), u, p, dtype)
+            a[top:r, :c0] = 0
+            a[top:r, c0:] = u
+            b = a[:top, c0:]
+            updates.append((b, _residues(b[:, cols], p), u))
         if bound + k * step >= limit:
-            for b in rest:
+            for b, _, _ in updates:
                 np.mod(b, p, out=b)
             bound = p - 1
-        for b in rest:
-            b -= _residues(b[:, cols], p).astype(dtype) @ u
+        for b, m, x in updates:
+            b -= np.matmul(m, x, dtype=dtype)
         bound += k * step
     return a, pivots
 

@@ -389,11 +389,12 @@ def _jet_matrix(field, P, exps, k):
 
 def _jets(field, P, polys, k):
     """Order-k jets at P of (exps, vals) polynomials, one row each: their
-    coefficients times the jets of their terms."""
-    out = _zeros(field, (len(polys), comb(k + 3, 3)))
-    for row, (exps, vals) in zip(out, polys):
-        row[:] = _dot(field, vals, _jet_matrix(field, P, exps, k))
-    return out
+    coefficients times the jets of their terms, summed per polynomial."""
+    exps, vals = (np.concatenate(x) for x in zip(*polys))
+    terms = _mul(field, vals[:, None], _jet_matrix(field, P, exps, k))
+    starts = np.cumsum([0] + [len(v) for _, v in polys[:-1]])
+    out = np.add.reduceat(terms, starts)
+    return out % field.p if _numeric(field) else out
 
 
 # -- Jacobian Hilbert function ------------------------------------------

@@ -8,6 +8,10 @@ from .poly import MultiPoly
 
 SCHEMA_VERSION = 1
 
+# the JSON type of each key of a surface document
+_TYPES = {"field": (str, "a string"), "polynomial": (str, "a string"),
+          "metadata": (dict, "an object"), "points": (list, "an array")}
+
 
 class ProjPoint:
     """Point of P^3 in canonical form: first nonzero coordinate is 1."""
@@ -62,6 +66,9 @@ class ProjPoint:
 
     @classmethod
     def from_json(cls, field, data):
+        if not isinstance(data, list) or {type(s) for s in data} - {str}:
+            raise ValueError("'points' must hold arrays of coordinate "
+                             f"strings, got {data!r}")
         return cls(field, [field.parse(s) for s in data])
 
 
@@ -102,6 +109,11 @@ class Surface:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError("a surface must be a JSON object")
+        for key, (kind, name) in _TYPES.items():
+            if key in data and not isinstance(data[key], kind):
+                raise ValueError(f"{key!r} must be {name}, got {data[key]!r}")
         field = Field.parse_tag(data["field"])
         f = MultiPoly.parse(data["polynomial"], field)
         meta = dict(data.get("metadata", {}))
@@ -129,6 +141,8 @@ def load_points(path, field):
     """points.json: a list of coordinate 4-tuples as strings."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError(f"a points file must hold an array, got {data!r}")
     return [ProjPoint.from_json(field, c) for c in data]
 
 

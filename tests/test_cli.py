@@ -273,3 +273,44 @@ def test_linear_system(capsys, tmp_path):
 def test_missing_file_is_a_domain_error(capsys):
     code, data = run(capsys, "certify", "-i", "/nonexistent/surface.json")
     assert code == 1 and data["error"].startswith("FileNotFoundError")
+
+
+@pytest.mark.parametrize("command", ["certify", "tangent-dim", "cremona"])
+@pytest.mark.parametrize("patch, named", [
+    ({"polynomial": 5}, "'polynomial' must be a string"),
+    ({"polynomial": ["x"]}, "'polynomial' must be a string"),
+    ({"field": 7}, "'field' must be a string"),
+    ({"points": None}, "'points' must be an array"),
+    ({"points": [[1, 2]]}, "'points' must hold arrays of coordinate strings"),
+], ids=["polynomial-int", "polynomial-list", "field-int", "points-null",
+        "point-ints"])
+def test_malformed_surface_file_is_a_domain_error(capsys, tmp_path, command,
+                                                  patch, named):
+    # each of these used to end in a TypeError or AttributeError traceback
+    doc = {"schema_version": 1, "field": "GF:31",
+           "polynomial": "x^3*w+y^3*z+z^4", "points": [["0", "0", "0", "1"]]}
+    doc.update(patch)
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(doc))
+    code, data = run(capsys, command, "-i", str(path))
+    assert code == 1
+    assert data["error"].startswith(f"ValueError: {named}")
+
+
+def test_surface_and_points_files_of_the_wrong_shape(capsys, tmp_path):
+    # a surface that is not an object, and a points file that is not an
+    # array, used to end in a TypeError traceback
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    code, data = run(capsys, "certify", "-i", str(bad))
+    assert code == 1
+    assert data["error"] == "ValueError: a surface must be a JSON object"
+    surf = tmp_path / "ten.json"
+    run(capsys, "construct", "--family", "sextic-ten-gf31", "-o", str(surf))
+    pts = tmp_path / "points.json"
+    pts.write_text("5")
+    code, data = run(capsys, "tangent-dim", "-i", str(surf), "--points",
+                     str(pts))
+    assert code == 1
+    assert data["error"] == ("ValueError: a points file must hold an array, "
+                             "got 5")

@@ -129,21 +129,32 @@ def _kernel_cases(rng, p):
     def rand(nrows, ncols):
         return [[rng.randint(-3 * p, 3 * p) for _ in range(ncols)]
                 for _ in range(nrows)]
+
+    def staggered(rk, ncols):
+        # staggered leading zeros spread the pivots over several panels
+        return [[0] * (t * ncols // (rk + 2)) + row[t * ncols // (rk + 2):]
+                for t, row in enumerate(rand(rk, ncols))]
+
+    def combine(base, nrows, ncols):
+        return [[sum(c * b[j] for c, b in zip(comb, base)) % p
+                 + p * rng.randint(-2, 2) for j in range(ncols)]
+                for comb in rand(nrows, len(base))]
+
     cases = [rand(1, 1), [[p]], rand(1, 150), rand(80, 1), [[0] * 9] * 4,
              rand(40, 45)]
     for nrows, ncols, rk in ((80, 150, 24), (60, 70, 40), (100, 40, 12)):
-        # staggered leading zeros spread the pivots over several panels
-        base = [[0] * (t * ncols // (rk + 2)) + row[t * ncols // (rk + 2):]
-                for t, row in enumerate(rand(rk, ncols))]
-        rows = [[sum(c * b[j] for c, b in zip(comb, base)) % p
-                 + p * rng.randint(-2, 2) for j in range(ncols)]
-                for comb in rand(nrows, rk)]
+        rows = combine(staggered(rk, ncols), nrows, ncols)
         for i in rng.sample(range(nrows), nrows // 8):
             rows[i] = [0] * ncols
         for j in rng.sample(range(ncols), ncols // 8):
             for row in rows:
                 row[j] = 0
         cases.append(rows)
+    # reverse staggered: the staggered rows at the bottom in reverse, under
+    # combinations of the later ones, so each column's pivot is in the
+    # last rows of its panel
+    base = staggered(40, 100)
+    cases.append(combine(base[20:], 30, 100) + base[::-1])
     return cases
 
 
@@ -154,12 +165,17 @@ def test_kernel_matches_generic_elimination(p):
     for ints in _kernel_cases(rng, p):
         rows = [list(r) for r in Matrix.from_ints(field, ints).rows]
         gen_pivots = _rref_generic(field, rows)
-        arr = np.array(ints, dtype=np.int64)
-        assert gfnum.rank_mod_p(arr, p) == len(gen_pivots)
-        red, pivots = gfnum.rref_mod_p(arr, p)
-        assert pivots == gen_pivots
-        assert red.tolist() == [[e.val for e in r] for r in rows]
-        assert np.array_equal(arr, np.array(ints, dtype=np.int64))
+        want = [[e.val for e in r] for r in rows]
+        # a row permutation moves the pivots to other rows of their panels
+        # and keeps the reduced form; the transpose keeps the rank
+        for case in (ints, rng.sample(ints, len(ints))):
+            arr = np.array(case, dtype=np.int64)
+            assert gfnum.rank_mod_p(arr, p) == len(gen_pivots)
+            assert gfnum.rank_mod_p(arr.T, p) == len(gen_pivots)
+            red, pivots = gfnum.rref_mod_p(arr, p)
+            assert pivots == gen_pivots
+            assert red.tolist() == want
+            assert np.array_equal(arr, np.array(case, dtype=np.int64))
 
 
 def test_kernel_refuses_primes_beyond_its_bound():
