@@ -3,7 +3,7 @@ ordinary triple points."""
 
 from .fields import Field, FieldElement, FieldMismatchError, solve_quadratic
 from .poly import MultiPoly, InexactDivisionError, poly_determinant
-from .linalg import Matrix, rank, kernel_basis, rref
+from .linalg import rank, kernel_basis, rref
 from .surfaces import ProjPoint, Surface
 from .singular import (local_jet, multiplicity, certify_ordinary_triple_point,
                        CertificationFailure, enumerate_singular_points,
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Field", "FieldElement", "FieldMismatchError", "solve_quadratic",
     "MultiPoly", "InexactDivisionError", "poly_determinant",
-    "Matrix", "rank", "kernel_basis", "rref",
+    "rank", "kernel_basis", "rref",
     "ProjPoint", "Surface",
     "local_jet", "multiplicity", "certify_ordinary_triple_point",
     "CertificationFailure", "enumerate_singular_points",

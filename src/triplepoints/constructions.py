@@ -10,9 +10,9 @@ from math import comb
 import numpy as np
 
 from .poly import MultiPoly, poly_determinant, exponents_of_degree
-from .linalg import Matrix, kernel_basis
+from .linalg import _values, kernel_basis, rref
 from .surfaces import ProjPoint, Surface
-from .singular import _jet_matrix, _matrix
+from .singular import _jet_matrix
 
 
 class MultiplicityAssignment:
@@ -55,8 +55,9 @@ def forms_with_multiplicity(degree: int, assignment: MultiplicityAssignment):
     # the order-(m-1) jets of every monomial at a point are its conditions
     rows = [_jet_matrix(field, P, np.array(mons), m - 1).T
             for P, m in assignment]
-    coeffs = kernel_basis(_matrix(field, np.concatenate(rows)))
-    return [MultiPoly.from_coeff_vector(field, mons, v) for v in coeffs]
+    coeffs = kernel_basis(field, np.concatenate(rows))
+    return [MultiPoly.from_coeff_vector(field, mons, map(field, v))
+            for v in coeffs]
 
 
 def quadrics_through(points):
@@ -76,10 +77,10 @@ def echelon_basis(polys):
     if d is None or any(g.homogeneous_degree() != d for g in polys):
         raise ValueError("forms must be homogeneous of a common degree")
     mons = exponents_of_degree(d)
-    m = Matrix(field, [g.coeff_vector(mons) for g in polys])
-    red, pivots = m.rref()
-    return [MultiPoly.from_coeff_vector(field, mons, red.rows[i])
-            for i in range(len(pivots))]
+    red, pivots = rref(field, _values(field, [g.coeff_vector(mons)
+                                              for g in polys]))
+    return [MultiPoly.from_coeff_vector(field, mons, map(field, v))
+            for v in red[:len(pivots)]]
 
 
 def mixed_power_system(quadrics, k: int = 3):

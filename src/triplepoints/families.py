@@ -10,11 +10,11 @@ import random
 
 from .fields import Field, solve_quadratic
 from .poly import MultiPoly, poly_determinant, InexactDivisionError
-from .linalg import Matrix, kernel_basis, rank, invert
+from .linalg import _values, _dot, kernel_basis, rank, invert
 from .surfaces import ProjPoint, Surface
 from .singular import (certify_ordinary_triple_point, CertificationFailure,
                        DomainError, common_projective_zeros,
-                       enumerate_singular_points, _arrays, _jets, _matrix)
+                       enumerate_singular_points, _arrays, _jets)
 from .constructions import reciprocal_transform, forms_with_multiplicity, \
     MultiplicityAssignment
 
@@ -102,9 +102,9 @@ def _member_search(field, gens, points, fixed, meta):
 
 
 def _collinear_triple(points) -> bool:
+    field = points[0].field
     for trio in itertools.combinations(points, 3):
-        m = Matrix(points[0].field, [list(P.coords) for P in trio])
-        if rank(m) < 3:
+        if rank(field, _values(field, [P.coords for P in trio])) < 3:
             return True
     return False
 
@@ -242,24 +242,23 @@ def reciprocal_family(base: Surface, fundamental, exc_degrees, family_id):
         if P not in declared:
             raise ValueError(f"{P} is not a declared triple point")
         certify_ordinary_triple_point(base, P)
-    m = Matrix(field, [[P.coords[i] for P in fundamental] for i in range(4)])
+    # column j of m is the j-th fundamental point
+    m = _values(field, [P.coords for P in fundamental]).T
     try:
-        minv = invert(m)
+        minv = invert(field, m)
     except ValueError:
         raise ValueError("fundamental points are in degenerate position")
     variables = _variables(field)
     images = []
     for i in range(4):
         g = MultiPoly.zero(field)
-        for j in range(4):
-            if m.rows[i][j]:
-                g = g + variables[j].scale(m.rows[i][j])
+        for j, P in enumerate(fundamental):
+            if P.coords[i]:
+                g = g + variables[j].scale(P.coords[i])
         images.append(g)
     f2 = base.f.substitute(images)
-    moved = []
-    for P in declared:
-        v = minv.mul_vector(list(P.coords))
-        moved.append(ProjPoint(field, v))
+    coords = _values(field, [P.coords for P in declared])
+    moved = [ProjPoint(field, v) for v in _dot(field, coords, minv.T)]
     meta = {k: v for k, v in base.metadata.items() if k != "points"}
     X2 = Surface(f2, dict(meta, points=moved))
     image, mults = reciprocal_transform(X2)
@@ -393,11 +392,11 @@ def sextic_ten_gf31():
     gens = [q * q * q, xyz * q * w, xyz * g]
     center = ProjPoint(field, [1, 1, 1, 1])
     jets = _jets(field, center, [_arrays(field, g.terms) for g in gens], 2)
-    kern = kernel_basis(_matrix(field, jets.T))
+    kern = kernel_basis(field, jets.T)
     if len(kern) != 1:
         raise ArithmeticError(
             f"jet conditions give a {len(kern)}-dimensional kernel")
-    coeffs = kern[0]
+    coeffs = list(map(field, kern[0]))
     f = MultiPoly.zero(field)
     for c, gg in zip(coeffs, gens):
         if c:
@@ -535,9 +534,9 @@ def detect_minus_one_conics(points):
     variables = _variables(field)
     results = []
     for combo in itertools.combinations(range(len(points)), 5):
-        m = Matrix(field, [list(points[i].coords) for i in combo])
-        kern = kernel_basis(m)
-        if not kern:
+        kern = kernel_basis(field, _values(field, [points[i].coords
+                                                   for i in combo]))
+        if not len(kern):
             continue
         plane = MultiPoly.zero(field)
         for c, v in zip(kern[0], variables):

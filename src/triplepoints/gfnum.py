@@ -31,16 +31,6 @@ from functools import partial
 import numpy as np
 
 
-def to_array(m) -> np.ndarray:
-    """Matrix over GF(p) -> int64 array of residues."""
-    return np.array([[e.val for e in row] for row in m.rows], dtype=np.int64)
-
-
-def from_array(field, arr: np.ndarray):
-    from .linalg import Matrix
-    return Matrix(field, [[field(int(v)) for v in row] for row in arr])
-
-
 # widest panel: on the Macaulay matrices of one benchmark pass 32 and 48
 # timed best, 12 to 24 up to 20% slower
 _PANEL = 32

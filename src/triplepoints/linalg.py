@@ -1,66 +1,62 @@
-"""Exact linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields, on coefficient arrays.
 
-A Matrix is a thin wrapper over a list of FieldElement rows.  Rank,
-reduced row echelon form and right null spaces are computed by exact
-Gaussian elimination.  Over prime fields, matrices large enough to
-matter go to the blocked kernel in gfnum, which holds only integers
-below 2**53 in float64 (its panel width is chosen from p to keep them
-there), uses int64 for large p, and checks p < 2**31 at entry; its
-results are exact and equal to those of the generic elimination here.
+A vector or matrix is a numpy array of coefficients.  Over GF(p), p <
+2**31 by Field.GF, it holds int64 residues; over QQ and GF(p^2) it is an
+object array of the FieldElements themselves.  _zeros, _ints and _values
+make such arrays and _mul and _dot multiply them, so one code path
+serves every field.
+
+rank, rref, kernel_basis and invert take (field, array) and return
+arrays.  Over GF(p) every matrix, of any size, goes to the blocked
+elimination kernel in gfnum (rank_mod_p, rref_mod_p), whose results are
+exact (its module docstring gives the bound); over QQ and GF(p^2) the
+rows go to exact Gaussian elimination, _rref_generic.  Both give the same
+pivots and reduced form.
 """
 from __future__ import annotations
 
-from .fields import Field, FieldElement, FieldMismatchError
+import numpy as np
+
 from . import gfnum
 
 
-class Matrix:
-    """Dense matrix of FieldElement entries (rectangular)."""
+def _numeric(field) -> bool:
+    return field.kind == "GF"
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
 
-    def __init__(self, field: Field, rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for e in r:
-                if not isinstance(e, FieldElement) or e.field != field:
-                    raise FieldMismatchError("entry from a different field")
-        self.field = field
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = ncols
+def _zeros(field, shape):
+    if _numeric(field):
+        return np.zeros(shape, dtype=np.int64)
+    return np.full(shape, field.zero, dtype=object)
 
-    @classmethod
-    def from_ints(cls, field, rows):
-        return cls(field, [[field(v) for v in r] for r in rows])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
+def _ints(field, ints):
+    """Integers as coefficients: residues over a numeric field, Python
+    ints (which FieldElement arithmetic accepts) otherwise."""
+    a = np.array(ints, dtype=object)
+    return (a % field.p).astype(np.int64) if _numeric(field) else a
 
-    def __repr__(self):
-        return f"Matrix({self.field.tag}, {self.nrows}x{self.ncols})"
 
-    def mul_vector(self, v):
-        out = []
-        for r in self.rows:
-            s = self.field.zero
-            for a, b in zip(r, v):
-                s = s + a * b
-            out.append(s)
-        return out
+def _values(field, elems):
+    """An array of FieldElements as coefficients."""
+    a = np.array(elems, dtype=object)
+    if _numeric(field):
+        return np.array([c.val for c in a.flat],
+                        dtype=np.int64).reshape(a.shape)
+    return a
 
-    def rank(self) -> int:
-        return rank(self)
 
-    def rref(self):
-        return rref(self)
+def _mul(field, a, b):
+    """a * b elementwise, reduced over a numeric field."""
+    return a * b % field.p if _numeric(field) else a * b
 
-    def kernel_basis(self):
-        return kernel_basis(self)
+
+def _dot(field, a, b):
+    """a @ b.  Over a numeric field every product is reduced before the
+    sum, so a sum of n terms stays below n*p."""
+    if not _numeric(field):
+        return a @ b
+    return _mul(field, a[..., None], b).sum(axis=-2) % field.p
 
 
 def _rref_generic(field, rows):
@@ -94,59 +90,46 @@ def _rref_generic(field, rows):
     return pivots
 
 
-def _use_numpy(m: Matrix) -> bool:
-    return m.field.kind == "GF" and m.nrows * m.ncols >= 256
+def rref(field, a):
+    """(reduced row echelon form, pivot column list) of a matrix."""
+    if _numeric(field):
+        return gfnum.rref_mod_p(a, field.p)
+    rows = a.tolist()
+    pivots = _rref_generic(field, rows)
+    return np.array(rows, dtype=object).reshape(a.shape), pivots
 
 
-def rref(m: Matrix):
-    """(Matrix in reduced row echelon form, pivot column list)."""
-    if _use_numpy(m):
-        arr = gfnum.to_array(m)
-        red, pivots = gfnum.rref_mod_p(arr, m.field.p)
-        return gfnum.from_array(m.field, red), list(pivots)
-    rows = [list(r) for r in m.rows]
-    pivots = _rref_generic(m.field, rows)
-    return Matrix(m.field, rows), pivots
+def rank(field, a) -> int:
+    if _numeric(field):
+        return gfnum.rank_mod_p(a, field.p)
+    return len(_rref_generic(field, a.tolist()))
 
 
-def rank(m: Matrix) -> int:
-    if _use_numpy(m):
-        return gfnum.rank_mod_p(gfnum.to_array(m), m.field.p)
-    rows = [list(r) for r in m.rows]
-    return len(_rref_generic(m.field, rows))
+def kernel_basis(field, a):
+    """Basis of {v : a v = 0} in reduced echelon form, one vector per row.
 
-
-def kernel_basis(m: Matrix):
-    """Basis of {v : M v = 0} in reduced echelon form.
-
-    One vector per free column, with 1 in the free position, the
-    pivot-column entries determined by the RREF, and 0 in the other free
-    positions; ordered by free column index.
+    One vector per free column, ordered by free column index: 1 at its
+    free column, 0 at the other free columns, and minus the RREF entries
+    of that column at the pivot columns.
     """
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [m.field.zero] * m.ncols
-        v[j] = m.field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.rows[r][j]
-        basis.append(v)
-    return basis
+    red, pivots = rref(field, a)
+    free = [j for j in range(a.shape[1]) if j not in pivots]
+    out = _zeros(field, (len(free), a.shape[1]))
+    out[np.arange(len(free)), free] = _values(field, field.one)
+    neg = -red[:len(pivots), free].T
+    out[:, pivots] = neg % field.p if _numeric(field) else neg
+    return out
 
 
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises on singular input."""
-    if m.nrows != m.ncols:
+def invert(field, a):
+    """Inverse of a square matrix, the right half of the RREF of [a | I];
+    raises ValueError on singular input."""
+    n = len(a)
+    if a.shape != (n, n):
         raise ValueError("only square matrices are invertible")
-    n = m.nrows
-    field = m.field
-    ident = [[field.one if i == j else field.zero for j in range(n)]
-             for i in range(n)]
-    aug = Matrix(field, [row + ident[i] for i, row in enumerate(m.rows)])
-    red, pivots = rref(aug)
+    aug = np.concatenate([a, _zeros(field, (n, n))], axis=1)
+    aug[range(n), range(n, 2 * n)] = _values(field, field.one)
+    red, pivots = rref(field, aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(field, [row[n:] for row in red.rows[:n]])
-
+    return red[:, n:]

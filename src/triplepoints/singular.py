@@ -10,7 +10,8 @@ import numpy as np
 
 from .fields import Field
 from .poly import MultiPoly, exponents_of_degree, num_monomials
-from .linalg import Matrix, rank, kernel_basis
+from .linalg import (_numeric, _zeros, _ints, _values, _mul, _dot, rank,
+                     kernel_basis)
 from . import gfnum
 from .surfaces import ProjPoint, Surface, SCHEMA_VERSION
 
@@ -112,7 +113,7 @@ def _cone_smooth_rank(cone_jet_part, field):
     """
     coeffs = _values(field, [cone_jet_part.get(e, field.zero)
                              for e in exponents_of_degree(3, 3)])
-    return _rank(field, _dot(field, coeffs, _CONE_MAP).reshape(18, 15))
+    return rank(field, _dot(field, coeffs, _CONE_MAP).reshape(18, 15))
 
 
 def certify_ordinary_triple_point(X: Surface, P: ProjPoint) -> TriplePointCertificate:
@@ -197,56 +198,7 @@ def enumerate_singular_points(X: Surface, e: int = 1):
 # -- coefficient arrays: Macaulay matrices and jets ---------------------
 #
 # A polynomial is a pair (exps, vals): an int array with one exponent row
-# per term, and the coefficients.  Over GF(p), p < 2**31 by Field.GF,
-# vals are int64 residues; over any other field they are the
-# FieldElements themselves in an object array, so one code path serves
-# every field.
-
-def _numeric(field) -> bool:
-    return field.kind == "GF"
-
-
-def _zeros(field, shape):
-    if _numeric(field):
-        return np.zeros(shape, dtype=np.int64)
-    return np.full(shape, field.zero, dtype=object)
-
-
-def _ints(field, ints):
-    """Integers as coefficients: residues over a numeric field, Python
-    ints (which FieldElement arithmetic accepts) otherwise."""
-    a = np.array(ints, dtype=object)
-    return (a % field.p).astype(np.int64) if _numeric(field) else a
-
-
-def _values(field, elems):
-    """An array of FieldElements as coefficients."""
-    a = np.array(elems, dtype=object)
-    if _numeric(field):
-        return np.array([c.val for c in a.flat],
-                        dtype=np.int64).reshape(a.shape)
-    return a
-
-
-def _matrix(field, arr) -> Matrix:
-    """A 2-d array of coefficients as a Matrix."""
-    if _numeric(field):
-        return gfnum.from_array(field, arr)
-    return Matrix(field, arr.tolist())
-
-
-def _mul(field, a, b):
-    """a * b elementwise, reduced over a numeric field."""
-    return a * b % field.p if _numeric(field) else a * b
-
-
-def _dot(field, a, b):
-    """a @ b.  Over a numeric field every product is reduced before the
-    sum, so a sum of n terms stays below n*p."""
-    if not _numeric(field):
-        return a @ b
-    return _mul(field, a[..., None], b).sum(axis=-2) % field.p
-
+# per term, and its coefficients as a linalg coefficient array.
 
 def _arrays(field, terms):
     """(exps, vals) of a nonzero exponent -> coefficient dict."""
@@ -330,24 +282,6 @@ def _cone_map():
 _CONE_MAP = _cone_map()
 
 
-def _rank(field, mac) -> int:
-    if _numeric(field):
-        return gfnum.rank_mod_p(mac, field.p)
-    return rank(_matrix(field, mac))
-
-
-def _kernel(field, mat):
-    """kernel_basis of mat, one basis vector per row of an array."""
-    if not _numeric(field):
-        return _values(field, kernel_basis(_matrix(field, mat)))
-    red, pivots = gfnum.rref_mod_p(mat, field.p)
-    free = [j for j in range(mat.shape[1]) if j not in pivots]
-    out = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
-    out[np.arange(len(free)), free] = 1
-    out[:, pivots] = -red[:len(pivots), free].T % field.p
-    return out
-
-
 # -- jets ---------------------------------------------------------------
 #
 # At a point P the chart variable is set to 1 and the other three,
@@ -405,7 +339,7 @@ def _hilbert_value(field, partials, d, k):
     nmon = num_monomials(k)
     if k < d - 1 or not partials:
         return nmon
-    return nmon - _rank(field, _macaulay(field, partials, k))
+    return nmon - rank(field, _macaulay(field, partials, k))
 
 
 def _jacobian(X: Surface):
@@ -458,7 +392,7 @@ def _regular_plane(field, partials, t):
     """
     for i in range(1, min(4, field.char or 4) + 1):
         gens = _restrict(field, partials, i)
-        if gens and (_rank(field, _macaulay(field, gens, t))
+        if gens and (rank(field, _macaulay(field, gens, t))
                      == num_monomials(t, 3)):
             return i
     return None
@@ -477,10 +411,6 @@ def _settle(X: Surface, k_max):
         while len(h) <= limit:
             k = len(h)
             h.append(_hilbert_value(field, partials, d, k))
-            if len(h) >= 3 and h[-1] == h[-2] == h[-3] and len(h) > d:
-                return ({"degree": h[-1], "hilbert": h},
-                        {"method": "plateau", "proven": False,
-                         "computed_to": k})
             if k >= d and h[k] == h[k - 1]:
                 i = _regular_plane(field, partials, k - 1)
                 if i is not None:
@@ -490,6 +420,10 @@ def _settle(X: Surface, k_max):
                             {"method": "regularity", "proven": True,
                              "plane": str(plane), "regular_from": k - 1,
                              "computed_to": k})
+            if len(h) >= 3 and h[-1] == h[-2] == h[-3] and len(h) > d:
+                return ({"degree": h[-1], "hilbert": h},
+                        {"method": "plateau", "proven": False,
+                         "computed_to": k})
         if h[-1] > h[-2] > h[-3]:
             return ({"verdict": "positive-dimensional", "hilbert": h},
                     {"method": "growth", "proven": False,
@@ -504,7 +438,6 @@ def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
     Computes h(k) = dim (R/J)_k, J the Jacobian ideal, for k = 0, 1, ...
     and after each value tries, in this order:
 
-    - plateau (a heuristic): three equal values in a row past degree d.
     - regularity certificate: k >= d, h(k) = h(k-1), and
       (R/(J + l))_{k-1} = 0 for one of the planes l = w + i*x + i^2*y +
       i^3*z, i = 1..4 (a rank in x, y, z).  Then (R/(J + l))_k = 0 too,
@@ -513,9 +446,11 @@ def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
       (J + l)_{k-1} = R_{k-1}.  By Bayer-Stillman (Invent. Math. 87,
       1987, Thm 1.10 (b), j = 1) J is (k-1)-regular, so h(t) = h(k) for
       all t >= k-1.  The degree must be k-1: a zero cokernel at k with
-      h(k) = h(k-1) is not the theorem's hypothesis.  The result is the
-      plateau rule's one degree later; its last value h(k+1) is proven,
-      not computed.
+      h(k) = h(k-1) is not the theorem's hypothesis.  The result is what
+      the plateau rule would give one degree later; its last value
+      h(k+1) is proven, not computed.
+    - plateau (a heuristic): three equal values in a row past degree d,
+      taken only where no plane certifies.
     - growth: at the cutoff k_max a strictly increasing tail is taken as
       positive-dimensional; otherwise one retry up to 2*k_max.
 
@@ -551,11 +486,11 @@ def equisingular_tangent_dimension(X: Surface, points) -> int:
     for P in points:
         # annihilator of the span of the partials' jets, applied to the
         # order-2 jets of every degree-d monomial
-        functionals = _kernel(field, _jets(field, P, partials, 2))
+        functionals = kernel_basis(field, _jets(field, P, partials, 2))
         if len(functionals):
             rows.append(_dot(field, functionals,
                              _jet_matrix(field, P, mons, 2).T))
-    r = _rank(field, np.concatenate(rows)) if rows else 0
+    r = rank(field, np.concatenate(rows)) if rows else 0
     return len(mons) - r - 1
 
 

@@ -172,8 +172,10 @@ def test_construct_rejects_unknown_repeated_and_missing_params(
     (["--family", "ell-222", "--field", "GF:7", "--params",
       "lambda=1,mu=1,nu=1,b1=1,b2=1,b3=1,b4=1,b5=1,b6=1",
       "--fundamental", "0,1,2,3"], "--fundamental 0,1,2,3"),
+    (["--family", "k3-246", "--base", "base.json", "--fundamental",
+      "0,1,3,4", "--field", "GF:29"], "--field GF:29"),
 ], ids=["sextic-ten-gf31-params", "sextic-ten-gf31-field", "k3-444-base",
-        "ell-222-fundamental"])
+        "ell-222-fundamental", "k3-246-field"])
 def test_construct_rejects_flags_its_family_does_not_use(capsys, argv, named):
     code, data = run(capsys, "construct", *argv)
     assert code == 1
@@ -200,6 +202,24 @@ def test_construct_reciprocal_family(capsys, tmp_path):
     assert code == 0
     assert data["metadata"]["exc_degrees"] == [2, 4, 6]
     assert len(data["points"]) == 9
+
+
+def test_construct_reciprocal_family_degenerate_fundamental(capsys,
+                                                           tmp_path):
+    # four of the ten points whose coordinate matrix is singular: the
+    # change of coordinates to the vertices does not exist
+    surf = tmp_path / "ten.json"
+    assert main(["construct", "--family", "sextic-ten-gf31", "-o",
+                 str(surf)]) == 0
+    capsys.readouterr()
+    code = main(["construct", "--family", "k3-246", "--base", str(surf),
+                 "--fundamental", "0,1,2,3"])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    assert code == 1
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "schema_version": 1,
+        "error": "ValueError: fundamental points are in degenerate position"}
 
 
 @pytest.fixture(scope="module")

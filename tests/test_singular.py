@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from triplepoints import families as fam, gfnum, singular
 from triplepoints.fields import Field
-from triplepoints.linalg import Matrix, kernel_basis
+from triplepoints.linalg import kernel_basis, rank, _rref_generic
 from triplepoints.poly import MultiPoly, exponents_of_degree
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import (CertificationFailure, local_jet,
@@ -244,9 +244,17 @@ def test_singular_scheme_degree_triple_point():
 def test_singular_scheme_cubic_cone_plateau():
     # Jacobian ring k[x,y,z,w]/(x^2,y^2,z^2) has constant Hilbert value 8
     X = Surface(MultiPoly.parse("x^3+y^3+z^3", F31))
-    res = singular_scheme_degree(X)
+    evidence = {}
+    res = singular_scheme_degree(X, evidence=evidence)
     assert res["hilbert"][:6] == [1, 4, 7, 8, 8, 8]
     assert res.get("degree") == 8
+    # h(5) = h(4) and the plane w + x + y + z certifies at degree 4 (not
+    # at 3, where xyz survives), so the regularity rule, tried first,
+    # proves the degree where the plateau rule would only guess it
+    assert res["hilbert"] == [1, 4, 7, 8, 8, 8, 8]
+    assert evidence == {"method": "regularity", "proven": True,
+                        "plane": "x+y+z+w", "regular_from": 4,
+                        "computed_to": 5}
 
 
 @pytest.mark.parametrize("build, hilbert", [
@@ -414,7 +422,9 @@ def test_equisingular_tangent_dimension_triple_point():
 
 def test_kernel_mod_p_matches_kernel_basis():
     # the annihilators of the tangent dimension come from rref_mod_p over
-    # GF(p); they must be the vectors kernel_basis gives, in its order
+    # GF(p); they must be the vectors the generic elimination gives, in
+    # its order: 1 at the free column, minus the reduced entries at the
+    # pivots
     rng = random.Random(11)
     for field in (F7, F31, Field.GF(2147483647)):
         for _ in range(25):
@@ -423,9 +433,18 @@ def test_kernel_mod_p_matches_kernel_basis():
                              else 0 for _ in range(shape[1])]
                             for _ in range(shape[0])], dtype=np.int64)
             mat[rng.randrange(shape[0])] = 0
-            expect = kernel_basis(Matrix(field, [[field(int(v)) for v in row]
-                                                 for row in mat]))
-            got = singular._kernel(field, mat)
+            rows = [[field(int(v)) for v in row] for row in mat]
+            pivots = _rref_generic(field, rows)
+            expect = []
+            for j in range(shape[1]):
+                if j not in pivots:
+                    v = [field.zero] * shape[1]
+                    v[j] = field.one
+                    for r, c in enumerate(pivots):
+                        v[c] = -rows[r][j]
+                    expect.append(v)
+            got = kernel_basis(field, mat)
+            assert got.dtype == np.int64
             assert [[field(int(v)) for v in row] for row in got] == expect
 
 
@@ -457,7 +476,7 @@ def test_cone_map_matches_macaulay_of_partials(field):
         if len(partials) == 3:
             assert (mapped.reshape(18, 15) == mac).all()
         ranks.append(singular._cone_smooth_rank(cone, field))
-        assert ranks[-1] == singular._rank(field, mac)
+        assert ranks[-1] == rank(field, mac)
     # x^3, x^2*y and xyz + x^3 are singular cones; random ones are smooth
     assert ranks[:3] == [6, 9, 13]
     assert 15 in ranks
