@@ -49,34 +49,36 @@ class NoCertifiedMember(DomainError):
     """No member of a linear system certifies at the declared points."""
 
 
-def _member_search(field, gens, points, fixed, meta):
-    """Pick coefficients for a linear combination of the generators whose
-    surface certifies at every declared point.
+def _combination(coeffs, gens):
+    """The sum of c * g over the nonzero coefficients c."""
+    f = MultiPoly.zero(gens[0].field)
+    for c, g in zip(coeffs, gens):
+        if c:
+            f = f + g.scale(c)
+    return f
 
-    fixed: explicit coefficient tuple (entries may be None to search).
+
+def _pool(field, fixed):
+    """Coefficient tuples: fixed, with each None entry running over
+    0..23 over QQ and over 0..p-1 over GF(p) and GF(p^2)."""
+    pool = [field(v) for v in range(24 if field.kind == "QQ" else field.p)]
+    for combo in itertools.product(pool, repeat=fixed.count(None)):
+        free = iter(combo)
+        yield tuple(field(next(free) if c is None else c) for c in fixed)
+
+
+def _member_search(field, gens, points, candidates, meta):
+    """The first linear combination of the generators, with coefficients
+    from the iterable candidates, whose surface certifies at every
+    declared point.
+
     Over a finite field the singular points are also enumerated, and
     members with singularities beyond the declared ones are rejected;
     when the field is too large to sweep, metadata["checks"] says so.
     """
-    if all(c is not None for c in fixed):
-        candidates = [tuple(field(c) for c in fixed)]
-    else:
-        candidates = []
-        pool = ([field(v) for v in range(0, 24)] if field.kind == "QQ"
-                else list(field.elements()) if field.kind == "GF"
-                else [field((v, 0)) for v in range(field.p)])
-        free = [i for i, c in enumerate(fixed) if c is None]
-        for combo in itertools.product(pool, repeat=len(free)):
-            cand = [field(c) if c is not None else None for c in fixed]
-            for i, v in zip(free, combo):
-                cand[i] = v
-            candidates.append(tuple(cand))
     last_error = None
     for coeffs in candidates:
-        f = MultiPoly.zero(field)
-        for c, g in zip(coeffs, gens):
-            if c:
-                f = f + g.scale(c)
+        f = _combination(coeffs, gens)
         if not f or f.homogeneous_degree() != gens[0].homogeneous_degree():
             continue
         X = Surface(f, dict(meta, points=list(points),
@@ -115,8 +117,10 @@ def quintic_with_triple_points(points, selector=None, seed=0):
     """A quintic with ordinary triple points at the given points.
 
     The linear system of quintics triple at the points is solved
-    exactly; the member is chosen by the selector vector or by a seeded
-    random search over certified combinations.
+    exactly.  The member is the selector's combination or the first of
+    300 seeded random ones that certifies at the points and, over a
+    finite field, has no other singular point (NoCertifiedMember if
+    none does).
     """
     points = list(points)
     if not 1 <= len(points) <= 5:
@@ -132,27 +136,12 @@ def quintic_with_triple_points(points, selector=None, seed=0):
     if selector is not None:
         if len(selector) != len(basis):
             raise ValueError("selector length must match system dimension")
-        f = MultiPoly.zero(field)
-        for c, g in zip(selector, basis):
-            f = f + g.scale(field(c))
-        X = Surface(f, dict(meta, points=points))
-        _ensure_certified(X, points)
-        return X
-    rng = random.Random(seed)
-    for _ in range(300):
-        coeffs = [field.random_element(rng) for _ in basis]
-        f = MultiPoly.zero(field)
-        for c, g in zip(coeffs, basis):
-            f = f + g.scale(c)
-        if not f or f.homogeneous_degree() != 5:
-            continue
-        X = Surface(f, dict(meta, points=points))
-        try:
-            _ensure_certified(X, points)
-            return X
-        except CertificationFailure:
-            continue
-    raise NoCertifiedMember("no certified member found")
+        candidates = [tuple(map(field, selector))]
+    else:
+        rng = random.Random(seed)
+        candidates = (tuple(field.random_element(rng) for _ in basis)
+                      for _ in range(300))
+    return _member_search(field, basis, points, candidates, meta)
 
 
 # -- sextic K3 families --------------------------------------------------
@@ -191,7 +180,8 @@ def sextic_k3_444(field, a1, a2, a3, b1, b2, b3, alpha=None, beta=None):
     gens = [q1 * q2 * q3, q * q * q]
     if alpha is None:
         alpha = 1
-    return _member_search(field, gens, points, (alpha, beta), meta)
+    return _member_search(field, gens, points,
+                          _pool(field, (alpha, beta)), meta)
 
 
 def sextic_k3_228(field, lam, alpha=None, beta=None):
@@ -227,7 +217,8 @@ def sextic_k3_228(field, lam, alpha=None, beta=None):
     gens = [q * q * q, h1 * h2 * g4]
     if alpha is None:
         alpha = 1
-    return _member_search(field, gens, points, (alpha, beta), meta)
+    return _member_search(field, gens, points,
+                          _pool(field, (alpha, beta)), meta)
 
 
 def reciprocal_family(base: Surface, fundamental, exc_degrees, family_id):
@@ -249,13 +240,8 @@ def reciprocal_family(base: Surface, fundamental, exc_degrees, family_id):
     except ValueError:
         raise ValueError("fundamental points are in degenerate position")
     variables = _variables(field)
-    images = []
-    for i in range(4):
-        g = MultiPoly.zero(field)
-        for j, P in enumerate(fundamental):
-            if P.coords[i]:
-                g = g + variables[j].scale(P.coords[i])
-        images.append(g)
+    images = [_combination([P.coords[i] for P in fundamental], variables)
+              for i in range(4)]
     f2 = base.f.substitute(images)
     coords = _values(field, [P.coords for P in declared])
     moved = [ProjPoint(field, v) for v in _dot(field, coords, minv.T)]
@@ -337,7 +323,8 @@ def sextic_elliptic_222(field, lam, mu, nu, b1, b2, b3, b4, b5, b6,
     gens = [q * q * q, xyz * q * w, xyz * g]
     if alpha is None and beta is None and gamma is None:
         alpha, beta = 1, 0
-    return _member_search(field, gens, points, (alpha, beta, gamma), meta)
+    return _member_search(field, gens, points,
+                          _pool(field, (alpha, beta, gamma)), meta)
 
 
 # -- ten triple points in characteristic 31 ------------------------------
@@ -397,10 +384,7 @@ def sextic_ten_gf31():
         raise ArithmeticError(
             f"jet conditions give a {len(kern)}-dimensional kernel")
     coeffs = list(map(field, kern[0]))
-    f = MultiPoly.zero(field)
-    for c, gg in zip(coeffs, gens):
-        if c:
-            f = f + gg.scale(c)
+    f = _combination(coeffs, gens)
     points = [center,
               ProjPoint(field, [0, 1, lam, 0]),
               ProjPoint(field, [lam, 0, 1, 0]),
@@ -538,9 +522,5 @@ def detect_minus_one_conics(points):
                                                    for i in combo]))
         if not len(kern):
             continue
-        plane = MultiPoly.zero(field)
-        for c, v in zip(kern[0], variables):
-            if c:
-                plane = plane + v.scale(c)
-        results.append((combo, plane))
+        results.append((combo, _combination(kern[0], variables)))
     return results

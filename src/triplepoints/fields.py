@@ -7,6 +7,7 @@ canonical form (reduced fraction, residue in [0, p), coefficient pair).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -423,29 +424,17 @@ def solve_quadratic(a: "FieldElement", b: "FieldElement", c: "FieldElement"):
     F = a.field
     if not a:
         return [] if not b else [-c / b]
-    if F.kind == "GF":
-        p = F.p
-        if p == 2:
-            raise ValueError("p = 2 not supported")
-        disc = b * b - 4 * a * c
-        r = sqrt_mod_p(disc.val, p)
-        if r is None:
-            return []
-        inv2a = (F(2) * a).inverse()
-        roots = {(-b + F(r)) * inv2a, (-b - F(r)) * inv2a}
-        return sorted(roots, key=lambda e: e.sort_key())
-    if F.kind == "QQ":
-        disc = b * b - 4 * a * c
-        d = disc.val
-        num = d.numerator * d.denominator
-        if num < 0:
-            return []
-        import math
-        s = math.isqrt(num)
-        if s * s != num:
-            return []
-        r = F(Fraction(s, d.denominator))
-        inv2a = (F(2) * a).inverse()
-        roots = {(-b + r) * inv2a, (-b - r) * inv2a}
-        return sorted(roots, key=lambda e: e.sort_key())
-    raise ValueError(f"quadratic solving not supported over {F.tag}")
+    d = (b * b - 4 * a * c).val
+    if F.kind == "GF" and F.p != 2:
+        r = sqrt_mod_p(d, F.p)
+    elif F.kind == "QQ":
+        n = d.numerator * d.denominator  # sqrt(n/m) = sqrt(n*m)/m
+        s = math.isqrt(max(n, 0))
+        r = Fraction(s, d.denominator) if s * s == n else None
+    else:
+        raise ValueError(f"quadratic solving not supported over {F.tag}")
+    if r is None:
+        return []
+    inv2a = (F(2) * a).inverse()
+    roots = {(-b + F(r)) * inv2a, (-b - F(r)) * inv2a}
+    return sorted(roots, key=lambda e: e.sort_key())

@@ -154,11 +154,19 @@ def _mul(x, y, p: int, n: int, op=np.multiply):
     """Product of values given as parts: (residues,) over GF(p), or
     (real, u) over GF(p^2) = GF(p)[u], u^2 = n.  op is the elementwise
     product or a contraction such as np.tensordot."""
+    # reduced in place: no unreduced product outlives its reduction
     if len(x) == 1:
-        return (op(x[0], y[0]) % p,)
+        r = op(x[0], y[0])
+        r %= p
+        return (r,)
     (xa, xb), (ya, yb) = x, y
-    return ((op(xa, ya) + n * op(xb, yb)) % p,
-            (op(xa, yb) + op(xb, ya)) % p)
+    a = op(xa, ya)
+    a += n * op(xb, yb)
+    a %= p
+    b = op(xa, yb)
+    b += op(xb, ya)
+    b %= p
+    return (a, b)
 
 
 def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:

@@ -221,84 +221,42 @@ class MultiPoly:
             raise ValueError("need one image per variable")
         for g in images:
             self._check(g)
-        # fast path: every image is a monomial or zero, so terms map termwise
-        if all(len(g.terms) <= 1 for g in images):
-            mono = []
-            for g in images:
-                if g.terms:
-                    ((e, c),) = g.terms.items()
-                    mono.append((e, c))
-                else:
-                    mono.append(None)
-            terms = {}
-            for e, c in self.terms.items():
-                ne = [0] * NVARS
-                nc = c
-                dead = False
-                for i in range(NVARS):
-                    if e[i] == 0:
-                        continue
-                    if mono[i] is None:
-                        dead = True
-                        break
-                    me, mc = mono[i]
-                    for j in range(NVARS):
-                        ne[j] += me[j] * e[i]
-                    if not mc.is_one():
-                        nc = nc * mc ** e[i]
-                if dead:
-                    continue
-                key = tuple(ne)
-                s = terms.get(key)
-                terms[key] = nc if s is None else s + nc
-            return MultiPoly(self.field, terms)
-        # general path with cached image powers
-        pow_cache = [{0: MultiPoly.constant(self.field, 1)} for _ in range(NVARS)]
-
-        def img_pow(i, e):
-            pw = pow_cache[i].get(e)
-            if pw is None:
-                pw = img_pow(i, e - 1) * images[i]
-                pow_cache[i][e] = pw
-            return pw
-
-        total = MultiPoly.zero(self.field)
+        pows = [[None, g] for g in images]  # pows[i][k] = images[i]**k
+        terms = {}
         for e, c in self.terms.items():
             part = MultiPoly.constant(self.field, c)
-            for i in range(NVARS):
-                if e[i]:
-                    part = part * img_pow(i, e[i])
-            total = total + part
-        return total
+            for i, k in enumerate(e):
+                while len(pows[i]) <= k:
+                    pows[i].append(pows[i][-1] * images[i])
+                if k:
+                    part = part * pows[i][k]
+            for pe, pc in part.terms.items():
+                s = terms.get(pe)
+                terms[pe] = pc if s is None else s + pc
+        return MultiPoly(self.field, terms)
 
     def divide_exact(self, g: "MultiPoly") -> "MultiPoly":
         """Quotient h with self = g*h, else InexactDivisionError."""
         self._check(g)
         if not g:
             raise ZeroDivisionError("division by the zero polynomial")
-        if len(g.terms) == 1:
-            ((ge, gc),) = g.terms.items()
-            gcinv = gc.inverse()
-            terms = {}
-            for e, c in self.terms.items():
-                ne = tuple(e[i] - ge[i] for i in range(NVARS))
-                if any(v < 0 for v in ne):
-                    raise InexactDivisionError(
-                        MultiPoly(self.field, {e: c}))
-                terms[ne] = c * gcinv
-            return MultiPoly(self.field, terms)
         ge, gc = g.leading()
         gcinv = gc.inverse()
+        zero = self.field.zero
         q_terms = {}
-        r = self
+        r = dict(self.terms)  # the remainder, updated in place
         while r:
-            re, rc = r.leading()
-            ne = tuple(re[i] - ge[i] for i in range(NVARS))
-            if any(v < 0 for v in ne):
-                raise InexactDivisionError(r)
-            qc = rc * gcinv
+            re = max(r, key=grlex_key)
+            ne = tuple(a - b for a, b in zip(re, ge))
+            if min(ne) < 0:
+                raise InexactDivisionError(MultiPoly(self.field, r))
+            qc = r[re] * gcinv
             q_terms[ne] = qc
-            r = r - g * MultiPoly(self.field, {ne: qc})
+            for e, c in g.terms.items():
+                k = (e[0] + ne[0], e[1] + ne[1], e[2] + ne[2], e[3] + ne[3])
+                v = r.pop(k, zero) - qc * c
+                if v:
+                    r[k] = v
         return MultiPoly(self.field, q_terms)
 
     def divisible_by_variable(self, i: int) -> bool:

@@ -31,64 +31,31 @@ class CertificationFailure(DomainError):
         self.info = info
 
 
-class LocalJet:
-    """Truncated Taylor expansion of a surface or polynomial at a point.
+def local_jet(X, P: ProjPoint, k: int) -> MultiPoly:
+    """Order-k Taylor expansion at P of a Surface or a MultiPoly.
 
-    The chart coordinate is set to 1 and the remaining three coordinates,
-    translated to the point, serve as local variables (in index order).
-    terms maps local exponent triples of total degree <= order to
-    coefficients.
+    The chart variable of P (its leading coordinate) is set to 1 and does
+    not occur; the other variables, translated to P, keep their names.
+    Terms of degree above k are dropped.
     """
-
-    __slots__ = ("field", "chart", "local_indices", "order", "terms")
-
-    def __init__(self, field, chart, local_indices, order, terms):
-        self.field = field
-        self.chart = chart
-        self.local_indices = tuple(local_indices)
-        self.order = order
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    def part(self, j: int) -> dict:
-        return {e: c for e, c in self.terms.items() if sum(e) == j}
-
-    def min_degree(self):
-        """Order of vanishing, or None if the whole jet is zero."""
-        if not self.terms:
-            return None
-        return min(sum(e) for e in self.terms)
-
-    def homogeneous_part_poly(self, j: int) -> MultiPoly:
-        """Degree-j part as a MultiPoly in the global variable names."""
-        terms = {}
-        for e, c in self.part(j).items():
-            ge = [0, 0, 0, 0]
-            for m, idx in enumerate(self.local_indices):
-                ge[idx] = e[m]
-            terms[tuple(ge)] = c
-        return MultiPoly(self.field, terms)
-
-
-def local_jet(X, P: ProjPoint, k: int) -> LocalJet:
-    """Order-k jet at P, in the chart of P's leading coordinate, of a
-    Surface or a MultiPoly."""
     if not (0 <= k):
         raise ValueError("negative jet order")
     f = X.f if isinstance(X, Surface) else X
     field = f.field
-    jet = _jets(field, P, [_arrays(field, f.terms)], k)[0].tolist() if f else []
-    return LocalJet(field, P.chart, [i for i in range(4) if i != P.chart], k,
-                    {e: field(c) for e, c in zip(_jet_columns(k), jet) if c})
+    if not f:
+        return f
+    jet = _jets(field, P, [_arrays(field, f.terms)], k)[0].tolist()
+    return MultiPoly.from_coeff_vector(
+        field, _embed(P.chart, _jet_columns(k)), map(field, jet))
 
 
 def multiplicity(X: Surface, P: ProjPoint) -> int:
     """Order of vanishing of X at P; 0 iff P is not on X."""
     jet = local_jet(X, P, X.degree)
-    m = jet.min_degree()
-    if m is None:
+    if not jet:
         # the dehomogenized translate of a nonzero form is nonzero
         raise AssertionError("zero local expansion of a nonzero surface")
-    return m
+    return min(map(sum, jet.terms))
 
 
 class TriplePointCertificate:
@@ -104,15 +71,14 @@ class TriplePointCertificate:
         return f"TriplePointCertificate({self.point})"
 
 
-def _cone_smooth_rank(cone_jet_part, field):
+def _cone_smooth_rank(field, coeffs):
     """Rank of degree-2-monomial multiples of the cone's partials.
 
-    cone_jet_part: local exponent triple -> coefficient (degree 3).
+    coeffs: the ten coefficients of the cone cubic as a coefficient
+    array, in exponents_of_degree(3, 3) order of the local variables.
     Full rank 15 means the three partial quadrics have no common
     projective zero, i.e. the cubic is smooth.  Read through _CONE_MAP.
     """
-    coeffs = _values(field, [cone_jet_part.get(e, field.zero)
-                             for e in exponents_of_degree(3, 3)])
     return rank(field, _dot(field, coeffs, _CONE_MAP).reshape(18, 15))
 
 
@@ -126,16 +92,18 @@ def certify_ordinary_triple_point(X: Surface, P: ProjPoint) -> TriplePointCertif
         raise ValueError(
             "triple-point certification unsupported in characteristic 2, 3")
     jet = local_jet(X, P, 3)
-    m = jet.min_degree()
-    if m is None or m != 3:
-        raise CertificationFailure(
-            P, "multiplicity", multiplicity=(0 if m is None else m))
-    cone = jet.part(3)
-    r = _cone_smooth_rank(cone, X.field)
+    # a zero order-3 jet means multiplicity at least 4
+    m = min(map(sum, jet.terms)) if jet else multiplicity(X, P)
+    if m != 3:
+        raise CertificationFailure(P, "multiplicity", multiplicity=m)
+    # the jet is the tangent cone
+    coeffs = _values(X.field, jet.coeff_vector(
+        _embed(P.chart, exponents_of_degree(3, 3))))
+    r = _cone_smooth_rank(X.field, coeffs)
     if r != 15:
         raise CertificationFailure(P, "tangent cone singular",
                                    multiplicity=3, rank=r)
-    return TriplePointCertificate(P, 3, jet.homogeneous_part_poly(3), r)
+    return TriplePointCertificate(P, 3, jet, r)
 
 
 def is_ordinary_triple_point(X, P) -> bool:
@@ -292,6 +260,11 @@ def _jet_columns(k):
     """Local exponent triples of degree 0, 1, ..., k, each degree in
     exponents_of_degree order."""
     return [e for j in range(k + 1) for e in exponents_of_degree(j, 3)]
+
+
+def _embed(chart, local_exps):
+    """Exponent 4-tuples of local exponent triples: 0 at the chart."""
+    return [e[:chart] + (0,) + e[chart:] for e in local_exps]
 
 
 def _jet_matrix(field, P, exps, k):
@@ -498,16 +471,17 @@ def equisingular_tangent_dimension(X: Surface, points) -> int:
 
 class CertificationReport:
     def __init__(self, surface, points_info, hilbert, expected_degree, verdict,
-                 degree_evidence=None):
+                 degree_evidence=None, checks=None):
         self.surface = surface
         self.points_info = points_info
         self.hilbert = hilbert
         self.expected_degree = expected_degree
         self.verdict = verdict
         self.degree_evidence = degree_evidence
+        self.checks = checks
 
     def to_json(self):
-        return {
+        out = {
             "schema_version": SCHEMA_VERSION,
             "surface": str(self.surface.f),
             "field": self.surface.field.tag,
@@ -517,22 +491,32 @@ class CertificationReport:
             "expected_degree": self.expected_degree,
             "verdict": self.verdict,
         }
+        if self.checks:
+            out["checks"] = self.checks
+        return out
 
 
 def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
     """Certify the singular locus of X.
 
     Over a finite field the singular points are enumerated; over the
-    rationals the declared (or supplied) points are used.  hilbert=None
-    computes the Hilbert evidence automatically over finite fields;
-    degree_evidence then says how its degree was settled (see
+    rationals the declared (or supplied) points are used, and also over
+    a field too large to sweep, which the report's "checks" records.
+    hilbert=None computes the Hilbert evidence automatically over finite
+    fields; degree_evidence then says how its degree was settled (see
     singular_scheme_degree).  When it is not computed, degree_evidence is
     {"method": "skipped", "proven": False, "reason": ...}, the reason
     "rational field; pass --hilbert" or "not requested" (hilbert=False).
     """
     finite = X.field.kind != "QQ"
+    checks = None
     if points is None:
-        points = enumerate_singular_points(X) if finite else X.points
+        points = X.points
+        if finite:
+            try:
+                points = enumerate_singular_points(X)
+            except ValueError as exc:
+                checks = {"sweep": f"skipped: {exc}"}
     evidence = {"method": "skipped", "proven": False,
                 "reason": ("not requested" if hilbert is False
                            else "rational field; pass --hilbert")}
@@ -573,4 +557,5 @@ def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
             verdict = "certified-rational-only"
     else:
         verdict = "certified-rational-only" if all_ok and infos else "failed"
-    return CertificationReport(X, infos, hseq, expected, verdict, evidence)
+    return CertificationReport(X, infos, hseq, expected, verdict, evidence,
+                               checks)

@@ -4,6 +4,7 @@ import pytest
 
 from triplepoints.cli import main
 from triplepoints.fields import Field
+from triplepoints.poly import MultiPoly
 from triplepoints.surfaces import Surface, save_points, ProjPoint
 from triplepoints.constructions import generic_points
 
@@ -143,6 +144,7 @@ def test_certify_reports_how_the_degree_was_settled(capsys, tmp_path):
         "method": "regularity", "proven": True, "plane": "x+y+z+w",
         "regular_from": 10, "computed_to": 11}
     assert report["hilbert"][-3:] == [80, 80, 80]
+    assert "checks" not in report  # the sweep ran
 
 
 @pytest.mark.parametrize("family, params, named", [
@@ -242,6 +244,21 @@ def test_construct_rejects_bad_fundamental_indices(capsys, k3_444_file,
     assert code == 1
     assert data["error"].startswith(
         "DomainError: --fundamental takes four point indices in 0..8")
+
+
+def test_certify_over_a_field_too_large_to_sweep(capsys, tmp_path):
+    # P^3 over GF(191) has more points than a sweep takes: the declared
+    # point is certified, and the report says the sweep was skipped
+    F191 = Field.GF(191)
+    surf = tmp_path / "quartic.json"
+    Surface(MultiPoly.parse("x^3*w+y^3*w+z^3*w+x^4+y^4+z^4", F191),
+            {"points": [ProjPoint(F191, [0, 0, 0, 1])]}).save(surf)
+    code, report = run(capsys, "certify", "-i", str(surf))
+    assert code == 0
+    assert report["verdict"] == "certified-exact"
+    assert report["checks"] == {
+        "sweep": "skipped: P^3 over order-191 field is too large to sweep"}
+    assert [info["multiplicity"] for info in report["points"]] == [3]
 
 
 def test_construct_quintic_from_points_file(capsys, tmp_path):

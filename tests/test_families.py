@@ -88,6 +88,21 @@ def test_quintic_one_point():
     assert geometric_genus(X, X.points) == 3
 
 
+def test_quintic_member_is_swept():
+    # over a finite field the member has no singular points besides the
+    # declared ones, and records its coefficients
+    pts = generic_points(F31, 3, seed=0)
+    X = fam.quintic_with_triple_points(pts, seed=0)
+    assert set(singular.enumerate_singular_points(X)) == set(pts)
+    coeffs = X.metadata["params"]["coefficients"]
+    assert X.metadata["params"]["nu"] == 3
+    assert len(coeffs) == 56 - 10 * 3
+    assert "checks" not in X.metadata
+    selected = fam.quintic_with_triple_points(
+        pts, selector=[F31.parse(c) for c in coeffs])
+    assert selected.f == X.f
+
+
 def test_quintic_guards():
     with pytest.raises(ValueError):
         fam.quintic_with_triple_points([])

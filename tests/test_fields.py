@@ -162,6 +162,18 @@ def test_solve_quadratic_qq():
     assert [str(r) for r in solve_quadratic(QQ(1), QQ(-2), QQ(1))] == ["1"]
 
 
+def test_solve_quadratic_qq_fractional_discriminant():
+    # t^2 + t/3: the discriminant 1/9 is not an integer
+    roots = solve_quadratic(QQ(1), QQ.frac(1, 3), QQ(0))
+    assert [str(r) for r in roots] == ["-1/3", "0"]
+
+
+def test_solve_quadratic_refuses_extension_fields():
+    F49 = Field.GF(7, 2)
+    with pytest.raises(ValueError):
+        solve_quadratic(F49.one, F49.one, F49.one)
+
+
 def test_solve_quadratic_degenerate_linear():
     assert [int(r) for r in solve_quadratic(F7.zero, F7(2), F7(3))] == [2]
 

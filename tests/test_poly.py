@@ -167,6 +167,27 @@ def test_substitute_zero_kills_variable():
     assert f.substitute([zero, y, zero, w]) == MultiPoly.parse("y^2", QQ)
 
 
+@pytest.mark.parametrize("field", [QQ, F31], ids=["QQ", "GF31"])
+def test_substitute_matches_sympy(field):
+    # images whose terms collide, monomial or not, against sympy's expansion
+    rng = random.Random(23)
+    x, y, z, w = (MultiPoly.variable(field, i) for i in range(4))
+    zero = MultiPoly.zero(field)
+    image_sets = [[x, x * 2, z, zero], [y * z, x * w, y * z, x * x]]
+    image_sets += [[random_poly(field, rng, degree=2, nterms=3)
+                    for _ in range(4)] for _ in range(4)]
+    for images in image_sets:
+        f = random_poly(field, rng)
+        expected = sympy.expand(to_sympy(f).subs(
+            dict(zip(SYMS, [to_sympy(g) for g in images])),
+            simultaneous=True))
+        got = to_sympy(f.substitute(images))
+        if field.kind == "QQ":
+            assert got == expected
+        else:
+            assert sympy.Poly(got - expected, *SYMS, modulus=31).is_zero
+
+
 def test_symmetric_substitution_fixes_symmetric_poly():
     f = MultiPoly.parse("x+y", QQ)
     x, y, z, w = (MultiPoly.variable(QQ, i) for i in range(4))
@@ -192,6 +213,9 @@ def test_divide_exact_monomial():
     f = MultiPoly.parse("x^2*w+x*y*w", F31)
     w = MultiPoly.variable(F31, 3)
     assert f.divide_exact(w) == MultiPoly.parse("x^2+x*y", F31)
+    with pytest.raises(InexactDivisionError) as exc:
+        (f + MultiPoly.parse("y^3", F31)).divide_exact(w)
+    assert exc.value.remainder == MultiPoly.parse("y^3", F31)
 
 
 def test_divide_exact_general():

@@ -35,8 +35,8 @@ def triple_point_quartic(field):
                                    Field.GF(5, 2)],
                          ids=["QQ", "GF31", "GF2147483647", "GF25"])
 def test_local_jet_is_taylor_expansion(field, chart):
-    # summing the homogeneous parts at a displacement v recovers the
-    # dehomogenized polynomial at P + v
+    # the jet of a cubic to order 3 at a displacement v, in the variables
+    # other than the chart's, is the dehomogenized polynomial at P + v
     rng = random.Random(41 + chart)
     f = MultiPoly.parse("x^3+2*x*y*w+z^2*w-5*w^3+y^3+3*x*z^2-y*z*w", field)
     P = ProjPoint(field, [0] * chart + [1] + [
@@ -44,22 +44,25 @@ def test_local_jet_is_taylor_expansion(field, chart):
     local = [i for i in range(4) if i != chart]
     for X in (Surface(f), f):
         jet = local_jet(X, P, 3)
-        assert jet.chart == chart and jet.local_indices == tuple(local)
+        assert isinstance(jet, MultiPoly) and jet.field == field
+        assert jet and all(e[chart] == 0 for e in jet.terms)
         for _ in range(5):
             vec = [field.zero] * 4
             for i in local:
                 vec[i] = field.random_element(rng)
             direct = f.evaluate([c + v for c, v in zip(P.coords, vec)])
-            total = field.zero
-            for j in range(4):
-                total = total + jet.homogeneous_part_poly(j).evaluate(vec)
-            assert total == direct
+            assert jet.evaluate(vec) == direct
 
 
 def test_local_jet_truncates():
     f = MultiPoly.parse("x^3+y^3+z^3", QQ)
-    jet = local_jet(Surface(f), ProjPoint(QQ, [0, 0, 0, 1]), 2)
-    assert jet.min_degree() is None  # all terms have local degree 3
+    P = ProjPoint(QQ, [0, 0, 0, 1])
+    assert not local_jet(Surface(f), P, 2)  # all terms have local degree 3
+    assert local_jet(Surface(f), P, 3) == f
+    # at (1:0:0:1) the chart is x; w, translated to 1, is local
+    Q = ProjPoint(QQ, [1, 0, 0, 1])
+    assert local_jet(MultiPoly.parse("w^3", QQ), Q, 1) == MultiPoly.parse(
+        "1+3*w", QQ)
 
 
 def test_multiplicity():
@@ -85,6 +88,20 @@ def test_certify_rejects_wrong_multiplicity():
         certify_ordinary_triple_point(X, ProjPoint(QQ, [0, 1, -1, 0]))
     assert exc.value.reason == "multiplicity"
     assert not is_ordinary_triple_point(X, ProjPoint(QQ, [1, 0, 0, 0]))
+
+
+def test_multiplicity_four_is_reported():
+    # a zero order-3 jet is a point of multiplicity at least 4, not a point
+    # off the surface
+    X = Surface(MultiPoly.parse("x^4+y^4+z^4", F31))
+    P = ProjPoint(F31, [0, 0, 0, 1])
+    with pytest.raises(CertificationFailure) as exc:
+        certify_ordinary_triple_point(X, P)
+    assert exc.value.reason == "multiplicity"
+    assert exc.value.info["multiplicity"] == multiplicity(X, P) == 4
+    (info,) = certify(X).to_json()["points"]
+    assert info["coords"] == P.to_json()
+    assert (info["multiplicity"], info["failure"]) == (4, "multiplicity")
 
 
 def test_certify_rejects_singular_cone():
@@ -475,7 +492,7 @@ def test_cone_map_matches_macaulay_of_partials(field):
         mapped = singular._dot(field, coeffs, singular._CONE_MAP)
         if len(partials) == 3:
             assert (mapped.reshape(18, 15) == mac).all()
-        ranks.append(singular._cone_smooth_rank(cone, field))
+        ranks.append(singular._cone_smooth_rank(field, coeffs))
         assert ranks[-1] == rank(field, mac)
     # x^3, x^2*y and xyz + x^3 are singular cones; random ones are smooth
     assert ranks[:3] == [6, 9, 13]
