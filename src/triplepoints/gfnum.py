@@ -17,6 +17,9 @@ alone: float64, whose matrix product is BLAS, while (p-1) + width *
 exact; otherwise int64 with width 1, which p < 2**31 keeps below 2**63.
 No result depends on rounding or on which rows become pivot rows.
 
+The other products of residue matrices, L11^-1 and its products here
+and linalg._dot over GF(p), are matmul_mod_p, under the same bounds.
+
 The sweep reduces after every product or contraction.  A contraction
 over the exponent axis sums at most d+1 products of residues below p,
 where d is the largest exponent; over GF(p^2) the real part adds n times
@@ -52,20 +55,43 @@ def _residues(x, p: int) -> np.ndarray:
     return x.astype(np.int64, order="C") % p
 
 
-def _mulmod(x, y, p: int, dtype) -> np.ndarray:
-    """x @ y mod p for residue matrices, summed in the working dtype."""
-    return _residues(np.matmul(x, y, dtype=dtype), p)
+def matmul_mod_p(a, b, p: int) -> np.ndarray:
+    """a @ b mod p, exactly, for int64 residue arrays (a 1-D or 2-D, b 2-D).
+
+    A float64 product goes through BLAS and is exact while its sums stay
+    below 2**53, so the inner dimension is cut into chunks of at most
+    2**53 // (p-1)**2 terms, each chunk's product reduced before it is
+    added.  When (p-1)**2 >= 2**53 not one term fits: the sum runs in
+    int64, one term at a time and reduced after each, which p < 2**31
+    keeps below 2**63.
+    """
+    chunk = 2**53 // (p - 1)**2
+    if not chunk:
+        out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+        for j in range(a.shape[-1]):
+            out += np.multiply.outer(a[..., j], b[j])
+            out %= p
+        return out
+
+    def part(s):
+        return _residues(a[..., s:s + chunk].astype(np.float64)
+                         @ b[s:s + chunk].astype(np.float64), p)
+    out = part(0)
+    for s in range(chunk, a.shape[-1], chunk):
+        out += part(s)
+        out %= p
+    return out
 
 
-def _unit_inverse(t, p: int, dtype) -> np.ndarray:
+def _unit_inverse(t, p: int) -> np.ndarray:
     """Inverse mod p of a k x k unit triangular residue matrix t = I + N:
     N is nilpotent, so it is the product of I + (-N)^(2^j) over 2^j < k."""
     eye = np.eye(len(t), dtype=np.int64)
     n = (eye - t) % p
     x = eye + n
     for _ in range((len(t) - 1).bit_length() - 1):
-        n = _mulmod(n, n, p, dtype)
-        x = _mulmod(x, eye + n, p, dtype)
+        n = matmul_mod_p(n, n, p)
+        x = matmul_mod_p(x, eye + n, p)
     return x
 
 
@@ -114,8 +140,8 @@ def _eliminate(a, p: int, above: bool):
         low = np.array(mult, dtype=dtype).T
         del w, mult  # a smaller peak on the largest matrices
         # the pivot rows from column c0, reduced by the panel's pivots
-        u = _mulmod(_unit_inverse(low[rows], p, dtype),
-                    _residues(a[top + rows, c0:], p), p, dtype)
+        u = matmul_mod_p(_unit_inverse(low[rows], p),
+                         _residues(a[top + rows, c0:], p), p)
         # the other rows among the top k take the places of pivot rows
         down, up = rows[rows >= k], np.delete(np.arange(k), rows[rows < k])
         a[top + down] = a[top + up]
@@ -123,14 +149,14 @@ def _eliminate(a, p: int, above: bool):
         updates = [(a[r:, c0 + width:], low[k:], u[:, width:])]
         if above:  # normalise the pivot rows and clear them from above
             u = u * inverses[:, None] % p
-            u = _mulmod(_unit_inverse(u[:, cols], p, dtype), u, p, dtype)
+            u = matmul_mod_p(_unit_inverse(u[:, cols], p), u, p)
             a[top:r, :c0] = 0
             a[top:r, c0:] = u
             b = a[:top, c0:]
             updates.append((b, _residues(b[:, cols], p), u))
         if bound + k * step >= limit:
             for b, _, _ in updates:
-                np.mod(b, p, out=b)
+                b[...] = _residues(b, p)  # int64 %: float64 % is slower
             bound = p - 1
         for b, m, x in updates:
             b -= np.matmul(m, x, dtype=dtype)

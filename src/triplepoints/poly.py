@@ -6,6 +6,7 @@ graded lexicographic with x > y > z > w.
 """
 from __future__ import annotations
 
+import heapq
 import re
 from functools import lru_cache
 
@@ -27,6 +28,11 @@ class InexactDivisionError(ArithmeticError):
 def grlex_key(exps):
     """Sort key; larger key = larger monomial in graded lex, x > y > z > w."""
     return (sum(exps), exps)
+
+
+def _neg_grlex(exps):
+    """Min-heap entry that puts the grlex-largest exponent first."""
+    return (-sum(exps), tuple(-a for a in exps), exps)
 
 
 @lru_cache(maxsize=None)
@@ -245,8 +251,14 @@ class MultiPoly:
         zero = self.field.zero
         q_terms = {}
         r = dict(self.terms)  # the remainder, updated in place
-        while r:
-            re = max(r, key=grlex_key)
+        # a max-heap of the remainder's exponents by grlex; an exponent
+        # whose term has cancelled stays in it until it surfaces
+        heap = [_neg_grlex(e) for e in r]
+        heapq.heapify(heap)
+        while heap:
+            re = heapq.heappop(heap)[-1]
+            if re not in r:
+                continue
             ne = tuple(a - b for a, b in zip(re, ge))
             if min(ne) < 0:
                 raise InexactDivisionError(MultiPoly(self.field, r))
@@ -257,6 +269,7 @@ class MultiPoly:
                 v = r.pop(k, zero) - qc * c
                 if v:
                     r[k] = v
+                    heapq.heappush(heap, _neg_grlex(k))
         return MultiPoly(self.field, q_terms)
 
     def divisible_by_variable(self, i: int) -> bool:

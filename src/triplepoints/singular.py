@@ -1,6 +1,13 @@
 """Local analysis at points of a surface: jets, multiplicity, the
 ordinary-triple-point decision, singular-point enumeration over finite
 fields, Jacobian Hilbert functions and the equisingular tangent space.
+
+The Jacobian Hilbert function h(0), h(1), ... is one incremental pass:
+J_k = w*J_{k-1} + the multiples m*g of the partials with w not dividing
+m, so the reduced echelon form of J_k is that of J_{k-1} times w, plus
+the reduced form of those rows once one product has cleared w*J_{k-1}
+from them.  Only the pivot and free monomials and the free block are
+kept from one degree to the next (_Echelon, _hilbert_value).
 """
 from __future__ import annotations
 
@@ -11,7 +18,7 @@ import numpy as np
 from .fields import Field
 from .poly import MultiPoly, exponents_of_degree, num_monomials
 from .linalg import (_numeric, _zeros, _ints, _values, _mul, _dot, rank,
-                     kernel_basis)
+                     rref, kernel_basis)
 from . import gfnum
 from .surfaces import ProjPoint, Surface, SCHEMA_VERSION
 
@@ -205,12 +212,13 @@ def _partials(field, exps, vals):
     return out
 
 
-def _macaulay(field, gens, k):
+def _macaulay(field, gens, k, w_free=False):
     """Macaulay matrix of nonzero homogeneous gens in degree k.
 
     One row per generator g and monomial m of degree k - deg g (in
     exponents_of_degree order), holding the coefficients of m*g; one
-    column per monomial of degree k, in exponents_of_degree order.
+    column per monomial of degree k, in exponents_of_degree order.  With
+    w_free, only the rows of the m not divisible by the last variable.
     """
     n = gens[0][0].shape[1]
     # base-(k+1) keys: no exponent exceeds k, so a key names one
@@ -221,6 +229,8 @@ def _macaulay(field, gens, k):
     rows, cols, vals, top = [], [], [], 0
     for exps, v in gens:
         shifts = np.array(exponents_of_degree(k - int(exps[0].sum()), n))
+        if w_free:
+            shifts = shifts[shifts[:, -1] == 0]
         shifts = shifts @ digits
         rows.append(np.repeat(np.arange(top, top + len(shifts)), len(v)))
         cols.append((shifts[:, None] + exps @ digits).ravel())
@@ -306,13 +316,56 @@ def _jets(field, P, polys, k):
 
 # -- Jacobian Hilbert function ------------------------------------------
 
-def _hilbert_value(field, partials, d, k):
+class _Echelon:
+    """The reduced echelon form of J in one degree k, by its free block.
+
+    pivots and free are complementary column indices (exponents_of_degree
+    order); row i of the form is the monomial pivots[i] plus block[i] on
+    the free monomials.  It starts at k = -1, where there are none.
+    """
+    __slots__ = ("k", "pivots", "free", "block")
+
+    def __init__(self, field):
+        self.k = -1
+        self.pivots = self.free = np.zeros(0, dtype=np.int64)
+        self.block = _zeros(field, (0, 0))
+
+
+def _hilbert_value(field, partials, d, k, echelon):
     """h(k) = dim (R/J)_k for J generated by the nonzero partials of a
-    degree-d form, given as (exps, vals) pairs."""
-    nmon = num_monomials(k)
-    if k < d - 1 or not partials:
-        return nmon
-    return nmon - rank(field, _macaulay(field, partials, k))
+    degree-d form, given as (exps, vals) pairs.
+
+    echelon holds J's form in degree k-1 and is moved to degree k: the
+    rows N of the w-free multiples, reduced modulo w*J_{k-1}, are
+    N - N[:, w*pivots] @ block on the other columns, and their reduced
+    form adds the new pivot rows.
+    """
+    if echelon.k != k - 1:
+        raise ValueError("the Hilbert function is computed degree by degree")
+    # w*m keeps the order of the monomials m of degree k-1
+    on_w = np.flatnonzero(np.array(exponents_of_degree(k))[:, -1])
+    old = on_w[echelon.pivots]
+    rest = np.setdiff1d(np.arange(num_monomials(k)), old)
+    at = np.searchsorted(rest, on_w[echelon.free])
+    red, new = _zeros(field, (0, len(rest))), []
+    if k >= d - 1 and partials:
+        rows = _macaulay(field, partials, k, w_free=True)
+        m = rows[:, rest]
+        m[:, at] -= _dot(field, rows[:, old], echelon.block)
+        red, new = rref(field, m)
+        red = red[:len(new)]
+    keep = np.delete(np.arange(len(rest)), new)
+    block = _zeros(field, (len(old), len(rest)))
+    block[:, at] = echelon.block
+    # red is the identity on the new pivots: clear them from the old rows
+    block = np.concatenate([
+        block[:, keep] - _dot(field, block[:, new], red[:, keep]),
+        red[:, keep]])
+    echelon.k = k
+    echelon.pivots = np.concatenate([old, rest[new]])
+    echelon.free = rest[keep]
+    echelon.block = block % field.p if _numeric(field) else block
+    return len(keep)
 
 
 def _jacobian(X: Surface):
@@ -327,7 +380,9 @@ def jacobian_hilbert(X: Surface, k_max: int = None):
     if k_max < d - 1:
         raise ValueError("k_max must be at least degree - 1")
     partials = _jacobian(X)
-    return [_hilbert_value(X.field, partials, d, k) for k in range(k_max + 1)]
+    echelon = _Echelon(X.field)
+    return [_hilbert_value(X.field, partials, d, k, echelon)
+            for k in range(k_max + 1)]
 
 
 def _restrict(field, gens, i):
@@ -378,12 +433,13 @@ def _settle(X: Surface, k_max):
         k_max = 4 * d
     field = X.field
     partials = _jacobian(X)
+    echelon = _Echelon(field)
     h = []
     for attempt in range(2):
         limit = k_max * (attempt + 1)
         while len(h) <= limit:
             k = len(h)
-            h.append(_hilbert_value(field, partials, d, k))
+            h.append(_hilbert_value(field, partials, d, k, echelon))
             if k >= d and h[k] == h[k - 1]:
                 i = _regular_plane(field, partials, k - 1)
                 if i is not None:
@@ -409,7 +465,9 @@ def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
     """Degree of the singular scheme, or a positive-dimensional verdict.
 
     Computes h(k) = dim (R/J)_k, J the Jacobian ideal, for k = 0, 1, ...
-    and after each value tries, in this order:
+    in one incremental pass (each degree's echelon form from the last
+    one's, see the module docstring) and after each value tries, in this
+    order:
 
     - regularity certificate: k >= d, h(k) = h(k-1), and
       (R/(J + l))_{k-1} = 0 for one of the planes l = w + i*x + i^2*y +

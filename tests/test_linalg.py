@@ -185,6 +185,51 @@ def test_kernel_matches_generic_elimination(p):
             assert np.array_equal(arr, np.array(case, dtype=np.int64))
 
 
+# 94906249 is the last prime whose products (p-1)**2 stay below 2**53, so
+# float64 chunks of one term; 94906297 the first where one product crosses
+# it, so int64; 33554393 sums chunks of 8 terms
+@pytest.mark.parametrize("p", [2, 101, 33554393, 94906249, 94906297,
+                               2**31 - 1])
+def test_matmul_mod_p_matches_python_ints(p):
+    rng = random.Random(p)
+    for shape in ((5, 40, 7), (1, 1, 1), (3, 0, 4), (0, 6, 2), (9, 17, 1)):
+        m, n, c = shape
+        # all p - 1 is the largest sum, a case a float64 sum past 2**53
+        # rounds
+        for a, b in (
+                ([[p - 1] * n] * m, [[p - 1] * c] * n),
+                ([[rng.randrange(p) for _ in range(n)] for _ in range(m)],
+                 [[rng.randrange(p) for _ in range(c)] for _ in range(n)])):
+            want = [[sum(a[i][t] * b[t][j] for t in range(n)) % p
+                     for j in range(c)] for i in range(m)]
+            a = np.array(a, dtype=np.int64).reshape(m, n)
+            b = np.array(b, dtype=np.int64).reshape(n, c)
+            got = gfnum.matmul_mod_p(a, b, p)
+            assert got.dtype == np.int64 and got.tolist() == want
+            if m:  # a vector times a matrix
+                assert gfnum.matmul_mod_p(a[0], b, p).tolist() == want[0]
+
+
+def test_float_elimination_reduces_exactly():
+    # near 2**25 a panel of 8 pivots adds up to 8 * (p-1)**2, so from the
+    # second panel on every update needs the trailing block reduced first
+    p = 33554393
+    dtype, width, limit = gfnum._layout(p)
+    assert dtype == np.float64 and (p - 1) + 2 * width * (p - 1)**2 >= limit
+    rng = random.Random(27)
+    base = [[rng.randrange(p) for _ in range(96)] for _ in range(50)]
+    combos = [[rng.randrange(p) for _ in range(5)] for _ in range(14)]
+    ints = base + [[sum(c * row[j] for c, row in zip(cs, base)) % p
+                    for j in range(96)] for cs in combos]
+    rng.shuffle(ints)
+    rows, gen_pivots = generic_rref(Field.GF(p), ints)
+    arr = np.array(ints, dtype=np.int64)
+    assert gfnum.rank_mod_p(arr, p) == len(gen_pivots) == 50
+    red, pivots = gfnum.rref_mod_p(arr, p)
+    assert pivots == gen_pivots
+    assert red.tolist() == [[e.val for e in r] for r in rows]
+
+
 def test_kernel_refuses_primes_beyond_its_bound():
     a = np.eye(3, dtype=np.int64)
     for p in (2**31, 2**61 - 1):

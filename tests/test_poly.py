@@ -236,6 +236,46 @@ def test_divide_exact_failure_has_witness():
     assert exc.value.remainder  # nonzero remainder witness
 
 
+def scan_division(f, g):
+    """Leading-term division that scans the whole remainder for its
+    leading term: (quotient, None), or (None, remainder) when inexact."""
+    ge, gc = g.leading()
+    r, q = dict(f.terms), {}
+    while r:
+        re = max(r, key=grlex_key)
+        ne = tuple(a - b for a, b in zip(re, ge))
+        if min(ne) < 0:
+            return None, MultiPoly(f.field, r)
+        q[ne] = r[re] / gc
+        for e, c in g.terms.items():
+            k = tuple(a + b for a, b in zip(e, ne))
+            r[k] = r.get(k, f.field.zero) - q[ne] * c
+            if not r[k]:
+                del r[k]
+    return MultiPoly(f.field, q), None
+
+
+@pytest.mark.parametrize("field", [F31, QQ], ids=lambda F: F.tag)
+def test_divide_exact_matches_scanning_division(field):
+    # the heap of remainder exponents gives the scan's quotients, and on
+    # an inexact division the scan's remainder
+    rng = random.Random(15)
+    for nterms in (1, 1, 2, 3, 5, 8) * 5:
+        g = random_poly(field, rng, degree=3, nterms=nterms)
+        f = random_poly(field, rng, degree=4, nterms=12)
+        if not g or not f:
+            continue
+        for num in (f * g, f * g + random_poly(field, rng, 5, 2), f):
+            quotient, remainder = scan_division(num, g)
+            if remainder is None:
+                assert num.divide_exact(g) == quotient
+            else:
+                with pytest.raises(InexactDivisionError) as exc:
+                    num.divide_exact(g)
+                assert exc.value.remainder == remainder
+                assert remainder
+
+
 def test_divisible_by_variable():
     f = MultiPoly.parse("x*y+x*w", F31)
     assert f.divisible_by_variable(0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from triplepoints import families as fam, gfnum, singular
 from triplepoints.fields import Field
 from triplepoints.linalg import kernel_basis, rank, _rref_generic
-from triplepoints.poly import MultiPoly, exponents_of_degree
+from triplepoints.poly import MultiPoly, exponents_of_degree, num_monomials
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import (CertificationFailure, local_jet,
                                    multiplicity, certify_ordinary_triple_point,
@@ -234,6 +234,51 @@ def test_lift_poly():
     assert g.terms == {e: F49.lift(c) for e, c in f.terms.items()}
 
 
+def fresh_hilbert(X, k_max):
+    """h(0..k_max) from a fresh Macaulay rank in each degree: the oracle
+    for the incremental pass of jacobian_hilbert and _settle."""
+    field, partials = X.field, singular._jacobian(X)
+    return [num_monomials(k) - (rank(field, singular._macaulay(
+        field, partials, k)) if k >= X.degree - 1 and partials else 0)
+        for k in range(k_max + 1)]
+
+
+def random_surface(rng, field, degree, nterms):
+    terms, mons = {}, exponents_of_degree(degree)
+    for e in rng.sample(mons, min(nterms, len(mons))):
+        terms[e] = field.random_element(rng)
+    terms[e] = field.one  # the last term is never zero
+    return Surface(MultiPoly(field, terms))
+
+
+@pytest.mark.parametrize("field", [
+    Field.GF(2), Field.GF(3), Field.GF(13), Field.GF(101),
+    Field.GF(2147483647), Field.GF(3, 2), Field.GF(5, 2), QQ],
+    ids=lambda F: F.tag)
+def test_incremental_hilbert_matches_fresh_ranks(field):
+    # each degree's echelon form is built from the previous one's; every
+    # value must equal a rank computed from scratch
+    numeric = field.kind == "GF"
+    rng = random.Random(field.order if field.kind != "QQ" else 0)
+    for degree in range(2, 7):
+        # FieldElement ranks are slow: over QQ and GF(p^2) only sparse
+        # surfaces, and the first three degrees that have rows
+        nterms = rng.randint(2, 12 if numeric else 6)
+        k_max = 10 if numeric else degree + 1
+        X = random_surface(rng, field, degree, nterms)
+        assert jacobian_hilbert(X, k_max) == fresh_hilbert(X, k_max), (
+            str(X.f), field.tag)
+
+
+def test_incremental_hilbert_goes_degree_by_degree():
+    X = Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F31))
+    echelon = singular._Echelon(F31)
+    partials = singular._jacobian(X)
+    assert singular._hilbert_value(F31, partials, 3, 0, echelon) == 1
+    with pytest.raises(ValueError, match="degree by degree"):
+        singular._hilbert_value(F31, partials, 3, 2, echelon)
+
+
 def test_jacobian_hilbert_fermat_sextic():
     # R/(x^5, y^5, z^5, w^5): Hilbert series (1+t+t^2+t^3+t^4)^4
     X = Surface(MultiPoly.parse("x^6+y^6+z^6+w^6", F7))
@@ -283,8 +328,11 @@ def test_singular_scheme_cubic_cone_plateau():
 def test_singular_scheme_full_hilbert_sequence(build, hilbert):
     # every middle value is a Macaulay rank mod p; a wrong one would not
     # show in the final degree
-    res = singular_scheme_degree(build())
+    X = build()
+    res = singular_scheme_degree(X)
     assert res == {"degree": hilbert[-1], "hilbert": hilbert}
+    # the last value is proven, not computed
+    assert fresh_hilbert(X, len(hilbert) - 2) == hilbert[:-1]
 
 
 def test_regularity_certificate_is_sound():
@@ -306,7 +354,7 @@ def test_regularity_certificate_is_sound():
         fired += 1
         K = how["computed_to"]
         assert how["regular_from"] == K - 1
-        h = jacobian_hilbert(X, K + 3)
+        h = fresh_hilbert(X, K + 3)
         assert h[K - 1:] == [h[K]] * 5, (str(X.f), F.tag)
         assert res["hilbert"] == h[:K + 2]
     assert fired >= 15
@@ -366,9 +414,9 @@ def _counted(monkeypatch):
     ks = []
     value = singular._hilbert_value
 
-    def counting(field, partials, d, k):
-        ks.append(k)
-        return value(field, partials, d, k)
+    def counting(*args):
+        ks.append(args[3])
+        return value(*args)
     monkeypatch.setattr(singular, "_hilbert_value", counting)
     return ks
 
