@@ -194,7 +194,8 @@ def cmd_tangent_dim(args):
     if not pts:
         raise DomainError("no points declared or supplied")
     dim = singular.equisingular_tangent_dimension(X, pts)
-    _emit({"dimension": dim, "points": len(pts)})
+    # a point given twice is one point
+    _emit({"dimension": dim, "points": len(set(pts))})
 
 
 def cmd_dianode(args):

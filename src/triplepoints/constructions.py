@@ -12,7 +12,7 @@ import numpy as np
 from .poly import MultiPoly, poly_determinant, exponents_of_degree
 from .linalg import _values, kernel_basis, rref
 from .surfaces import ProjPoint, Surface
-from .singular import _jet_matrix
+from .singular import _exponents, _jet_matrix
 
 
 class MultiplicityAssignment:
@@ -50,12 +50,14 @@ def forms_with_multiplicity(degree: int, assignment: MultiplicityAssignment):
         assignment = MultiplicityAssignment(assignment)
     if not len(assignment):
         raise ValueError("empty assignment")
-    field = assignment.items[0][0].field
+    points, mults = zip(*assignment)
+    field = points[0].field
     mons = exponents_of_degree(degree)
-    # the order-(m-1) jets of every monomial at a point are its conditions
-    rows = [_jet_matrix(field, P, np.array(mons), m - 1).T
-            for P, m in assignment]
-    coeffs = kernel_basis(field, np.concatenate(rows))
+    # the order-(m-1) jets of every monomial at a point are its conditions:
+    # the first C(m+2, 3) columns of the jets to the largest order
+    jets = _jet_matrix(field, points, _exponents(degree), max(mults) - 1)
+    coeffs = kernel_basis(field, np.concatenate([
+        j[:, :comb(m + 2, 3)].T for j, m in zip(jets, mults)]))
     return [MultiPoly.from_coeff_vector(field, mons, map(field, v))
             for v in coeffs]
 

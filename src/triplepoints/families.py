@@ -12,9 +12,9 @@ from .fields import Field, solve_quadratic
 from .poly import MultiPoly, poly_determinant, InexactDivisionError
 from .linalg import _values, _dot, kernel_basis, rank, invert
 from .surfaces import ProjPoint, Surface
-from .singular import (certify_ordinary_triple_point, CertificationFailure,
-                       DomainError, common_projective_zeros,
-                       enumerate_singular_points, _arrays, _jets)
+from .singular import (CertificationFailure, DomainError,
+                       common_projective_zeros, enumerate_singular_points,
+                       _arrays, _certify_points, _jets)
 from .constructions import reciprocal_transform, forms_with_multiplicity, \
     MultiplicityAssignment
 
@@ -41,8 +41,8 @@ def vertex(field, i: int) -> ProjPoint:
 
 
 def _ensure_certified(X: Surface, points):
-    for P in points:
-        certify_ordinary_triple_point(X, P)
+    """Raise the first point that is not an ordinary triple point."""
+    _certify_points(X, points)
 
 
 class NoCertifiedMember(DomainError):
@@ -229,10 +229,12 @@ def reciprocal_family(base: Surface, fundamental, exc_degrees, family_id):
     if len(fundamental) != 4:
         raise ValueError("need exactly four fundamental points")
     declared = list(base.points)
-    for P in fundamental:
-        if P not in declared:
-            raise ValueError(f"{P} is not a declared triple point")
-        certify_ordinary_triple_point(base, P)
+    undeclared = [P for P in fundamental if P not in declared]
+    # the points before the first undeclared one are certified first
+    _ensure_certified(base, fundamental[:fundamental.index(undeclared[0])]
+                      if undeclared else fundamental)
+    if undeclared:
+        raise ValueError(f"{undeclared[0]} is not a declared triple point")
     # column j of m is the j-th fundamental point
     m = _values(field, [P.coords for P in fundamental]).T
     try:
@@ -378,7 +380,8 @@ def sextic_ten_gf31():
     xyz = x * y * z
     gens = [q * q * q, xyz * q * w, xyz * g]
     center = ProjPoint(field, [1, 1, 1, 1])
-    jets = _jets(field, center, [_arrays(field, g.terms) for g in gens], 2)
+    jets = _jets(field, [center], [_arrays(field, g.terms) for g in gens],
+                 2)[0]
     kern = kernel_basis(field, jets.T)
     if len(kern) != 1:
         raise ArithmeticError(

@@ -20,6 +20,14 @@ No result depends on rounding or on which rows become pivot rows.
 The other products of residue matrices, L11^-1 and its products here
 and linalg._dot over GF(p), are matmul_mod_p, under the same bounds.
 
+A stack of small matrices (the 18 x 15 tangent-cone matrices of all the
+points of a surface) is eliminated in one pass, eliminate_stack and
+ranks_mod_p: one Gauss step per column for every matrix at once, on
+int64 residues and fraction free, each row r becoming v*r - f*piv with
+v the pivot and f the row's entry in the pivot column.  Both products
+are below (p-1)**2 < 2**62, so their difference lies in (-2**62, 2**62),
+inside int64, as p < 2**31.
+
 The sweep reduces after every product or contraction.  A contraction
 over the exponent axis sums at most d+1 products of residues below p,
 where d is the largest exponent; over GF(p^2) the real part adds n times
@@ -174,6 +182,45 @@ def rref_mod_p(a: np.ndarray, p: int):
 def rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank mod p: the same elimination, clearing below the pivots only."""
     return len(_eliminate(a, p, above=False)[1])
+
+
+def eliminate_stack(a: np.ndarray, p: int, ncols: int):
+    """Gauss steps mod p on the first ncols columns of every matrix a[b]
+    of a stack (shape (batch, m, n)) at once.
+
+    Each matrix takes as pivot of column c its largest residue among the
+    rows that are not pivot rows yet; every row r then becomes v*r -
+    r[c]*pivot row (v the pivot), which zeroes column c outside the pivot
+    rows and keeps the row space (v != 0).  A matrix with no pivot in the
+    column is left as it is.  The bound is in the module docstring.
+
+    Returns (working array, pivot-row mask).  Past the first ncols
+    columns, the rows outside the mask span the vectors of each matrix's
+    row space that vanish on those columns (which are left unwritten).
+    """
+    if not 2 <= p < 2**31:
+        raise ValueError("elimination mod p needs a prime 2 <= p < 2**31")
+    a = np.mod(a, p, dtype=np.int64, order="C")
+    free = np.ones(a.shape[:2], dtype=bool)
+    at = np.arange(len(a))
+    for c in range(ncols if a.shape[1] else 0):
+        col = a[:, :, c] * free
+        i = col.argmax(axis=1)
+        v = col[at, i]
+        # a pivot row stops being free; with no pivot, row i stays as it was
+        free[at, i] &= v == 0
+        pivot = a[at, i, c + 1:]
+        rest = a[:, :, c + 1:]
+        rest *= (v + (v == 0))[:, None, None]
+        rest -= col[:, :, None] * pivot[:, None, :]
+        rest %= p
+    return a, ~free
+
+
+def ranks_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks mod p of the matrices of a stack: eliminate_stack on all
+    their columns."""
+    return eliminate_stack(a, p, a.shape[2])[1].sum(axis=1)
 
 
 def _mul(x, y, p: int, n: int, op=np.multiply):

@@ -7,11 +7,13 @@ make such arrays and _mul and _dot multiply them, so one code path
 serves every field.
 
 rank, rref, kernel_basis and invert take (field, array) and return
-arrays.  Over GF(p) every matrix, of any size, goes to the blocked
-elimination kernel in gfnum (rank_mod_p, rref_mod_p), whose results are
-exact (its module docstring gives the bound); over QQ and GF(p^2) the
-rows go to exact Gaussian elimination, _rref_generic.  Both give the same
-pivots and reduced form.
+arrays; ranks and leading_zero_rows take a stack of matrices.  Over
+GF(p) every matrix, of any size, goes to the blocked elimination kernel
+in gfnum (rank_mod_p, rref_mod_p) and every stack to its one-pass
+elimination (eliminate_stack), whose results are exact (its module
+docstring gives the bounds); over QQ and GF(p^2) the rows go to exact
+Gaussian elimination, _rref_generic, one matrix at a time.  Both give
+the same pivots and reduced form.
 """
 from __future__ import annotations
 
@@ -102,6 +104,35 @@ def rank(field, a) -> int:
     if _numeric(field):
         return gfnum.rank_mod_p(a, field.p)
     return len(_rref_generic(field, a.tolist()))
+
+
+def ranks(field, a):
+    """Ranks of the matrices a[..., :, :] of a stack, as an int array of
+    shape a.shape[:-2]: over GF(p) one pass over all of them
+    (gfnum.ranks_mod_p), otherwise one rank per matrix."""
+    m, n = a.shape[-2:]
+    if _numeric(field):
+        out = gfnum.ranks_mod_p(a.reshape(-1, m, n), field.p)
+    else:
+        out = np.array([rank(field, b) for b in a.reshape(-1, m, n)],
+                       dtype=np.int64)
+    return out.reshape(a.shape[:-2])
+
+
+def leading_zero_rows(field, a, ncols):
+    """The vectors of the row spaces of a stack of matrices a[b] that are
+    zero on the first ncols columns, restricted to the other columns: the
+    rows of one matrix that spans them all.  Over GF(p) one pass over the
+    stack (gfnum.eliminate_stack), otherwise one rref per matrix."""
+    if _numeric(field):
+        red, pivot = gfnum.eliminate_stack(a, field.p, ncols)
+        return red[~pivot][:, ncols:]
+    out = [_zeros(field, (0, a.shape[2] - ncols))]
+    for b in a:
+        red, pivots = rref(field, b)
+        out.append(red[[i for i, c in enumerate(pivots) if c >= ncols],
+                       ncols:])
+    return np.concatenate(out)
 
 
 def kernel_basis(field, a):

@@ -2,6 +2,14 @@
 ordinary-triple-point decision, singular-point enumeration over finite
 fields, Jacobian Hilbert functions and the equisingular tangent space.
 
+The local analysis is one batched pass over all the points of a surface:
+_jets takes the jets at every point at once (arrays with a leading point
+axis), _certify_points reads the multiplicities and the tangent cones
+from one order-3 jet array and ranks all the cones in one elimination,
+and the tangent conditions of every point are read from one elimination
+of the stacked partial jets.  local_jet and certify_ordinary_triple_point
+are the one-point cases.
+
 The Jacobian Hilbert function h(0), h(1), ... is one incremental pass:
 J_k = w*J_{k-1} + the multiples m*g of the partials with w not dividing
 m, so the reduced echelon form of J_k is that of J_{k-1} times w, plus
@@ -11,6 +19,7 @@ kept from one degree to the next (_Echelon, _hilbert_value).
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -18,7 +27,7 @@ import numpy as np
 from .fields import Field
 from .poly import MultiPoly, exponents_of_degree, num_monomials
 from .linalg import (_numeric, _zeros, _ints, _values, _mul, _dot, rank,
-                     rref, kernel_basis)
+                     ranks, rref, leading_zero_rows)
 from . import gfnum
 from .surfaces import ProjPoint, Surface, SCHEMA_VERSION
 
@@ -43,7 +52,7 @@ def local_jet(X, P: ProjPoint, k: int) -> MultiPoly:
 
     The chart variable of P (its leading coordinate) is set to 1 and does
     not occur; the other variables, translated to P, keep their names.
-    Terms of degree above k are dropped.
+    Terms of degree above k are dropped.  The one-point case of _jets.
     """
     if not (0 <= k):
         raise ValueError("negative jet order")
@@ -51,9 +60,9 @@ def local_jet(X, P: ProjPoint, k: int) -> MultiPoly:
     field = f.field
     if not f:
         return f
-    jet = _jets(field, P, [_arrays(field, f.terms)], k)[0].tolist()
+    jet = _jets(field, [P], [_arrays(field, f.terms)], k)[0, 0].tolist()
     return MultiPoly.from_coeff_vector(
-        field, _embed(P.chart, _jet_columns(k)), map(field, jet))
+        field, _embed(P.chart, k), map(field, jet))
 
 
 def multiplicity(X: Surface, P: ProjPoint) -> int:
@@ -79,38 +88,81 @@ class TriplePointCertificate:
 
 
 def _cone_smooth_rank(field, coeffs):
-    """Rank of degree-2-monomial multiples of the cone's partials.
+    """Ranks of degree-2-monomial multiples of the cones' partials.
 
-    coeffs: the ten coefficients of the cone cubic as a coefficient
-    array, in exponents_of_degree(3, 3) order of the local variables.
-    Full rank 15 means the three partial quadrics have no common
-    projective zero, i.e. the cubic is smooth.  Read through _CONE_MAP.
+    coeffs: the ten coefficients of each cone cubic, on the last axis of
+    a coefficient array, in exponents_of_degree(3, 3) order of the local
+    variables; one rank per cubic.  Full rank 15 means the three partial
+    quadrics have no common projective zero, i.e. the cubic is smooth.
+    Read through _CONE_MAP.
     """
-    return rank(field, _dot(field, coeffs, _CONE_MAP).reshape(18, 15))
+    mats = _dot(field, coeffs, _CONE_MAP)
+    return ranks(field, mats.reshape(coeffs.shape[:-1] + (18, 15)))
+
+
+def _orders(jets, k):
+    """The order of each order-k jet (a row of jets): the degree of its
+    first nonzero column, or -1 for a zero jet."""
+    degree = np.repeat(np.arange(k + 1), [num_monomials(j, 3)
+                                         for j in range(k + 1)])
+    nonzero = jets.astype(bool)
+    return np.where(nonzero.any(axis=1), degree[nonzero.argmax(axis=1)], -1)
+
+
+def _certify_points(X: Surface, points, check=True):
+    """Certify that each point is an ordinary triple point of X, in one
+    batched pass over all of them.
+
+    Multiplicity exactly 3 and a smooth tangent-cone cubic are read from
+    one order-3 jet per point (_jets): the multiplicity from its degree
+    blocks (order-d jets only at the rare points where it is zero), the
+    cone as its degree-3 block, and the cone ranks from one product with
+    _CONE_MAP and one batched rank (_cone_smooth_rank).
+
+    Returns one TriplePointCertificate or CertificationFailure per point,
+    in order; with check, the first failure is raised instead.
+    """
+    field = X.field
+    if field.char in (2, 3):
+        raise ValueError(
+            "triple-point certification unsupported in characteristic 2, 3")
+    if not points:
+        return []
+    jets = _jets(field, points, [_arrays(field, X.f.terms)], 3)[:, 0]
+    mult = _orders(jets, 3)
+    # a zero order-3 jet means multiplicity at least 4
+    for i in np.flatnonzero(mult < 0):
+        mult[i] = multiplicity(X, points[i])
+    # at a triple point the jet is the tangent cone
+    cones = jets[mult == 3, 10:]
+    found = zip(_cone_smooth_rank(field, cones).tolist(), cones.tolist())
+    out = []
+    for P, m in zip(points, mult.tolist()):
+        if m != 3:
+            out.append(CertificationFailure(P, "multiplicity", multiplicity=m))
+            continue
+        r, cone = next(found)
+        if r != 15:
+            out.append(CertificationFailure(P, "tangent cone singular",
+                                            multiplicity=3, rank=r))
+            continue
+        out.append(TriplePointCertificate(P, 3, MultiPoly.from_coeff_vector(
+            field, _embed(P.chart, 3)[10:], map(field, cone)), r))
+    if check:
+        for c in out:
+            if isinstance(c, CertificationFailure):
+                raise c
+    return out
 
 
 def certify_ordinary_triple_point(X: Surface, P: ProjPoint) -> TriplePointCertificate:
     """Certificate that P is an ordinary triple point of X, or raise.
 
     Requires multiplicity exactly 3 and a smooth tangent-cone cubic,
-    decided by the rank-15 saturation test on the cone's partials.
+    decided by the rank-15 saturation test on the cone's partials.  The
+    one-point case of _certify_points.
     """
-    if X.field.char in (2, 3):
-        raise ValueError(
-            "triple-point certification unsupported in characteristic 2, 3")
-    jet = local_jet(X, P, 3)
-    # a zero order-3 jet means multiplicity at least 4
-    m = min(map(sum, jet.terms)) if jet else multiplicity(X, P)
-    if m != 3:
-        raise CertificationFailure(P, "multiplicity", multiplicity=m)
-    # the jet is the tangent cone
-    coeffs = _values(X.field, jet.coeff_vector(
-        _embed(P.chart, exponents_of_degree(3, 3))))
-    r = _cone_smooth_rank(X.field, coeffs)
-    if r != 15:
-        raise CertificationFailure(P, "tangent cone singular",
-                                   multiplicity=3, rank=r)
-    return TriplePointCertificate(P, 3, jet, r)
+    return _certify_points(X, [P])[0]
 
 
 def is_ordinary_triple_point(X, P) -> bool:
@@ -175,6 +227,20 @@ def enumerate_singular_points(X: Surface, e: int = 1):
 # A polynomial is a pair (exps, vals): an int array with one exponent row
 # per term, and its coefficients as a linalg coefficient array.
 
+def _frozen(a):
+    """a, made read-only: a cached array is shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _exponents(k, n=4):
+    """exponents_of_degree(k, n) as an int64 array, one row per monomial,
+    built once per (k, n) (read-only)."""
+    return _frozen(np.array(exponents_of_degree(k, n),
+                            dtype=np.int64).reshape(-1, n))
+
+
 def _arrays(field, terms):
     """(exps, vals) of a nonzero exponent -> coefficient dict."""
     return (np.array(list(terms), dtype=np.int64),
@@ -225,10 +291,10 @@ def _macaulay(field, gens, k, w_free=False):
     # monomial and keys sort like exponents_of_degree (descending); the
     # key of a product of monomials is the sum of their keys
     digits = (k + 1) ** np.arange(n - 1, -1, -1)
-    keys = np.array(exponents_of_degree(k, n)) @ digits
+    keys = _exponents(k, n) @ digits
     rows, cols, vals, top = [], [], [], 0
     for exps, v in gens:
-        shifts = np.array(exponents_of_degree(k - int(exps[0].sum()), n))
+        shifts = _exponents(k - int(exps[0].sum()), n)
         if w_free:
             shifts = shifts[shifts[:, -1] == 0]
         shifts = shifts @ digits
@@ -250,7 +316,7 @@ def _cone_map():
     partials are c_j * x^(c - e_j); a zero one is written 0 * x_0^2 and
     gives zero rows.  _macaulay does not reduce, so any GF(p) will do."""
     rows = []
-    for c in np.array(exponents_of_degree(3, 3)):
+    for c in _exponents(3, 3):
         rows.append(_macaulay(Field.GF(2), [
             (np.array([c - e if c[j] else (2, 0, 0)]), c[j:j + 1])
             for j, e in enumerate(np.eye(3, dtype=np.int64))], 4).ravel())
@@ -264,53 +330,88 @@ _CONE_MAP = _cone_map()
 #
 # At a point P the chart variable is set to 1 and the other three,
 # translated to P, are the local variables s_0, s_1, s_2.  A jet is a
-# vector over the local monomials of degree <= k (_jet_columns).
+# vector over the local monomials of degree <= k (_jet_columns).  Jets
+# are taken at many points at once: the arrays carry a leading point axis.
 
+# the local variables of each chart
+_LOCAL = np.array([[i for i in range(4) if i != chart] for chart in range(4)])
+
+# at most this many entries in one (points x terms x columns) array
+_BATCH_CELLS = 2**17
+
+
+@lru_cache(maxsize=None)
 def _jet_columns(k):
     """Local exponent triples of degree 0, 1, ..., k, each degree in
-    exponents_of_degree order."""
-    return [e for j in range(k + 1) for e in exponents_of_degree(j, 3)]
+    exponents_of_degree order (read-only)."""
+    return _frozen(np.concatenate([_exponents(j, 3) for j in range(k + 1)]))
 
 
-def _embed(chart, local_exps):
-    """Exponent 4-tuples of local exponent triples: 0 at the chart."""
-    return [e[:chart] + (0,) + e[chart:] for e in local_exps]
+@lru_cache(maxsize=None)
+def _embed(chart, k):
+    """The monomials of _jet_columns(k) at a point of the chart, as
+    exponent 4-tuples: 0 at the chart."""
+    return tuple(map(tuple, np.insert(_jet_columns(k), chart, 0,
+                                      axis=1).tolist()))
 
 
-def _jet_matrix(field, P, exps, k):
-    """Order-k jets at P of the monomials with exponent rows exps, one row
-    each.
+@lru_cache(maxsize=None)
+def _binomials(n, k, p):
+    """C(a, r) for a <= n and r <= k by Pascal's rule: int64 residues mod
+    p, or exact Python ints for p None."""
+    t = np.zeros((n + 1, k + 1), dtype=object if p is None else np.int64)
+    t[:, 0] = 1
+    for a in range(1, n + 1):
+        t[a, 1:] = t[a - 1, 1:] + t[a - 1, :-1]
+        if p is not None:
+            t[a, 1:] %= p
+    return _frozen(t)
+
+
+def _jet_matrix(field, points, exps, k):
+    """Order-k jets at each point of the monomials with exponent rows exps:
+    a (points x terms x C(k+3, 3)) array.
 
     With b_m the local coordinates of P and e_m the exponents of the local
     variables, a monomial becomes prod_m (b_m + s_m)^e_m, so its entry in
     column (r_0, r_1, r_2) is prod_m B[e_m, r_m, m] for the binomial
-    table B[e, r, m] = C(e, r) * b_m^(e - r).  Over a numeric GF(p) the
-    table holds residues and the product is reduced after every factor,
-    so no intermediate exceeds (p-1)**2 < 2**62, as p < 2**31.
+    table B[e, r, m] = C(e, r) * b_m^(e - r) of P.  Over a numeric GF(p)
+    the table holds residues and the product is reduced after every
+    factor, so no intermediate exceeds (p-1)**2 < 2**62, as p < 2**31.
     """
-    local = [i for i in range(4) if i != P.chart]
-    e = exps[:, local]
-    base = _values(field, [P.coords[i] for i in local])
-    pows = [_values(field, [field.one] * 3)]
-    for _ in range(int(e.max())):
+    local = _LOCAL[[P.chart for P in points]]
+    e = np.moveaxis(exps[:, local], 1, 0)
+    top = int(e.max(initial=0))
+    base = _values(field, [[P.coords[i] for i in row]
+                           for P, row in zip(points, local.tolist())])
+    pows = [np.broadcast_to(_values(field, field.one), base.shape)]
+    for _ in range(top):
         pows.append(_mul(field, pows[-1], base))
     # comb(a, r) = 0 where a < r, so the clipped power there is harmless
-    shift = np.subtract.outer(np.arange(len(pows)), np.arange(k + 1))
-    table = _mul(field, _ints(field, [[[comb(a, r)] for r in range(k + 1)]
-                                      for a in range(len(pows))]),
-                 np.array(pows)[np.maximum(shift, 0)])
-    factors = table[e[:, None], np.array(_jet_columns(k)), np.arange(3)]
-    return _mul(field, _mul(field, factors[..., 0], factors[..., 1]),
-                factors[..., 2])
+    shift = np.maximum(np.subtract.outer(np.arange(top + 1),
+                                         np.arange(k + 1)), 0)
+    binom = _binomials(top, k, field.p if _numeric(field) else None)
+    table = _mul(field, binom[:, :, None], np.stack(pows, axis=1)[:, shift])
+    cols = _jet_columns(k)
+    at = np.arange(len(points))[:, None, None]
+    out = table[at, e[:, :, None, 0], cols[:, 0], 0]
+    for m in (1, 2):
+        out = _mul(field, out, table[at, e[:, :, None, m], cols[:, m], m])
+    return out
 
 
-def _jets(field, P, polys, k):
-    """Order-k jets at P of (exps, vals) polynomials, one row each: their
-    coefficients times the jets of their terms, summed per polynomial."""
+def _jets(field, points, polys, k):
+    """Order-k jets at each point of (exps, vals) polynomials: a (points x
+    polys x C(k+3, 3)) array, their coefficients times the jets of their
+    terms summed per polynomial.  The points (at least one) go through
+    _jet_matrix in chunks of at most _BATCH_CELLS entries."""
     exps, vals = (np.concatenate(x) for x in zip(*polys))
-    terms = _mul(field, vals[:, None], _jet_matrix(field, P, exps, k))
     starts = np.cumsum([0] + [len(v) for _, v in polys[:-1]])
-    out = np.add.reduceat(terms, starts)
+    step = max(1, _BATCH_CELLS // (len(vals) * num_monomials(k)))
+    chunks = [points[s:s + step] for s in range(0, len(points), step)]
+    out = np.concatenate([np.add.reduceat(
+        _mul(field, vals[:, None], _jet_matrix(field, c, exps, k)),
+        starts, axis=1) for c in chunks])
     return out % field.p if _numeric(field) else out
 
 
@@ -343,7 +444,7 @@ def _hilbert_value(field, partials, d, k, echelon):
     if echelon.k != k - 1:
         raise ValueError("the Hilbert function is computed degree by degree")
     # w*m keeps the order of the monomials m of degree k-1
-    on_w = np.flatnonzero(np.array(exponents_of_degree(k))[:, -1])
+    on_w = np.flatnonzero(_exponents(k)[:, -1])
     old = on_w[echelon.pivots]
     rest = np.setdiff1d(np.arange(num_monomials(k)), old)
     at = np.searchsorted(rest, on_w[echelon.free])
@@ -393,10 +494,10 @@ def _restrict(field, gens, i):
     """
     table = []
     for f in range(max(int(e[:, 3].max()) for e, _ in gens) + 1):
-        es = exponents_of_degree(f, 3)
-        table.append((np.array(es), _ints(field, [
+        es = _exponents(f, 3)
+        table.append((es, _ints(field, [
             (-1) ** f * comb(f, a) * comb(f - a, b) * i ** (a + 2 * b + 3 * c)
-            for a, b, c in es])))
+            for a, b, c in es.tolist()])))
     out = []
     for exps, vals in gens:
         e3, v3 = [], []
@@ -503,26 +604,27 @@ def equisingular_tangent_dimension(X: Surface, points) -> int:
     """Dimension of the projective equisingular tangent space at X.
 
     A degree-d form g is tangent to the equisingular stratum iff at each
-    triple point its order-2 jet lies in the span of the order-2 jets of
-    the four partials of f.  Returns dim of that space of forms minus 1
-    (f itself always qualifies).
+    triple point P its order-2 jet lies in the span of the order-2 jets
+    of the four partials of f: a M_P c = 0 for every a with a J_P^T = 0,
+    c the coefficients of g, M_P the 10 x n jet matrix of the n degree-d
+    monomials and J_P the partials' jets.  The rows a M_P are the vectors
+    of the row space of [J_P^T | M_P] that vanish on its J_P^T columns,
+    taken at all points in one pass (linalg.leading_zero_rows).  Returns
+    n - 1 minus the rank of those rows (f itself always qualifies).
+    Repeated points count once.
     """
     field = X.field
+    points = list(dict.fromkeys(points))
     # the points may come from a file: check them, not just trust them
-    for P in points:
-        certify_ordinary_triple_point(X, P)
-    partials = _jacobian(X)
-    mons = np.array(exponents_of_degree(X.degree))
-    rows = []
-    for P in points:
-        # annihilator of the span of the partials' jets, applied to the
-        # order-2 jets of every degree-d monomial
-        functionals = kernel_basis(field, _jets(field, P, partials, 2))
-        if len(functionals):
-            rows.append(_dot(field, functionals,
-                             _jet_matrix(field, P, mons, 2).T))
-    r = rank(field, np.concatenate(rows)) if rows else 0
-    return len(mons) - r - 1
+    _certify_points(X, points)
+    mons = _exponents(X.degree)
+    if not points:
+        return len(mons) - 1
+    jets = _jets(field, points, _jacobian(X), 2)
+    stack = np.concatenate([jets, _jet_matrix(field, points, mons, 2)],
+                           axis=1)
+    rows = leading_zero_rows(field, np.swapaxes(stack, 1, 2), jets.shape[1])
+    return len(mons) - 1 - rank(field, rows)
 
 
 # -- certification pipeline ---------------------------------------------
@@ -554,12 +656,25 @@ class CertificationReport:
         return out
 
 
+def _point_info(cert):
+    """A point's record in the report, from its certificate or failure."""
+    info = {"coords": cert.point.to_json()}
+    if isinstance(cert, CertificationFailure):
+        info.update(multiplicity=cert.info["multiplicity"], tangent_cone=None,
+                    smooth_rank=cert.info.get("rank"), failure=cert.reason)
+    else:
+        info.update(multiplicity=3, tangent_cone=str(cert.tangent_cone),
+                    smooth_rank=cert.smooth_rank)
+    return info
+
+
 def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
     """Certify the singular locus of X.
 
     Over a finite field the singular points are enumerated; over the
     rationals the declared (or supplied) points are used, and also over
     a field too large to sweep, which the report's "checks" records.
+    A point given twice is listed and counted once.
     hilbert=None computes the Hilbert evidence automatically over finite
     fields; degree_evidence then says how its degree was settled (see
     singular_scheme_degree).  When it is not computed, degree_evidence is
@@ -580,25 +695,11 @@ def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
                            else "rational field; pass --hilbert")}
     if hilbert is None:
         hilbert = finite
-    infos = []
-    all_ok = True
-    n_certified = 0
-    for P in points:
-        info = {"coords": P.to_json()}
-        try:
-            cert = certify_ordinary_triple_point(X, P)
-            info["multiplicity"] = 3
-            info["tangent_cone"] = str(cert.tangent_cone)
-            info["smooth_rank"] = cert.smooth_rank
-            n_certified += 1
-        except CertificationFailure as exc:
-            all_ok = False
-            info["multiplicity"] = exc.info["multiplicity"]
-            info["tangent_cone"] = None
-            info["smooth_rank"] = exc.info.get("rank")
-            info["failure"] = exc.reason
-        infos.append(info)
-    expected = 8 * n_certified
+    # a point declared twice is one point
+    certs = _certify_points(X, list(dict.fromkeys(points)), check=False)
+    infos = [_point_info(c) for c in certs]
+    all_ok = all("failure" not in info for info in infos)
+    expected = 8 * sum(isinstance(c, TriplePointCertificate) for c in certs)
     hseq = None
     verdict = "failed"
     if hilbert:

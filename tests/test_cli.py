@@ -261,6 +261,25 @@ def test_certify_over_a_field_too_large_to_sweep(capsys, tmp_path):
     assert [info["multiplicity"] for info in report["points"]] == [3]
 
 
+def test_a_point_declared_twice_counts_once(capsys, tmp_path):
+    # (0:0:0:1) and (0:0:0:5) are one point: it used to be listed twice
+    # with expected degree 16 against the proven 8, so the verdict was
+    # certified-rational-only
+    F191 = Field.GF(191)
+    surf = tmp_path / "quartic.json"
+    Surface(MultiPoly.parse("x^3*w+y^3*w+z^3*w+x^4+y^4+z^4", F191),
+            {"points": [ProjPoint(F191, [0, 0, 0, 1]),
+                        ProjPoint(F191, [0, 0, 0, 5])]}).save(surf)
+    code, report = run(capsys, "certify", "-i", str(surf))
+    assert code == 0
+    assert report["verdict"] == "certified-exact"
+    assert report["expected_degree"] == report["hilbert"][-1] == 8
+    assert [info["coords"] for info in report["points"]] == [
+        ["0", "0", "0", "1"]]
+    code, data = run(capsys, "tangent-dim", "-i", str(surf))
+    assert (code, data["dimension"], data["points"]) == (0, 27, 1)
+
+
 def test_construct_quintic_from_points_file(capsys, tmp_path):
     ptsfile = tmp_path / "points.json"
     save_points(ptsfile, generic_points(F31, 3, seed=0))

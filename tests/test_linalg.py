@@ -6,8 +6,9 @@ import sympy
 
 from triplepoints import gfnum
 from triplepoints.fields import Field
-from triplepoints.linalg import (rref, rank, kernel_basis, invert, _dot,
-                                 _values, _rref_generic)
+from triplepoints.linalg import (rref, rank, ranks, kernel_basis, invert,
+                                 leading_zero_rows, _dot, _values,
+                                 _rref_generic)
 
 QQ = Field.QQ()
 F31 = Field.GF(31)
@@ -237,3 +238,67 @@ def test_kernel_refuses_primes_beyond_its_bound():
             gfnum.rank_mod_p(a, p)
         with pytest.raises(ValueError, match="2\\*\\*31"):
             gfnum.rref_mod_p(a, p)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            gfnum.ranks_mod_p(a[None], p)
+
+
+def random_stack(rng, p):
+    """A stack of sparse random residue matrices, some with zero columns,
+    zero rows or dependent rows."""
+    b, m, n = rng.randint(1, 7), rng.randint(1, 10), rng.randint(1, 16)
+    a = np.array([[[rng.randrange(p) if rng.random() < 0.6 else 0
+                    for _ in range(n)] for _ in range(m)]
+                  for _ in range(b)], dtype=np.int64)
+    a[rng.randrange(b), :, rng.randrange(n)] = 0
+    a[rng.randrange(b), rng.randrange(m)] = 0
+    if m > 1:
+        i = rng.randrange(b)
+        a[i, 0] = (a[i, 1] * rng.randrange(p)) % p
+    return a
+
+
+STACK_PRIMES = [5, 101, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_ranks_mod_p_matches_rank_mod_p(p):
+    rng = random.Random(p + 3)
+    stacks = [random_stack(rng, p) for _ in range(80)]
+    # a matrix with no pivot in a column must keep its rows; all p - 1 is
+    # the largest product of the fraction-free step
+    stacks.append(np.zeros((2, 4, 5), dtype=np.int64))
+    stacks.append(np.array([np.eye(4, 6, k, dtype=np.int64) for k in
+                            range(-2, 3)]))
+    stacks.append(np.full((3, 6, 5), p - 1, dtype=np.int64))
+    full = np.array([[[rng.randrange(p) for _ in range(15)]
+                      for _ in range(18)] for _ in range(4)])
+    full[1, :, 0] = 0
+    stacks.append(full)
+    for a in stacks:
+        want = [gfnum.rank_mod_p(m, p) for m in a]
+        assert gfnum.ranks_mod_p(a, p).tolist() == want
+        assert ranks(Field.GF(p), a).tolist() == want
+    assert ranks(F31, np.zeros((2, 3, 7, 5), dtype=np.int64)).shape == (2, 3)
+
+
+@pytest.mark.parametrize("field", [Field.GF(5), Field.GF(101),
+                                   Field.GF(2**31 - 1), F49, QQ],
+                         ids=["GF5", "GF101", "GF2147483647", "GF49", "QQ"])
+def test_leading_zero_rows_span_the_annihilated_rows(field):
+    # the rows a M with a J = 0, for [J | M] split at ncols: one kernel per
+    # matrix is the oracle
+    rng = random.Random(field.char + 17)
+    for _ in range(15):
+        a = random_stack(rng, field.char if field.char else 7)
+        a = _values(field, [[[field(int(v)) for v in row] for row in m]
+                            for m in a])
+        ncols = rng.randint(0, a.shape[2])
+        got = leading_zero_rows(field, a, ncols)
+        assert got.shape[1] == a.shape[2] - ncols
+        want = [_dot(field, kernel_basis(field, m[:, :ncols].T), m[:, ncols:])
+                for m in a if len(kernel_basis(field, m[:, :ncols].T))]
+        want = np.concatenate(want) if want else got[:0]
+        both = np.concatenate([got, want])
+        r = rank(field, both) if len(both) else 0
+        assert r == (rank(field, got) if len(got) else 0)
+        assert r == (rank(field, want) if len(want) else 0)

@@ -584,3 +584,126 @@ def test_certify_positive_dimensional_verdict():
     X = Surface(MultiPoly.parse("x^3+x*y^2+y^3", F31))
     report = certify(X, points=[])
     assert report.to_json()["verdict"] == "positive-dimensional-singular-locus"
+
+
+# -- the batched point pass against a per-point oracle ------------------
+
+def _linear_through(rng, field, P):
+    """A random linear form vanishing at P (P's chart coordinate is 1)."""
+    c = [field.random_element(rng) for _ in range(4)]
+    c[P.chart] = c[P.chart] - sum((a * b for a, b in zip(c, P.coords)),
+                                  field.zero)
+    return MultiPoly(field, {tuple(int(i == j) for j in range(4)): a
+                             for i, a in enumerate(c)})
+
+
+def _random_form(rng, field, k):
+    return MultiPoly(field, {e: field.random_element(rng)
+                             for e in exponents_of_degree(k)})
+
+
+def _designed_surface(rng, field, P, kind, d=4):
+    """A degree-d surface with multiplicity kind (0..4) at P, or with a
+    singular tangent cone l1^2 * l2 there (kind "cone")."""
+    def through(m):
+        f = MultiPoly.zero(field)
+        for _ in range(3):
+            g = _random_form(rng, field, d - m)
+            for _ in range(m):
+                g = g * _linear_through(rng, field, P)
+            f = f + g
+        return f
+    if kind == "cone":
+        l1, l2 = (_linear_through(rng, field, P) for _ in range(2))
+        return l1 * l1 * l2 * _random_form(rng, field, d - 3) + through(4)
+    return through(kind)
+
+
+def _random_point(rng, field):
+    chart = rng.randrange(4)
+    return ProjPoint(field, [0] * chart + [1] + [
+        field.random_element(rng) for _ in range(3 - chart)])
+
+
+def _oracle(X, P):
+    """Per-point certification by substitution: ("ok", cone),
+    ("multiplicity", m) or ("tangent cone singular", rank)."""
+    field = X.field
+    images = [MultiPoly.constant(field, c) if i == P.chart else
+              MultiPoly.constant(field, c) + MultiPoly.variable(field, i)
+              for i, c in enumerate(P.coords)]
+    local = X.f.substitute(images)
+    m = min(map(sum, local.terms))
+    if m != 3:
+        return ("multiplicity", m)
+    cone = {e: c for e, c in local.terms.items() if sum(e) == 3}
+    triples = {e[:P.chart] + e[P.chart + 1:]: c for e, c in cone.items()}
+    partials = singular._partials(field, *singular._arrays(field, triples))
+    r = rank(field, singular._macaulay(field, partials, 4))
+    if r != 15:
+        return ("tangent cone singular", r)
+    return ("ok", MultiPoly(field, cone))
+
+
+def _outcome(cert):
+    if isinstance(cert, CertificationFailure):
+        return (cert.reason, cert.info["rank"] if "rank" in cert.info
+                else cert.info["multiplicity"])
+    assert (cert.multiplicity, cert.smooth_rank) == (3, 15)
+    return ("ok", cert.tangent_cone)
+
+
+@pytest.mark.parametrize("field", [Field.GF(5), Field.GF(101),
+                                   Field.GF(2147483647), Field.GF(5, 2), QQ],
+                         ids=["GF5", "GF101", "GF2147483647", "GF25", "QQ"])
+def test_certify_points_matches_the_per_point_oracle(field):
+    rng = random.Random(field.order if field.char else 0)
+    seen = set()
+    for kind in (0, 1, 2, 3, 3, 3, 3, 4, "cone"):
+        P = _random_point(rng, field)
+        X = Surface(_designed_surface(rng, field, P, kind))
+        points = [_random_point(rng, field) for _ in range(4)] + [P]
+        rng.shuffle(points)
+        want = [_oracle(X, Q) for Q in points]
+        got = singular._certify_points(X, points, check=False)
+        assert [_outcome(c) for c in got] == want
+        assert [c.point for c in got] == points
+        seen.update(w[1] if w[0] == "multiplicity" else w[0] for w in want)
+        # with check, the first failure in list order is raised
+        failures = [c for c in got if isinstance(c, CertificationFailure)]
+        if failures:
+            with pytest.raises(CertificationFailure) as exc:
+                singular._certify_points(X, points)
+            assert str(exc.value) == str(failures[0])
+            assert exc.value.point == failures[0].point
+    assert {0, 1, 2, "ok", "tangent cone singular"} <= seen
+    assert any(isinstance(m, int) and m >= 4 for m in seen)
+
+
+def test_certify_points_edge_cases():
+    X, P = triple_point_quartic(F31)
+    assert singular._certify_points(X, []) == []
+    # the one-point case and the batch agree, also with P twice
+    one = certify_ordinary_triple_point(X, P)
+    a, b = singular._certify_points(X, [P, P])
+    assert (a.tangent_cone, b.smooth_rank) == (one.tangent_cone, 15)
+    with pytest.raises(ValueError):
+        singular._certify_points(Surface(MultiPoly.parse("x^3+y^3+z^3+w^3",
+                                                         Field.GF(3, 2))),
+                                 [ProjPoint(Field.GF(3, 2), [0, 0, 0, 1])])
+
+
+def test_jets_in_chunks_match_one_batch(monkeypatch):
+    # the points go through _jet_matrix in chunks; one point per chunk
+    # must give the same array, and each row is that point's local_jet
+    rng = random.Random(5)
+    X, P = triple_point_quartic(F31)
+    points = [P] + [_random_point(rng, F31) for _ in range(12)]
+    f = [singular._arrays(F31, X.f.terms)]
+    whole = singular._jets(F31, points, f, 3)
+    monkeypatch.setattr(singular, "_BATCH_CELLS", 1)
+    assert np.array_equal(singular._jets(F31, points, f, 3), whole)
+    for Q, row in zip(points, whole[:, 0].tolist()):
+        cols = singular._embed(Q.chart, 3)
+        assert local_jet(X, Q, 3) == MultiPoly(
+            F31, {e: F31(v) for e, v in zip(cols, row)})
