@@ -193,9 +193,9 @@ def cmd_tangent_dim(args):
         pts = load_points(args.points, X.field)
     if not pts:
         raise DomainError("no points declared or supplied")
+    pts = singular.distinct_points(pts)
     dim = singular.equisingular_tangent_dimension(X, pts)
-    # a point given twice is one point
-    _emit({"dimension": dim, "points": len(set(pts))})
+    _emit({"dimension": dim, "points": len(pts)})
 
 
 def cmd_dianode(args):

@@ -122,12 +122,12 @@ def _certify_points(X: Surface, points, check=True):
     Returns one TriplePointCertificate or CertificationFailure per point,
     in order; with check, the first failure is raised instead.
     """
+    if not points:
+        return []
     field = X.field
     if field.char in (2, 3):
         raise ValueError(
             "triple-point certification unsupported in characteristic 2, 3")
-    if not points:
-        return []
     jets = _jets(field, points, [_arrays(field, X.f.terms)], 3)[:, 0]
     mult = _orders(jets, 3)
     # a zero order-3 jet means multiplicity at least 4
@@ -153,6 +153,13 @@ def _certify_points(X: Surface, points, check=True):
             if isinstance(c, CertificationFailure):
                 raise c
     return out
+
+
+def distinct_points(points):
+    """The points in order, a point given twice kept once (its first
+    occurrence): certify and equisingular_tangent_dimension count a
+    repeated point once."""
+    return list(dict.fromkeys(points))
 
 
 def certify_ordinary_triple_point(X: Surface, P: ProjPoint) -> TriplePointCertificate:
@@ -614,7 +621,7 @@ def equisingular_tangent_dimension(X: Surface, points) -> int:
     Repeated points count once.
     """
     field = X.field
-    points = list(dict.fromkeys(points))
+    points = distinct_points(points)
     # the points may come from a file: check them, not just trust them
     _certify_points(X, points)
     mons = _exponents(X.degree)
@@ -695,8 +702,7 @@ def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
                            else "rational field; pass --hilbert")}
     if hilbert is None:
         hilbert = finite
-    # a point declared twice is one point
-    certs = _certify_points(X, list(dict.fromkeys(points)), check=False)
+    certs = _certify_points(X, distinct_points(points), check=False)
     infos = [_point_info(c) for c in certs]
     all_ok = all("failure" not in info for info in infos)
     expected = 8 * sum(isinstance(c, TriplePointCertificate) for c in certs)

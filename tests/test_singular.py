@@ -586,6 +586,25 @@ def test_certify_positive_dimensional_verdict():
     assert report.to_json()["verdict"] == "positive-dimensional-singular-locus"
 
 
+@pytest.mark.parametrize("field,f", [
+    (Field.GF(3), "x^4+y^4+z^4+w^4"),
+    (Field.GF(2), "x^3+y^3+z^3+w^3"),
+])
+def test_no_points_need_no_point_certificate_in_char_2_3(field, f):
+    # the Hilbert evidence works for p < 5; only a point's cone test does not
+    X = Surface(MultiPoly.parse(f, field))
+    for points in (None, []):
+        doc = certify(X, points=points).to_json()
+        assert doc["points"] == []
+        assert doc["expected_degree"] == 0
+        assert doc["verdict"] == "certified-exact"
+    n = num_monomials(X.degree, 4)
+    assert singular.equisingular_tangent_dimension(X, []) == n - 1
+    P = ProjPoint(field, [0, 0, 0, 1])
+    with pytest.raises(ValueError, match="not a declared triple point"):
+        fam.reciprocal_family(X, [P] * 4, [2, 2, 2], "none")
+
+
 # -- the batched point pass against a per-point oracle ------------------
 
 def _linear_through(rng, field, P):
