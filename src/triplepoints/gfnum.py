@@ -29,11 +29,12 @@ are below (p-1)**2 < 2**62, so their difference lies in (-2**62, 2**62),
 inside int64, as p < 2**31.
 
 The sweep reduces after every product or contraction.  A contraction
-over the exponent axis sums at most d+1 products of residues below p,
-where d is the largest exponent; over GF(p^2) the real part adds n times
-a second such sum (u^2 = n).  So every intermediate is below
-(d+1) * (p-1)**2 * (1+n), and sweep_chart refuses inputs where that
-could reach 2**63.
+over the exponent axis, or a survivor's sum over it, adds at most d+1
+products of residues below p, where d is the largest exponent; over
+GF(p^2) the real part adds n times a second such sum (u^2 = n).  So
+every intermediate is below (d+1) * (p-1)**2 * (1+n), and sweep_chart
+refuses inputs where that could reach 2**53: its contractions run in
+float64, for BLAS, which holds the integers below 2**53 exactly.
 """
 from __future__ import annotations
 
@@ -251,10 +252,14 @@ def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:
     (m, f) array of element indices of the zeros' free coordinates, rows
     in lexicographic order.
 
-    The first polynomial is evaluated on the whole q^f grid by fibres:
-    its dense coefficient tensor is contracted one free axis at a time
-    with the Vandermonde table V[t, e] = t^e.  The others, sparsest
-    first, are evaluated only at the survivors, by lookups in V.
+    Each polynomial's dense coefficient tensor is contracted with the
+    Vandermonde table V[t, e] = t^e over its first f-1 axes, giving the
+    fibre table I[e, t_1..t_{f-1}] of at most (d+1) q^(f-1) entries: the
+    polynomial is sum_e I[e, t_1..t_{f-1}] t_f^e.  The first (sparsest)
+    polynomial finishes the last contraction on the whole q^f grid, in
+    slabs of about 2**16 points; every other one is evaluated only at the
+    survivors, by gathering their rows of I and of V and summing the
+    products over e.
     """
     n = nonresidue or 0
     q = p * p if nonresidue else p
@@ -269,40 +274,48 @@ def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:
     restricted.sort(key=len)
     deg = max((max(e, default=0) for terms in restricted
                for e, _ in terms), default=0)
-    if (deg + 1) * (p - 1)**2 * (1 + n) >= 2**63:
-        raise ValueError("sweep contraction could overflow int64")
+    if (deg + 1) * (p - 1)**2 * (1 + n) >= 2**53:
+        raise ValueError("sweep sums could overflow 2**53, where float64 "
+                         "stops being exact")
     t = np.arange(q, dtype=np.int64)
     elems = (t // p, t % p) if nonresidue else (t,)
     cols = [(np.ones(q, dtype=np.int64),) + (np.zeros(q, dtype=np.int64),)
             * (len(elems) - 1)]
     for _ in range(deg):
         cols.append(_mul(cols[-1], elems, p, n))
-    vander = tuple(np.stack([c[k] for c in cols], axis=1)
-                   for k in range(len(elems)))
-    if restricted:
-        dense = tuple(np.zeros((deg + 1,) * f, dtype=np.int64)
-                      for _ in elems)
-        for e, c in restricted[0]:
-            for k, part in enumerate(c):
-                dense[k][e] += part
-        vals = tuple(d % p for d in dense)
-        for _ in range(f):
-            vals = _mul(vals, vander, p, n, partial(np.tensordot, axes=(0, 1)))
-        idx = np.flatnonzero(np.logical_and.reduce([v == 0 for v in vals]))
+    vander = tuple(np.stack(c, axis=1) for c in zip(*cols))
+
+    def contract(x, y):  # in float64, for BLAS: exact below 2**53
+        return np.tensordot(x.astype(np.float64), y.astype(np.float64),
+                            axes=(0, 1)).astype(np.int64)
+
+    def fibres(terms):
+        dense = np.zeros((len(elems),) + (deg + 1,) * f, dtype=np.int64)
+        for e, c in terms:
+            dense[(slice(None),) + e] += c
+        vals = tuple(dense % p)
+        for _ in range(f - 1):
+            vals = _mul(vals, vander, p, n, contract)
+        return tuple(v.reshape(deg + 1, -1) for v in vals)
+
+    def zero(vals):
+        return np.logical_and.reduce([v.ravel() == 0 for v in vals])
+
+    rest = restricted
+    if f and restricted:  # the first one on the whole grid, in slabs
+        fib, step = fibres(restricted[0]), max(1, 2**16 // q)
+        idx = np.concatenate([s * q + np.flatnonzero(zero(_mul(
+            tuple(x[:, s:s + step] for x in fib), vander, p, n, contract)))
+            for s in range(0, fib[0].shape[1], step)])
+        rest = restricted[1:]
     else:
         idx = np.arange(q**f)
-    pts = np.empty((f, idx.size), dtype=np.int64)
-    for j in range(f):
-        pts[j] = idx // q**(f - 1 - j) % q
-    for terms in restricted[1:]:
-        if not pts.shape[1]:
+    for terms in rest:
+        if not idx.size:
             break
-        total = tuple(np.zeros(pts.shape[1], dtype=np.int64) for _ in elems)
-        for e, c in terms:
-            v = c
-            for j, ej in enumerate(e):
-                if ej:
-                    v = _mul(v, tuple(V[pts[j], ej] for V in vander), p, n)
-            total = tuple((a + b) % p for a, b in zip(total, v))
-        pts = pts[:, np.logical_and.reduce([v == 0 for v in total])]
-    return pts.T
+        head, last = np.divmod(idx, q)
+        at = tuple(x[:, head] for x in fibres(terms))
+        vals = _mul(at, tuple(v[last] for v in vander), p, n,
+                    partial(np.einsum, "em,me->m"))
+        idx = idx[zero(vals)]
+    return idx[:, None] // q**np.arange(f - 1, -1, -1) % q

@@ -119,20 +119,23 @@ def ranks(field, a):
     return out.reshape(a.shape[:-2])
 
 
-def leading_zero_rows(field, a, ncols):
+def leading_zero_rows(field, a, ncols, times=None):
     """The vectors of the row spaces of a stack of matrices a[b] that are
     zero on the first ncols columns, restricted to the other columns: the
-    rows of one matrix that spans them all.  Over GF(p) one pass over the
-    stack (gfnum.eliminate_stack), otherwise one rref per matrix."""
+    rows of one matrix that spans them all.  With times, a stack as long
+    as a, those of a[b] are multiplied by times[b] first.  Over GF(p) one
+    pass over the stack (gfnum.eliminate_stack), otherwise one rref per
+    matrix."""
     if _numeric(field):
         red, pivot = gfnum.eliminate_stack(a, field.p, ncols)
-        return red[~pivot][:, ncols:]
-    out = [_zeros(field, (0, a.shape[2] - ncols))]
-    for b in a:
-        red, pivots = rref(field, b)
-        out.append(red[[i for i, c in enumerate(pivots) if c >= ncols],
-                       ncols:])
-    return np.concatenate(out)
+        rows = [m[~free, ncols:] for m, free in zip(red, pivot)]
+    else:
+        rows = [m[[i for i, c in enumerate(pivots) if c >= ncols], ncols:]
+                for m, pivots in (rref(field, b) for b in a)]
+    if times is not None:
+        rows = [_dot(field, r, t) for r, t in zip(rows, times)]
+    width = a.shape[2] - ncols if times is None else times.shape[2]
+    return np.concatenate([_zeros(field, (0, width))] + rows)
 
 
 def kernel_basis(field, a):

@@ -614,11 +614,11 @@ def equisingular_tangent_dimension(X: Surface, points) -> int:
     triple point P its order-2 jet lies in the span of the order-2 jets
     of the four partials of f: a M_P c = 0 for every a with a J_P^T = 0,
     c the coefficients of g, M_P the 10 x n jet matrix of the n degree-d
-    monomials and J_P the partials' jets.  The rows a M_P are the vectors
-    of the row space of [J_P^T | M_P] that vanish on its J_P^T columns,
-    taken at all points in one pass (linalg.leading_zero_rows).  Returns
-    n - 1 minus the rank of those rows (f itself always qualifies).
-    Repeated points count once.
+    monomials and J_P the partials' jets.  Those a span the rows of
+    [J_P^T | I] that vanish on its J_P^T columns, found at all points in
+    one pass (linalg.leading_zero_rows), and each point's rows a are then
+    multiplied by its M_P.  Returns n - 1 minus the rank of the rows a M_P
+    (f itself always qualifies).  Repeated points count once.
     """
     field = X.field
     points = distinct_points(points)
@@ -627,10 +627,13 @@ def equisingular_tangent_dimension(X: Surface, points) -> int:
     mons = _exponents(X.degree)
     if not points:
         return len(mons) - 1
-    jets = _jets(field, points, _jacobian(X), 2)
-    stack = np.concatenate([jets, _jet_matrix(field, points, mons, 2)],
-                           axis=1)
-    rows = leading_zero_rows(field, np.swapaxes(stack, 1, 2), jets.shape[1])
+    jets = np.swapaxes(_jets(field, points, _jacobian(X), 2), 1, 2)
+    k = jets.shape[1]  # the order-2 jet coordinates
+    eye = _zeros(field, (len(points), k, k))
+    eye[:, range(k), range(k)] = _values(field, field.one)
+    rows = leading_zero_rows(
+        field, np.concatenate([jets, eye], axis=2), jets.shape[2],
+        np.swapaxes(_jet_matrix(field, points, mons, 2), 1, 2))
     return len(mons) - 1 - rank(field, rows)
 
 

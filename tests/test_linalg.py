@@ -302,3 +302,30 @@ def test_leading_zero_rows_span_the_annihilated_rows(field):
         r = rank(field, both) if len(both) else 0
         assert r == (rank(field, got) if len(got) else 0)
         assert r == (rank(field, want) if len(want) else 0)
+
+
+@pytest.mark.parametrize("field", [Field.GF(5), Field.GF(101),
+                                   Field.GF(2**31 - 1), F49, QQ],
+                         ids=["GF5", "GF101", "GF2147483647", "GF49", "QQ"])
+def test_leading_zero_rows_times_a_stack(field):
+    # the rows a of [J | I] with a J = 0, each matrix's times its M, span
+    # what [J | M] gives: T [J | M] and (T [J | I]) M are the same rows
+    rng = random.Random(field.char + 29)
+    for _ in range(15):
+        a = random_stack(rng, field.char if field.char else 7)
+        a = _values(field, [[[field(int(v)) for v in row] for row in m]
+                            for m in a])
+        ncols = rng.randint(0, a.shape[2])
+        b, m = a.shape[:2]
+        eye = np.array([[[field.one if i == j else field.zero
+                          for j in range(m)] for i in range(m)]] * b)
+        jay = np.concatenate([a[:, :, :ncols], _values(field, eye)], axis=2)
+        got = leading_zero_rows(field, jay, ncols, a[:, :, ncols:])
+        want = leading_zero_rows(field, a, ncols)
+        assert got.shape[1] == want.shape[1] == a.shape[2] - ncols
+        assert len(got) == sum(m - rank(field, x[:, :ncols]) if ncols else m
+                               for x in a)
+        both = np.concatenate([got, want])
+        r = rank(field, both) if len(both) else 0
+        assert r == (rank(field, got) if len(got) else 0)
+        assert r == (rank(field, want) if len(want) else 0)

@@ -184,16 +184,17 @@ def assert_sweep_matches_pointwise(polys, field):
 
 
 @st.composite
-def form_lists(draw, field):
-    """1-3 homogeneous forms of degrees 0-3, some divisible by x."""
+def form_lists(draw, field, max_degree=3, max_terms=5):
+    """1-3 homogeneous forms of degrees 0-max_degree with at most
+    max_terms terms, some divisible by x."""
     x = MultiPoly.variable(field, 0)
     polys = []
     for _ in range(draw(st.integers(1, 3))):
-        d = draw(st.integers(0, 3))
+        d = draw(st.integers(0, max_degree))
         terms = draw(st.dictionaries(
             st.sampled_from(exponents_of_degree(d)),
             st.sampled_from(list(field.elements())), min_size=1,
-            max_size=5))
+            max_size=max_terms))
         g = MultiPoly(field, terms)
         polys.append(g * x if d and draw(st.booleans()) else g)
     return polys
@@ -205,6 +206,55 @@ def form_lists(draw, field):
 def test_sweep_matches_pointwise_evaluation(case):
     field, polys = case
     assert_sweep_matches_pointwise(polys, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F5, F9]).flatmap(
+    lambda F: st.tuples(st.just(F), form_lists(F, 5, 8))))
+def test_sweep_matches_pointwise_evaluation_up_to_degree_five(case):
+    # exponents up to 5 exceed q - 1 = 4 over F5, and up to 8 terms leave
+    # more than one polynomial to evaluate at the survivors
+    field, polys = case
+    assert_sweep_matches_pointwise(polys, field)
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=lambda F: F.tag)
+@pytest.mark.parametrize("factors, locus", [
+    # in (x, y)^2: f and its partials vanish on the line x = y = 0
+    (["x^2*y^3+x^2*z^2*w+3*x*y*z^3+y^2*w^3+x^5+2*y^4*z"], 1),
+    # (x - y)^2 times a cubic: singular along the plane x = y, which
+    # meets every chart, so many points survive every polynomial
+    (["x-y", "x-y", "x^3+y*z*w+2*z^3+w^3"], 2),
+])
+def test_sweep_keeps_a_singular_locus(factors, locus, field):
+    f = MultiPoly.parse(factors[0], field)
+    for text in factors[1:]:
+        f = f * MultiPoly.parse(text, field)
+    polys = [f] + [g for g in f.gradient() if g]
+    q = field.order
+    found = common_projective_zeros(polys, field)
+    assert len(found) >= sum(q**i for i in range(locus + 1))
+    assert_sweep_matches_pointwise(polys, field)
+
+
+@pytest.mark.parametrize("text", [
+    # (x^2+y^2)(z^2+w^2): four planes x = +-iy, z = +-iw (i^2 = -1, in F9
+    # only), singular along their six lines, four of them not over F3
+    "x^2*z^2+x^2*w^2+y^2*z^2+y^2*w^2",
+    "x^3+y^3+z^2*w+x*y*w",        # p divides the degree
+    "x^4+2*x^2*y^2+y^4+z^3*w+x*y*z*w",
+    "x*y*z*w+x^4+y^4+z^4+w^4",
+])
+def test_enumerate_over_the_quadratic_extension_matches_pointwise(text):
+    F3 = Field.GF(3)
+    X = Surface(MultiPoly.parse(text, F3))
+    big = F3.extension()
+    assert big == F9
+    polys = [lift_poly(g, big) for g in [X.f] + X.f.gradient()]
+    expected = sorted((P for P in ALL_POINTS[big.tag]
+                       if not any(g.evaluate(P.coords) for g in polys)),
+                      key=ProjPoint.sort_key)
+    assert enumerate_singular_points(X, e=2) == expected
 
 
 @pytest.mark.parametrize("field", [F5, F9], ids=lambda F: F.tag)
@@ -224,6 +274,17 @@ def test_sweep_refuses_int64_overflow():
     # of d+1 powers is built
     with pytest.raises(ValueError, match="overflow"):
         gfnum.sweep_chart([{(0, 0, 0, 10**15): 1}], 0, 181)
+
+
+def test_sweep_refuses_sums_beyond_float64_integers():
+    # the contractions run in float64: (d+1) * (p-1)^2 * (1+n) must stay
+    # below 2^53.  p - 1 = 2^26 + 14 with d = 1, and over GF(p^2) p - 1 =
+    # 2^25 + 34 with d = 2 and n = 2, break it (below 2^63): refused
+    # before any table is built
+    with pytest.raises(ValueError, match="overflow"):
+        gfnum.sweep_chart([{(0, 1, 0, 0): 1}], 0, 67108879)
+    with pytest.raises(ValueError, match="overflow"):
+        gfnum.sweep_chart([{(0, 0, 2, 0): (1, 0)}], 1, 33554467, nonresidue=2)
 
 
 def test_lift_poly():
