@@ -198,7 +198,7 @@ class MultiPoly:
             ne[i] -= 1
             nc = c * e[i]
             if nc:
-                terms[tuple(ne)] = terms.get(tuple(ne), self.field.zero) + nc
+                terms[tuple(ne)] = nc
         return MultiPoly(self.field, terms)
 
     def gradient(self):

@@ -15,12 +15,15 @@ J_k = w*J_{k-1} + the multiples m*g of the partials with w not dividing
 m, so the reduced echelon form of J_k is that of J_{k-1} times w, plus
 the reduced form of those rows once one product has cleared w*J_{k-1}
 from them.  Only the pivot and free monomials and the free block are
-kept from one degree to the next (_Echelon, _hilbert_value).
+kept from one degree to the next (_Echelon, _hilbert_value).  The
+regularity certificate is read from the same forms: (R/(J + l))_t = 0
+iff the normal forms of l*m, m the free monomials of degree t-1, span
+(R/J)_t, since l*J_{t-1} lies in J_t (_regular_plane).
 """
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -249,40 +252,37 @@ def _exponents(k, n=4):
 
 
 def _arrays(field, terms):
-    """(exps, vals) of a nonzero exponent -> coefficient dict."""
-    return (np.array(list(terms), dtype=np.int64),
-            _values(field, list(terms.values())))
-
-
-def _collect(field, exps, vals):
-    """Add up the terms of equal exponents and drop zero terms; None for
-    the zero polynomial."""
-    if _numeric(field):
-        # vals may be products of two residues, below 2**62: reduce them
-        # before they are summed
-        vals = vals % field.p
-    digits = (int(exps.max()) + 1) ** np.arange(exps.shape[1])
-    keys, first, where = np.unique(exps @ digits, return_index=True,
-                                   return_inverse=True)
-    exps = exps[first]
-    out = _zeros(field, len(keys))
-    np.add.at(out, where, vals)
-    if _numeric(field):
-        out %= field.p
-    keep = out.astype(bool)
-    return (exps[keep], out[keep]) if keep.any() else None
+    """(exps, vals) of a nonzero exponent -> coefficient dict, exponents
+    ascending (_index finds keys faster in order)."""
+    exps = sorted(terms)
+    return (np.array(exps, dtype=np.int64),
+            _values(field, [terms[e] for e in exps]))
 
 
 def _partials(field, exps, vals):
-    """The nonzero partial derivatives, in variable order."""
+    """The nonzero partial derivatives, in variable order.  The terms of a
+    partial keep distinct exponents (e -> e - unit is injective), so only
+    the terms whose coefficient times exponent is zero are dropped."""
     out = []
     for i, unit in enumerate(np.eye(exps.shape[1], dtype=exps.dtype)):
-        has = exps[:, i] > 0
-        g = has.any() and _collect(field, exps[has] - unit, vals[has]
-                                   * _ints(field, exps[has, i].tolist()))
-        if g:
-            out.append(g)
+        dv = _mul(field, vals, _ints(field, exps[:, i].tolist()))
+        keep = dv.astype(bool)
+        if keep.any():
+            out.append((exps[keep] - unit, dv[keep]))
     return out
+
+
+def _digits(k, n=4):
+    """Place values of base-(k+1) keys of degree-k monomials: no exponent
+    exceeds k, so a key names one monomial, keys sort like
+    exponents_of_degree (descending) and keys of products add up."""
+    return (k + 1) ** np.arange(n - 1, -1, -1)
+
+
+def _index(keys, k, n=4):
+    """The positions in exponents_of_degree(k, n) of these keys."""
+    ascending = (_exponents(k, n) @ _digits(k, n))[::-1]
+    return len(ascending) - 1 - np.searchsorted(ascending, keys)
 
 
 def _macaulay(field, gens, k, w_free=False):
@@ -294,11 +294,7 @@ def _macaulay(field, gens, k, w_free=False):
     w_free, only the rows of the m not divisible by the last variable.
     """
     n = gens[0][0].shape[1]
-    # base-(k+1) keys: no exponent exceeds k, so a key names one
-    # monomial and keys sort like exponents_of_degree (descending); the
-    # key of a product of monomials is the sum of their keys
-    digits = (k + 1) ** np.arange(n - 1, -1, -1)
-    keys = _exponents(k, n) @ digits
+    digits = _digits(k, n)
     rows, cols, vals, top = [], [], [], 0
     for exps, v in gens:
         shifts = _exponents(k - int(exps[0].sum()), n)
@@ -309,8 +305,8 @@ def _macaulay(field, gens, k, w_free=False):
         cols.append((shifts[:, None] + exps @ digits).ravel())
         vals.append(np.tile(v, len(shifts)))
         top += len(shifts)
-    mac = _zeros(field, (top, len(keys)))
-    cols = len(keys) - 1 - np.searchsorted(keys[::-1], np.concatenate(cols))
+    mac = _zeros(field, (top, num_monomials(k, n)))
+    cols = _index(np.concatenate(cols), k, n)
     # the terms of one generator land in distinct columns of its rows
     mac[np.concatenate(rows), cols] = np.concatenate(vals)
     return mac
@@ -480,56 +476,47 @@ def _jacobian(X: Surface):
     return _partials(X.field, *_arrays(X.field, X.f.terms))
 
 
+def _checked_k_max(X: Surface, k_max, least):
+    """k_max, 4 * degree by default; a ValueError below least."""
+    if k_max is not None and k_max < least:
+        raise ValueError(f"k_max must be at least {least} for a "
+                         f"degree-{X.degree} surface")
+    return 4 * X.degree if k_max is None else k_max
+
+
 def jacobian_hilbert(X: Surface, k_max: int = None):
     """Hilbert function h(0..k_max) of R modulo the Jacobian ideal."""
     d = X.degree
-    if k_max is None:
-        k_max = 4 * d
-    if k_max < d - 1:
-        raise ValueError("k_max must be at least degree - 1")
+    k_max = _checked_k_max(X, k_max, d - 1)
     partials = _jacobian(X)
     echelon = _Echelon(X.field)
     return [_hilbert_value(X.field, partials, d, k, echelon)
             for k in range(k_max + 1)]
 
 
-def _restrict(field, gens, i):
-    """The gens on the plane w + i*x + i^2*y + i^3*z = 0, in x, y, z.
-
-    w^f becomes L^f for L = -(i*x + i^2*y + i^3*z), read from a table of
-    the powers of L.
-    """
-    table = []
-    for f in range(max(int(e[:, 3].max()) for e, _ in gens) + 1):
-        es = _exponents(f, 3)
-        table.append((es, _ints(field, [
-            (-1) ** f * comb(f, a) * comb(f - a, b) * i ** (a + 2 * b + 3 * c)
-            for a, b, c in es.tolist()])))
-    out = []
-    for exps, vals in gens:
-        e3, v3 = [], []
-        for f in np.unique(exps[:, 3]):
-            on = exps[:, 3] == f
-            te, tv = table[f]
-            e3.append((exps[on, None, :3] + te).reshape(-1, 3))
-            v3.append((vals[on, None] * tv).ravel())
-        g = _collect(field, np.concatenate(e3), np.concatenate(v3))
-        if g is not None:
-            out.append(g)
-    return out
-
-
-def _regular_plane(field, partials, t):
-    """The first i in 1..4 with (R/(J + l_i))_t = 0, or None.
+def _regular_plane(field, below, echelon):
+    """The first i in 1..4 with (R/(J + l_i))_t = 0, or None, from J's
+    echelon form in degree t and its free monomials below in degree t-1.
 
     l_i = w + i*x + i^2*y + i^3*z; for p < 5 only i = 1..p, whose
     values mod p are distinct.  A point P != 0 lies on at most 3 of the 4
-    planes, since l_i(P) is a nonzero cubic in i.
+    planes, since l_i(P) is a nonzero cubic in i.  The test is one rank:
+    the normal forms modulo J_t of the l*m, m free (rows of a table: unit
+    vectors of the free monomials, minus the block rows of the pivots),
+    must span (R/J)_t.  The other m add nothing, as l*J_{t-1} is in J_t.
     """
+    t, free = echelon.k, echelon.free
+    table = _zeros(field, (num_monomials(t), len(free)))
+    table[free, np.arange(len(free))] = _values(field, field.one)
+    neg = -echelon.block
+    table[echelon.pivots] = neg % field.p if _numeric(field) else neg
+    # the normal forms of m*x, m*y, m*z and m*w for each free m
+    digits = _digits(t)
+    forms = table[_index((_exponents(t - 1)[below] @ digits)[:, None]
+                         + digits, t)]
     for i in range(1, min(4, field.char or 4) + 1):
-        gens = _restrict(field, partials, i)
-        if gens and (rank(field, _macaulay(field, gens, t))
-                     == num_monomials(t, 3)):
+        lin = _ints(field, [i, i ** 2, i ** 3, 1])[:, None]
+        if rank(field, _mul(field, forms, lin).sum(axis=1)) == len(free):
             return i
     return None
 
@@ -537,19 +524,23 @@ def _regular_plane(field, partials, t):
 def _settle(X: Surface, k_max):
     """(singular_scheme_degree's result, how it was settled)."""
     d = X.degree
-    if k_max is None:
-        k_max = 4 * d
+    if d < 1:  # the rules compare h(k) with h(k-1) from k = d on
+        raise ValueError("a singular scheme needs degree at least 1")
+    k_max = _checked_k_max(X, k_max, d)
     field = X.field
     partials = _jacobian(X)
-    echelon = _Echelon(field)
+    echelon = last = _Echelon(field)
     h = []
     for attempt in range(2):
         limit = k_max * (attempt + 1)
         while len(h) <= limit:
             k = len(h)
+            # _hilbert_value replaces echelon's arrays, never writes into
+            # them: keep J's form in degree k-1 and the free monomials of k-2
+            below, last = last.free, copy.copy(echelon)
             h.append(_hilbert_value(field, partials, d, k, echelon))
             if k >= d and h[k] == h[k - 1]:
-                i = _regular_plane(field, partials, k - 1)
+                i = _regular_plane(field, below, last)
                 if i is not None:
                     plane = MultiPoly.parse(
                         f"w+{i}*x+{i ** 2}*y+{i ** 3}*z", field)
@@ -579,7 +570,9 @@ def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
 
     - regularity certificate: k >= d, h(k) = h(k-1), and
       (R/(J + l))_{k-1} = 0 for one of the planes l = w + i*x + i^2*y +
-      i^3*z, i = 1..4 (a rank in x, y, z).  Then (R/(J + l))_k = 0 too,
+      i^3*z, i = 1..4: the normal forms modulo J of the l*m, m the free
+      monomials of degree k-2, span (R/J)_{k-1}, which needs no other m
+      as l*J_{k-2} lies in J_{k-1} (_regular_plane).  Then (R/(J + l))_k = 0 too,
       so multiplication by l maps (R/J)_{k-1} onto (R/J)_k, and as
       h(k) = h(k-1) also injectively: (J : l)_{k-1} = J_{k-1} and
       (J + l)_{k-1} = R_{k-1}.  By Bayer-Stillman (Invent. Math. 87,
@@ -592,6 +585,9 @@ def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
       taken only where no plane certifies.
     - growth: at the cutoff k_max a strictly increasing tail is taken as
       positive-dimensional; otherwise one retry up to 2*k_max.
+
+    k_max is 4*d by default; below d, where no rule can fire yet, it is
+    a ValueError.
 
     Returns {"degree": n, "hilbert": [...]} or
     {"verdict": "positive-dimensional", "hilbert": [...]}.  A dict passed

@@ -351,6 +351,26 @@ def test_jacobian_hilbert_fermat_sextic():
     assert h == expected
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_singular_scheme_degree_needs_k_max_at_least_degree(d):
+    # no rule can fire below degree d: a smaller k_max is refused, not
+    # answered from values no relation of J has reached (or IndexError)
+    X = Surface(MultiPoly.parse("+".join(f"{v}^{d}" for v in "xyzw"), F31))
+    for k_max in (0, 1, d - 1):
+        if k_max < d:
+            with pytest.raises(ValueError, match="k_max must be at least"):
+                singular_scheme_degree(X, k_max)
+    res = singular_scheme_degree(X, d)
+    assert "degree" in res or "verdict" in res
+    with pytest.raises(ValueError, match="k_max must be at least"):
+        jacobian_hilbert(X, d - 2)
+
+
+def test_singular_scheme_degree_refuses_a_constant():
+    with pytest.raises(ValueError, match="degree at least 1"):
+        singular_scheme_degree(Surface(MultiPoly.parse("3", F31)))
+
+
 def test_singular_scheme_degree_smooth():
     X = Surface(MultiPoly.parse("x^2+y^2+z^2+w^2", F31))
     res = singular_scheme_degree(X)
@@ -437,27 +457,70 @@ def test_macaulay_matrix_rows_are_monomial_multiples(field):
                 for row in mac.tolist()] == expected
 
 
-@pytest.mark.parametrize("field", [F31, QQ, Field.GF(5, 2)],
-                         ids=lambda F: F.tag)
-def test_plane_restriction_matches_substitution(field):
-    f = MultiPoly.parse("3*x^4*w-x*y*z*w^2+2*y^2*w^3+z^5-x^2*y^3+7*w^5",
-                        field)
-    x, y, z, w = (MultiPoly(field, {e: field.one}) for e in
-                  ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+@pytest.mark.parametrize("field, f", [
+    (F31, "3*x^4*w-x*y*z*w^2+2*y^2*w^3+z^5-x^2*y^3+7*w^5"),
+    (QQ, "3*x^4*w-x*y*z*w^2+2*y^2*w^3+z^5-x^2*y^3+7*w^5"),
+    (Field.GF(5, 2), "3*x^4*w-x*y*z*w^2+2*y^2*w^3+z^5-x^2*y^3+7*w^5"),
+    # p divides the exponents of x^5 and w^5: their terms must be dropped
+    (Field.GF(5), "x^5*w+y^6+2*x*y*z^4+z^6+y*w^5+3*w^6"),
+], ids=["GF:31", "QQ", "GF:5:2", "GF:5"])
+def test_partials_match_gradient(field, f):
+    f = MultiPoly.parse(f, field)
 
     def poly(g):
-        # (exps, vals) in 3 or 4 variables as a MultiPoly in x, y, z, w
+        # (exps, vals) as a MultiPoly in x, y, z, w
         return MultiPoly(field, {
-            tuple(map(int, e)) + (0,) * (4 - len(e)):
+            tuple(map(int, e)):
             v if isinstance(v, type(field.one)) else field(int(v))
             for e, v in zip(*g)})
     partials = singular._jacobian(Surface(f))
     assert [poly(g) for g in partials] == [g for g in f.gradient() if g]
-    for i in range(1, 5):
-        on_plane = [x, y, z, (x * i + y * i**2 + z * i**3) * -1]
-        expected = [g.substitute(on_plane) for g in f.gradient()]
-        assert ([poly(g) for g in singular._restrict(field, partials, i)]
-                == [g for g in expected if g])
+    assert all(v.all() for _, v in partials)
+
+
+def first_regular_plane(field, partials, t):
+    """The first i with (R/(J + l_i))_t = 0, or None, from a rank of the
+    Macaulay matrix of J + l_i in all four variables: the oracle for
+    _regular_plane, with no echelon form and no restriction to a plane."""
+    for i in range(1, min(4, field.char or 4) + 1):
+        plane = (np.eye(4, dtype=np.int64), singular._values(
+            field, [field(c) for c in (i, i ** 2, i ** 3, 1)]))
+        mac = singular._macaulay(field, partials + [plane], t)
+        if rank(field, mac) == num_monomials(t):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("field, degrees, top", [
+    (Field.GF(2), range(2, 6), 11), (Field.GF(3), range(2, 6), 11),
+    (Field.GF(5), range(2, 6), 11), (Field.GF(13), range(2, 6), 11),
+    (Field.GF(101), range(2, 6), 11),
+    # FieldElement ranks are slow: small degrees
+    (Field.GF(5, 2), range(2, 4), 5), (QQ, range(2, 4), 5),
+], ids=["GF:2", "GF:3", "GF:5", "GF:13", "GF:101", "GF:5:2", "QQ"])
+def test_regular_plane_matches_macaulay_rank(field, degrees, top):
+    # at every degree t < top the plane read from J's echelon forms in
+    # degrees t-1 and t is the first whose four-variable Macaulay rank is
+    # full
+    rng = random.Random(field.order if field.kind != "QQ" else 7)
+    cases = [(random_surface(rng, field, d, rng.randint(2, 8)), top)
+             for d in degrees for _ in range(2)]
+    if field == Field.GF(101):
+        # the planes i = 1, 2 meet its singular points; regular from 11
+        cases.append((fam.sextic_k3_228(F31, F31(3)), 12))
+    found = set()
+    for X, top in cases:
+        F, partials = X.field, singular._jacobian(X)
+        echelon = singular._Echelon(F)
+        for t in range(top):
+            below = echelon.free
+            singular._hilbert_value(F, partials, X.degree, t, echelon)
+            i = singular._regular_plane(F, below, echelon)
+            assert i == first_regular_plane(F, partials, t), (str(X.f), t)
+            found.add(i)
+    assert None in found and 1 in found
+    if field == Field.GF(101):
+        assert 3 in found
 
 
 def test_regularity_certificate_is_checked_one_degree_below():
