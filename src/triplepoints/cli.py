@@ -174,8 +174,7 @@ def cmd_construct(args):
 
 def cmd_certify(args):
     X = Surface.load(args.input)
-    report = singular.certify(X, hilbert=args.hilbert or None)
-    _emit(report.to_json(), args.output)
+    _emit(singular.certify(X, hilbert=args.hilbert or None), args.output)
 
 
 def cmd_cremona(args):

@@ -13,8 +13,8 @@ from .poly import MultiPoly, poly_determinant, InexactDivisionError
 from .linalg import _values, _dot, kernel_basis, rank, invert
 from .surfaces import ProjPoint, Surface
 from .singular import (CertificationFailure, DomainError,
-                       common_projective_zeros, enumerate_singular_points,
-                       _arrays, _certify_points, _jets)
+                       common_projective_zeros, _arrays, _certify_points,
+                       _jets, _swept_points)
 from .constructions import reciprocal_transform, forms_with_multiplicity, \
     MultiplicityAssignment
 
@@ -89,15 +89,13 @@ def _member_search(field, gens, points, candidates, meta):
         except CertificationFailure as exc:
             last_error = exc
             continue
-        if field.kind != "QQ":
-            try:
-                extra = set(enumerate_singular_points(X)) - set(points)
-            except ValueError as exc:
-                X.metadata["checks"] = {"sweep": f"skipped: {exc}"}
-                extra = set()
-            if extra:
-                last_error = f"extra singular point {sorted(extra)[0]}"
-                continue
+        checks = {}
+        extra = set(_swept_points(X, checks) or ()) - set(points)
+        if checks:
+            X.metadata["checks"] = checks
+        if extra:
+            last_error = f"extra singular point {sorted(extra)[0]}"
+            continue
         return X
     raise NoCertifiedMember(f"no member certifies at the declared points "
                             f"({last_error})")
@@ -172,7 +170,8 @@ def sextic_k3_444(field, a1, a2, a3, b1, b2, b3, alpha=None, beta=None):
     points = [vertex(field, 0), vertex(field, 1), vertex(field, 2)]
     if field.kind != "QQ":
         excluded = {vertex(field, 3), ProjPoint(field, [1, 1, 1, 1])}
-        for P in common_projective_zeros([q1, q2, q3], field):
+        for P in common_projective_zeros(
+                [_arrays(field, g.terms) for g in (q1, q2, q3)], field):
             if P not in excluded:
                 points.append(P)
     meta = {"family": "k3-444", "exc_degrees": [4, 4, 4],

@@ -24,7 +24,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond the 2^31 cap."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -364,15 +364,10 @@ class FieldElement:
         """Total order on elements of one field, for canonical output."""
         if self.field.kind == "GF2":
             return self.val
-        if self.field.kind == "GF":
-            return (self.val,)
         return (self.val,)
 
     def __str__(self):
-        k = self.field.kind
-        if k == "QQ":
-            return str(self.val)
-        if k == "GF":
+        if self.field.kind != "GF2":
             return str(self.val)
         a, b = self.val
         if b == 0:

@@ -28,13 +28,16 @@ v the pivot and f the row's entry in the pivot column.  Both products
 are below (p-1)**2 < 2**62, so their difference lies in (-2**62, 2**62),
 inside int64, as p < 2**31.
 
-The sweep reduces after every product or contraction.  A contraction
-over the exponent axis, or a survivor's sum over it, adds at most d+1
-products of residues below p, where d is the largest exponent; over
-GF(p^2) the real part adds n times a second such sum (u^2 = n).  So
-every intermediate is below (d+1) * (p-1)**2 * (1+n), and sweep_chart
-refuses inputs where that could reach 2**53: its contractions run in
-float64, for BLAS, which holds the integers below 2**53 exactly.
+The sweep (sweep_chart) takes each polynomial as the (exps, vals) arrays
+that singular's Macaulay matrices and jets use: one exponent row per
+term and int64 residues, or (a, b) parts over GF(p^2).  It reduces after
+every product or contraction.  A contraction over the exponent axis, or
+a survivor's sum over it, adds at most d+1 products of residues below p,
+where d is the largest exponent; over GF(p^2) the real part adds n times
+a second such sum (u^2 = n).  So every intermediate is below (d+1) *
+(p-1)**2 * (1+n), and sweep_chart refuses inputs where that could reach
+2**53: its contractions run in float64, for BLAS, which holds the
+integers below 2**53 exactly.
 """
 from __future__ import annotations
 
@@ -246,11 +249,12 @@ def _mul(x, y, p: int, n: int, op=np.multiply):
 def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:
     """Common zeros of polys on the chart (0,..,0,1,t_1,..,t_f) of P^3.
 
-    polys: list of {exponent 4-tuple: residue}, or {exps: (a, b)} over
-    GF(p^2) = GF(p)[u], u^2 = nonresidue.  Field elements are indexed
-    0..q-1 in canonical order (a*p + b over GF(p^2)).  Returns the
-    (m, f) array of element indices of the zeros' free coordinates, rows
-    in lexicographic order.
+    polys: (exps, vals) pairs, one exponent 4-tuple per term and their
+    int64 residues; over GF(p^2) = GF(p)[u], u^2 = nonresidue, vals holds
+    (a, b) parts, one row per term, or residues as real parts.  Field
+    elements are indexed 0..q-1 in canonical order (a*p + b over
+    GF(p^2)).  Returns the (m, f) array of element indices of the zeros'
+    free coordinates, rows in lexicographic order.
 
     Each polynomial's dense coefficient tensor is contracted with the
     Vandermonde table V[t, e] = t^e over its first f-1 axes, giving the
@@ -264,16 +268,15 @@ def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:
     n = nonresidue or 0
     q = p * p if nonresidue else p
     f = 3 - chart
-    # terms without the zeroed coordinates, keyed by free exponents
+    # the terms without the zeroed coordinates: free exponents, parts
     restricted = []
-    for g in polys:
-        terms = [(e[chart + 1:], c if nonresidue else (c,))
-                 for e, c in g.items() if not any(e[:chart])]
-        if terms:
-            restricted.append(terms)
-    restricted.sort(key=len)
-    deg = max((max(e, default=0) for terms in restricted
-               for e, _ in terms), default=0)
+    for exps, vals in polys:
+        keep = ~exps[:, :chart].any(axis=1)
+        if keep.any():
+            restricted.append((exps[keep, chart + 1:],
+                               vals[keep].reshape(keep.sum(), -1)))
+    restricted.sort(key=lambda g: len(g[1]))
+    deg = max((int(e.max(initial=0)) for e, _ in restricted), default=0)
     if (deg + 1) * (p - 1)**2 * (1 + n) >= 2**53:
         raise ValueError("sweep sums could overflow 2**53, where float64 "
                          "stops being exact")
@@ -289,11 +292,12 @@ def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:
         return np.tensordot(x.astype(np.float64), y.astype(np.float64),
                             axes=(0, 1)).astype(np.int64)
 
-    def fibres(terms):
-        dense = np.zeros((len(elems),) + (deg + 1,) * f, dtype=np.int64)
-        for e, c in terms:
-            dense[(slice(None),) + e] += c
-        vals = tuple(dense % p)
+    def fibres(exps, parts):
+        dense = np.zeros(((deg + 1) ** f, len(elems)), dtype=np.int64)
+        # residues alone are real parts
+        np.add.at(dense[:, :parts.shape[1]],
+                  exps @ (deg + 1) ** np.arange(f - 1, -1, -1), parts)
+        vals = tuple(dense.T.reshape((len(elems),) + (deg + 1,) * f) % p)
         for _ in range(f - 1):
             vals = _mul(vals, vander, p, n, contract)
         return tuple(v.reshape(deg + 1, -1) for v in vals)
@@ -303,18 +307,18 @@ def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:
 
     rest = restricted
     if f and restricted:  # the first one on the whole grid, in slabs
-        fib, step = fibres(restricted[0]), max(1, 2**16 // q)
+        fib, step = fibres(*restricted[0]), max(1, 2**16 // q)
         idx = np.concatenate([s * q + np.flatnonzero(zero(_mul(
             tuple(x[:, s:s + step] for x in fib), vander, p, n, contract)))
             for s in range(0, fib[0].shape[1], step)])
         rest = restricted[1:]
     else:
         idx = np.arange(q**f)
-    for terms in rest:
+    for exps, parts in rest:
         if not idx.size:
             break
         head, last = np.divmod(idx, q)
-        at = tuple(x[:, head] for x in fibres(terms))
+        at = tuple(x[:, head] for x in fibres(exps, parts))
         vals = _mul(at, tuple(v[last] for v in vander), p, n,
                     partial(np.einsum, "em,me->m"))
         idx = idx[zero(vals)]

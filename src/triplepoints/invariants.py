@@ -3,41 +3,32 @@ genus via the adjoint system, and the 18-class sextic lookup table.
 """
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from math import comb
 
 
+@dataclass
 class InvariantTable:
     """Chern and Hodge numbers of the resolution of a degree-d surface
     with nu ordinary triple points and irregularity alpha."""
 
-    __slots__ = ("d", "nu", "alpha", "c1sq", "c2", "chi",
-                 "p_g", "q", "b2", "h11")
+    d: int
+    nu: int
+    alpha: int
+    c1sq: int
+    c2: int
+    chi: int
+    p_g: int
+    q: int
+    b2: int
+    h11: int
 
-    def __init__(self, d, nu, alpha, c1sq, c2, chi, p_g, q, b2, h11):
-        self.d = d
-        self.nu = nu
-        self.alpha = alpha
-        self.c1sq = c1sq
-        self.c2 = c2
-        self.chi = chi
-        self.p_g = p_g
-        self.q = q
-        self.b2 = b2
-        self.h11 = h11
-        if 12 * chi != c1sq + c2:
+    def __post_init__(self):
+        if 12 * self.chi != self.c1sq + self.c2:
             raise AssertionError("Noether identity violated")
 
     def to_json(self):
-        return {"d": self.d, "nu": self.nu, "alpha": self.alpha,
-                "c1sq": self.c1sq, "c2": self.c2, "chi": self.chi,
-                "p_g": self.p_g, "q": self.q, "b2": self.b2, "h11": self.h11}
-
-    def __eq__(self, other):
-        return (isinstance(other, InvariantTable)
-                and self.to_json() == other.to_json())
-
-    def __repr__(self):
-        return f"InvariantTable({self.to_json()})"
+        return asdict(self)
 
 
 def smooth_invariants(d: int) -> InvariantTable:
@@ -114,33 +105,22 @@ def geometric_genus(X, points) -> int:
     return len(basis)
 
 
+@dataclass
 class SexticClass:
-    __slots__ = ("nu", "c1sq", "c2", "chi", "p_g", "q", "b2", "h11",
-                 "n_minus_one", "kappa", "model")
-
-    def __init__(self, nu, c1sq, c2, chi, p_g, q, b2, h11,
-                 n_minus_one, kappa, model):
-        self.nu = nu
-        self.c1sq = c1sq
-        self.c2 = c2
-        self.chi = chi
-        self.p_g = p_g
-        self.q = q
-        self.b2 = b2
-        self.h11 = h11
-        self.n_minus_one = n_minus_one
-        self.kappa = kappa
-        self.model = model
+    nu: int
+    c1sq: int
+    c2: int
+    chi: int
+    p_g: int
+    q: int
+    b2: int
+    h11: int
+    n_minus_one: int | None
+    kappa: int | str
+    model: str
 
     def to_json(self):
-        return {"nu": self.nu, "c1sq": self.c1sq, "c2": self.c2,
-                "chi": self.chi, "p_g": self.p_g, "q": self.q,
-                "b2": self.b2, "h11": self.h11,
-                "n_minus_one": self.n_minus_one,
-                "kappa": self.kappa, "model": self.model}
-
-    def __repr__(self):
-        return f"SexticClass({self.to_json()})"
+        return asdict(self)
 
 
 # The 18 classes of sextics with only ordinary triple points.
@@ -170,10 +150,9 @@ SEXTIC_CLASSES = tuple(SexticClass(*row) for row in [
 def _validate_table():
     for row in SEXTIC_CLASSES:
         alpha = alpha_from_genus(6, row.nu, row.p_g)
-        t = resolved_invariants(6, row.nu, alpha)
-        expected = (t.c1sq, t.c2, t.chi, t.p_g, t.q, t.b2, t.h11)
-        got = (row.c1sq, row.c2, row.chi, row.p_g, row.q, row.b2, row.h11)
-        if expected != got:
+        expected = resolved_invariants(6, row.nu, alpha).to_json()
+        got = {k: v for k, v in row.to_json().items() if k in expected}
+        if got != {k: expected[k] for k in got}:
             raise AssertionError(
                 f"sextic table row nu={row.nu} disagrees with formulas: "
                 f"{got} vs {expected}")

@@ -23,6 +23,7 @@ iff the normal forms of l*m, m the free monomials of degree t-1, span
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -70,24 +71,21 @@ def local_jet(X, P: ProjPoint, k: int) -> MultiPoly:
 
 def multiplicity(X: Surface, P: ProjPoint) -> int:
     """Order of vanishing of X at P; 0 iff P is not on X."""
-    jet = local_jet(X, P, X.degree)
-    if not jet:
+    d = X.degree
+    jet = _jets(X.field, [P], [_arrays(X.field, X.f.terms)], d)[:, 0]
+    (m,) = _orders(jet, d).tolist()
+    if m < 0:
         # the dehomogenized translate of a nonzero form is nonzero
         raise AssertionError("zero local expansion of a nonzero surface")
-    return min(map(sum, jet.terms))
+    return m
 
 
+@dataclass
 class TriplePointCertificate:
-    __slots__ = ("point", "multiplicity", "tangent_cone", "smooth_rank")
-
-    def __init__(self, point, mult, tangent_cone, smooth_rank):
-        self.point = point
-        self.multiplicity = mult
-        self.tangent_cone = tangent_cone
-        self.smooth_rank = smooth_rank
-
-    def __repr__(self):
-        return f"TriplePointCertificate({self.point})"
+    point: ProjPoint
+    multiplicity: int
+    tangent_cone: MultiPoly
+    smooth_rank: int
 
 
 def _cone_smooth_rank(field, coeffs):
@@ -188,16 +186,22 @@ def is_ordinary_triple_point(X, P) -> bool:
 _ENUM_LIMIT = 6_000_000
 
 
-def lift_poly(g: MultiPoly, big: Field) -> MultiPoly:
-    """Lift a GF(p) polynomial into GF(p^2)."""
-    return MultiPoly(big, {ex: big.lift(c) for ex, c in g.terms.items()})
+def _parts(vals):
+    """Sweep coefficients of (exps, vals): int64 residues as they are (the
+    real parts, in a GF(p^2) sweep), GF(p^2) elements as (a, b) rows."""
+    if vals.dtype != object:
+        return vals
+    return np.array([c.val for c in vals.tolist()],
+                    dtype=np.int64).reshape(-1, 2)
 
 
 def common_projective_zeros(polys, field: Field):
     """All points of P^3 over the finite field where every poly vanishes.
 
-    Chart-by-chart sweep (gfnum.sweep_chart); canonical points in
-    lexicographic order of their canonical coordinates.
+    polys: (exps, vals) pairs, as _arrays makes them; over GF(p^2) the
+    vals may also be GF(p) residues.  Chart-by-chart sweep
+    (gfnum.sweep_chart); canonical points in lexicographic order of their
+    canonical coordinates.
     """
     if field.kind == "QQ":
         raise ValueError("enumeration requires a finite field")
@@ -205,10 +209,10 @@ def common_projective_zeros(polys, field: Field):
     if q**3 + q**2 + q + 1 > _ENUM_LIMIT:
         raise ValueError(f"P^3 over order-{q} field is too large to sweep")
     elems = list(field.elements())
-    terms = [{e: c.val for e, c in g.terms.items()} for g in polys]
+    polys = [(exps, _parts(vals)) for exps, vals in polys]
     found = []
     for chart in range(4):
-        for row in gfnum.sweep_chart(terms, chart, field.p, field.nonresidue):
+        for row in gfnum.sweep_chart(polys, chart, field.p, field.nonresidue):
             found.append(ProjPoint(
                 field, [0] * chart + [1] + [elems[i] for i in row]))
     found.sort(key=lambda P: P.sort_key())
@@ -218,18 +222,29 @@ def common_projective_zeros(polys, field: Field):
 def enumerate_singular_points(X: Surface, e: int = 1):
     """All points of P^3(GF(p^e)) where f and its four partials vanish.
 
-    e=2 lifts to the canonical quadratic extension (f is included along
-    with the partials, which matters when p divides the degree).
+    e=2 sweeps the canonical quadratic extension, the coefficients of f
+    entering as real parts (f is included along with the partials, which
+    matters when p divides the degree).
     """
-    if X.field.kind == "QQ":
-        raise ValueError("enumeration requires a finite field")
     if e not in (1, 2):
         raise ValueError("extension degree must be 1 or 2")
-    base = X.field if e == 1 else X.field.extension()
-    polys = [X.f] + [g for g in X.f.gradient() if g]
-    if base != X.field:
-        polys = [lift_poly(g, base) for g in polys]
-    return common_projective_zeros(polys, base)
+    f = _arrays(X.field, X.f.terms)
+    return common_projective_zeros(
+        [f] + _partials(X.field, *f),
+        X.field if e == 1 else X.field.extension())
+
+
+def _swept_points(X: Surface, checks: dict):
+    """The singular points of X by the sweep (enumerate_singular_points),
+    or None over the rationals.  Over a field too large to sweep also
+    None, and checks["sweep"] says why the sweep was skipped."""
+    if X.field.kind == "QQ":
+        return None
+    try:
+        return enumerate_singular_points(X)
+    except ValueError as exc:
+        checks["sweep"] = f"skipped: {exc}"
+        return None
 
 
 # -- coefficient arrays: Macaulay matrices and jets ---------------------
@@ -635,33 +650,6 @@ def equisingular_tangent_dimension(X: Surface, points) -> int:
 
 # -- certification pipeline ---------------------------------------------
 
-class CertificationReport:
-    def __init__(self, surface, points_info, hilbert, expected_degree, verdict,
-                 degree_evidence=None, checks=None):
-        self.surface = surface
-        self.points_info = points_info
-        self.hilbert = hilbert
-        self.expected_degree = expected_degree
-        self.verdict = verdict
-        self.degree_evidence = degree_evidence
-        self.checks = checks
-
-    def to_json(self):
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "surface": str(self.surface.f),
-            "field": self.surface.field.tag,
-            "points": self.points_info,
-            "hilbert": self.hilbert,
-            "degree_evidence": self.degree_evidence,
-            "expected_degree": self.expected_degree,
-            "verdict": self.verdict,
-        }
-        if self.checks:
-            out["checks"] = self.checks
-        return out
-
-
 def _point_info(cert):
     """A point's record in the report, from its certificate or failure."""
     info = {"coords": cert.point.to_json()}
@@ -674,8 +662,9 @@ def _point_info(cert):
     return info
 
 
-def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
-    """Certify the singular locus of X.
+def certify(X: Surface, points=None, hilbert=None) -> dict:
+    """Certify the singular locus of X; returns the report, a JSON
+    document.
 
     Over a finite field the singular points are enumerated; over the
     rationals the declared (or supplied) points are used, and also over
@@ -687,39 +676,34 @@ def certify(X: Surface, points=None, hilbert=None) -> CertificationReport:
     {"method": "skipped", "proven": False, "reason": ...}, the reason
     "rational field; pass --hilbert" or "not requested" (hilbert=False).
     """
-    finite = X.field.kind != "QQ"
-    checks = None
+    skipped = {"method": "skipped", "proven": False,
+               "reason": ("not requested" if hilbert is False
+                          else "rational field; pass --hilbert")}
+    checks = {}
+    if points is None:
+        points = _swept_points(X, checks)
     if points is None:
         points = X.points
-        if finite:
-            try:
-                points = enumerate_singular_points(X)
-            except ValueError as exc:
-                checks = {"sweep": f"skipped: {exc}"}
-    evidence = {"method": "skipped", "proven": False,
-                "reason": ("not requested" if hilbert is False
-                           else "rational field; pass --hilbert")}
-    if hilbert is None:
-        hilbert = finite
     certs = _certify_points(X, distinct_points(points), check=False)
     infos = [_point_info(c) for c in certs]
     all_ok = all("failure" not in info for info in infos)
     expected = 8 * sum(isinstance(c, TriplePointCertificate) for c in certs)
-    hseq = None
-    verdict = "failed"
+    out = {"schema_version": SCHEMA_VERSION, "surface": str(X.f),
+           "field": X.field.tag, "points": infos, "hilbert": None,
+           "degree_evidence": skipped, "expected_degree": expected,
+           "verdict": ("certified-rational-only" if all_ok and infos
+                       else "failed")}
+    if hilbert is None:
+        hilbert = X.field.kind != "QQ"
     if hilbert:
-        evidence = {}
+        evidence = out["degree_evidence"] = {}
         result = singular_scheme_degree(X, evidence=evidence)
-        hseq = result["hilbert"]
+        out["hilbert"] = result["hilbert"]
         if "verdict" in result:
-            verdict = "positive-dimensional-singular-locus"
-        elif not all_ok:
-            verdict = "failed"
-        elif result["degree"] == expected:
-            verdict = "certified-exact"
-        else:
-            verdict = "certified-rational-only"
-    else:
-        verdict = "certified-rational-only" if all_ok and infos else "failed"
-    return CertificationReport(X, infos, hseq, expected, verdict, evidence,
-                               checks)
+            out["verdict"] = "positive-dimensional-singular-locus"
+        elif all_ok:
+            out["verdict"] = ("certified-exact" if result["degree"] == expected
+                              else "certified-rational-only")
+    if checks:
+        out["checks"] = checks
+    return out

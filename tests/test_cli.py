@@ -316,6 +316,35 @@ def test_dianode_and_steiner(capsys):
     assert code == 1 and "error" in data
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--family", "k3-228", "--params", "lambda=3"],
+     "--field is required for this family"),
+    (["construct", "--family", "k3-228", "--field", "GF:31",
+      "--params", "lambda"], "bad parameter 'lambda', expected key=value"),
+    (["construct", "--family", "no-such-family"],
+     "unknown family 'no-such-family'"),
+    (["construct", "--family", "k3-246"], "k3-246 requires --base"),
+    (["construct", "--family", "quintic-nu", "--field", "GF:31"],
+     "quintic-nu requires --points"),
+    (["tangent-dim", "-i", "SURFACE"], "no points declared or supplied"),
+    (["steiner", "--field", "QQ", "--quadric", "x^2", "--quadric", "y^2"],
+     "need exactly three --quadric forms"),
+], ids=["field-required", "bad-parameter", "unknown-family",
+        "k3-246-base", "quintic-nu-points", "tangent-dim-no-points",
+        "steiner-two-quadrics"])
+def test_domain_errors_print_one_error_document(capsys, tmp_path, argv,
+                                                message):
+    surface = tmp_path / "surface.json"
+    Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F31)).save(surface)
+    argv = [str(surface) if a == "SURFACE" else a for a in argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"schema_version": 1,
+                               "error": f"DomainError: {message}"}
+
+
 def test_linear_system(capsys, tmp_path):
     ptsfile = tmp_path / "points.json"
     save_points(ptsfile, generic_points(F31, 7, seed=7))

@@ -195,8 +195,8 @@ def test_dianode_surface():
     assert delta.homogeneous_degree() == 6
     X = Surface(delta, {"points": pts})
     report = certify(X)
-    assert report.to_json()["verdict"] == "certified-exact"
-    assert len(report.to_json()["points"]) == 7
+    assert report["verdict"] == "certified-exact"
+    assert len(report["points"]) == 7
 
 
 def test_dianode_degenerate_inputs():

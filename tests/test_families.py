@@ -71,7 +71,7 @@ def test_quintic_five_points():
     pts = generic_points(F31, 5, seed=0)
     X = fam.quintic_with_triple_points(pts, seed=0)
     assert X.degree == 5
-    assert certify(X).to_json()["verdict"] in ("certified-exact",
+    assert certify(X)["verdict"] in ("certified-exact",
                                                "certified-rational-only")
     assert geometric_genus(X, X.points) == 0
 
@@ -128,7 +128,7 @@ def test_k3_444_nine_points(k444):
         P = ProjPoint(F29, [pow(16, 4 * i, 29), pow(16, 2 * i, 29),
                             pow(16, i, 29), 1])
         assert P in X.points
-    assert certify(X).to_json()["verdict"] == "certified-exact"
+    assert certify(X)["verdict"] == "certified-exact"
     assert geometric_genus(X, X.points) == 1
     assert X.metadata["exc_degrees"] == [4, 4, 4]
 
@@ -160,7 +160,7 @@ def test_k3_246(k246):
     Y = k246
     assert Y.degree == 6
     assert len(Y.points) == 9
-    assert certify(Y).to_json()["verdict"] == "certified-exact"
+    assert certify(Y)["verdict"] == "certified-exact"
     assert Y.metadata["exc_degrees"] == [2, 4, 6]
     assert equisingular_tangent_dimension(Y, Y.points) == 22
     # one plane meets the configuration in five points
@@ -199,7 +199,7 @@ def test_k3_228(k228):
     X = k228
     assert X.degree == 6
     assert len(X.points) == 9
-    assert certify(X).to_json()["verdict"] == "certified-exact"
+    assert certify(X)["verdict"] == "certified-exact"
     assert ProjPoint(F31, [3, 1, 1, 1]) in X.points
     # two planes each hold five of the points
     assert len(fam.detect_minus_one_conics(X.points)) == 2
@@ -235,7 +235,7 @@ def test_elliptic_222(e222):
     X = e222
     assert X.degree == 6
     assert len(X.points) == 9
-    assert certify(X).to_json()["verdict"] == "certified-exact"
+    assert certify(X)["verdict"] == "certified-exact"
     assert X.metadata["params"]["coefficients"] == ["1", "0", "5"]
     assert equisingular_tangent_dimension(X, X.points) == 23
     # three coplanar five-point subsets
@@ -260,7 +260,7 @@ def test_elliptic_224(e222_gf31):
     X = fam.sextic_elliptic_224(base, base.points[:4])
     assert X.degree == 6  # 3*6 - 4*3
     assert len(X.points) == 9
-    assert certify(X).to_json()["verdict"] == "certified-exact"
+    assert certify(X)["verdict"] == "certified-exact"
     assert X.metadata["exc_degrees"] == [2, 2, 4]
 
 
@@ -297,7 +297,7 @@ def test_sextic_ten_gf31(ten):
     assert X.metadata["params"]["coefficients"] == ["12", "14", "1"]
     for c in ([1, 1, 1, 1], [0, 0, 1, 1], [0, 0, 20, 1]):
         assert ProjPoint(F31, c) in X.points
-    assert certify(X).to_json()["verdict"] == "certified-exact"
+    assert certify(X)["verdict"] == "certified-exact"
 
 
 def test_sextic_ten_gf31_scheme_degree(ten):
@@ -317,8 +317,8 @@ def test_septic_s4():
     assert X.degree == 7
     assert len(X.points) == 16
     assert ProjPoint(QQ, [-2, 1, 2, 2]) in X.points
-    assert certify(X, points=X.points, hilbert=False) \
-        .to_json()["verdict"] == "certified-rational-only"
+    assert certify(X, points=X.points, hilbert=False)["verdict"] \
+        == "certified-rational-only"
 
 
 def test_septic_s4_tangent_dimension_gf101():
