@@ -10,6 +10,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .fields import Field
 from .poly import MultiPoly
@@ -226,7 +227,10 @@ def cmd_linear_system(args):
            "basis": [str(g) for g in basis]})
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The one parser of the process, built on the first call; parsing
+    leaves it unchanged, so main() may be called again and again."""
     p = argparse.ArgumentParser(
         prog="triplepoints",
         description="Exact computations on surfaces with ordinary "

@@ -9,12 +9,12 @@ import itertools
 import random
 
 from .fields import Field, solve_quadratic
-from .poly import MultiPoly, poly_determinant, InexactDivisionError
+from .poly import MultiPoly, poly_determinant, InexactDivisionError, _arrays
 from .linalg import _values, _dot, kernel_basis, rank, invert
 from .surfaces import ProjPoint, Surface
 from .singular import (CertificationFailure, DomainError,
-                       common_projective_zeros, _arrays, _certify_points,
-                       _jets, _swept_points)
+                       common_projective_zeros, _certify_points, _jets,
+                       _swept_points)
 from .constructions import reciprocal_transform, forms_with_multiplicity, \
     MultiplicityAssignment
 

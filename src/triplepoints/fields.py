@@ -410,19 +410,44 @@ def sqrt_mod_p(a: int, p: int):
     return min(r, p - r)
 
 
+def sqrt_gf_p2(z: "FieldElement"):
+    """A square root of z in GF(p^2) = GF(p)[u], u^2 = n, or None.
+
+    From the norm: z is a square iff N(z) = a^2 - n*b^2 is a square c^2
+    in GF(p) (z = a + b*u).  Then (x + y*u)^2 = z for x^2 = (a + s)/2,
+    s = c or -c, and y = b/(2x): as (a+s)(a-s) = n*b^2, x^2 + n*y^2 = a.
+    If neither sign gives a nonzero square, b = 0 and z = n*y^2.
+    """
+    F = z.field
+    p, n = F.p, F.nonresidue
+    a, b = z.val
+    c = sqrt_mod_p(a * a - n * b * b, p)
+    if c is None:
+        return None
+    for s in (c, -c):
+        x = sqrt_mod_p((a + s) * pow(2, -1, p), p)
+        if x:
+            return F.ext(x, b * pow(2 * x, -1, p))
+    return F.ext(0, sqrt_mod_p(a * pow(n, -1, p), p))
+
+
 def solve_quadratic(a: "FieldElement", b: "FieldElement", c: "FieldElement"):
     """Roots of a*t^2 + b*t + c in the coefficients' field.
 
-    Supported over GF(p) (p odd) and over QQ (rational roots only).
-    Returns a sorted list of distinct roots found in the field itself.
+    Supported over GF(p) and GF(p^2) (p odd) and over QQ (rational roots
+    only).  Returns a sorted list of distinct roots found in the field
+    itself.
     """
     F = a.field
     if not a:
         return [] if not b else [-c / b]
-    d = (b * b - 4 * a * c).val
+    d = b * b - 4 * a * c
     if F.kind == "GF" and F.p != 2:
-        r = sqrt_mod_p(d, F.p)
+        r = sqrt_mod_p(d.val, F.p)
+    elif F.kind == "GF2":
+        r = sqrt_gf_p2(d)
     elif F.kind == "QQ":
+        d = d.val
         n = d.numerator * d.denominator  # sqrt(n/m) = sqrt(n*m)/m
         s = math.isqrt(max(n, 0))
         r = Fraction(s, d.denominator) if s * s == n else None

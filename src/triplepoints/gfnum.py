@@ -31,8 +31,10 @@ inside int64, as p < 2**31.
 The sweep (sweep_chart) takes each polynomial as the (exps, vals) arrays
 that singular's Macaulay matrices and jets use: one exponent row per
 term and int64 residues, or (a, b) parts over GF(p^2).  It reduces after
-every product or contraction.  A contraction over the exponent axis, or
-a survivor's sum over it, adds at most d+1 products of residues below p,
+every product or contraction but the last, whose values are only
+compared with zero: their exact sums are tested for divisibility by p
+(_divisible, no division).  A contraction over the exponent axis, or a
+survivor's sum over it, adds at most d+1 products of residues below p,
 where d is the largest exponent; over GF(p^2) the real part adds n times
 a second such sum (u^2 = n).  So every intermediate is below (d+1) *
 (p-1)**2 * (1+n), and sweep_chart refuses inputs where that could reach
@@ -227,23 +229,37 @@ def ranks_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     return eliminate_stack(a, p, a.shape[2])[1].sum(axis=1)
 
 
-def _mul(x, y, p: int, n: int, op=np.multiply):
+def _mul(x, y, p: int, n: int, op=np.multiply, reduce=True):
     """Product of values given as parts: (residues,) over GF(p), or
     (real, u) over GF(p^2) = GF(p)[u], u^2 = n.  op is the elementwise
-    product or a contraction such as np.tensordot."""
+    product or a contraction such as np.tensordot.  With reduce=False the
+    parts are left as the exact nonnegative sums, for _divisible."""
     # reduced in place: no unreduced product outlives its reduction
     if len(x) == 1:
         r = op(x[0], y[0])
-        r %= p
+        if reduce:
+            r %= p
         return (r,)
     (xa, xb), (ya, yb) = x, y
     a = op(xa, ya)
     a += n * op(xb, yb)
-    a %= p
     b = op(xa, yb)
     b += op(xb, ya)
-    b %= p
+    if reduce:
+        a %= p
+        b %= p
     return (a, b)
+
+
+def _divisible(v, p: int) -> np.ndarray:
+    """v % p == 0 for int64 v in [0, 2**63), without a division.  For odd
+    p, v -> v * p^-1 mod 2**64 is a bijection that takes the multiples k*p
+    < 2**64 to the k <= (2**64-1)//p, so exactly the multiples land there
+    (wrapping uint64 products); for p = 2 the low bit decides."""
+    if p == 2:
+        return (v & 1) == 0
+    return (v.view(np.uint64) * np.uint64(pow(p, -1, 2**64))
+            <= np.uint64((2**64 - 1) // p))
 
 
 def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:
@@ -302,15 +318,16 @@ def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:
             vals = _mul(vals, vander, p, n, contract)
         return tuple(v.reshape(deg + 1, -1) for v in vals)
 
-    def zero(vals):
-        return np.logical_and.reduce([v.ravel() == 0 for v in vals])
+    def zero(vals):  # the unreduced parts, each below 2**53
+        return np.logical_and.reduce([_divisible(v.ravel(), p)
+                                      for v in vals])
 
     rest = restricted
     if f and restricted:  # the first one on the whole grid, in slabs
         fib, step = fibres(*restricted[0]), max(1, 2**16 // q)
         idx = np.concatenate([s * q + np.flatnonzero(zero(_mul(
-            tuple(x[:, s:s + step] for x in fib), vander, p, n, contract)))
-            for s in range(0, fib[0].shape[1], step)])
+            tuple(x[:, s:s + step] for x in fib), vander, p, n, contract,
+            reduce=False))) for s in range(0, fib[0].shape[1], step)])
         rest = restricted[1:]
     else:
         idx = np.arange(q**f)
@@ -320,6 +337,6 @@ def sweep_chart(polys, chart: int, p: int, nonresidue=None) -> np.ndarray:
         head, last = np.divmod(idx, q)
         at = tuple(x[:, head] for x in fibres(exps, parts))
         vals = _mul(at, tuple(v[last] for v in vander), p, n,
-                    partial(np.einsum, "em,me->m"))
+                    partial(np.einsum, "em,me->m"), reduce=False)
         idx = idx[zero(vals)]
     return idx[:, None] // q**np.arange(f - 1, -1, -1) % q

@@ -10,7 +10,10 @@ import heapq
 import re
 from functools import lru_cache
 
+import numpy as np
+
 from .fields import Field, FieldElement, FieldMismatchError
+from .linalg import _numeric, _zeros, _values, _mul
 
 NVARS = 4
 VAR_NAMES = ("x", "y", "z", "w")
@@ -51,6 +54,77 @@ def exponents_of_degree(k: int, nvars: int = NVARS):
 def num_monomials(k: int, nvars: int = NVARS) -> int:
     from math import comb
     return comb(k + nvars - 1, nvars - 1)
+
+
+# -- coefficient arrays and monomial keys ---------------------------------
+
+def _arrays(field, terms):
+    """(exps, vals) of a nonzero exponent -> coefficient dict, exponents
+    ascending (singular._index finds keys faster in order)."""
+    exps = sorted(terms)
+    return (np.array(exps, dtype=np.int64),
+            _values(field, [terms[e] for e in exps]))
+
+
+def _digits(k, n=NVARS):
+    """Place values of base-(k+1) keys of monomials of degree at most k:
+    no exponent exceeds k, so a key names one monomial, keys of one degree
+    sort like exponents_of_degree (descending) and keys of products add
+    up."""
+    return (k + 1) ** np.arange(n - 1, -1, -1)
+
+
+def _collect(field, keys, vals):
+    """The distinct keys, ascending, and the sums of their values, with
+    the zero sums dropped.  Only values of equal keys are added."""
+    if not len(keys):
+        return keys, vals
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    sums = np.add.reduceat(vals[order], first)
+    if _numeric(field):
+        sums %= field.p  # a sum of residues below p < 2**31 per key
+    keep = sums.astype(bool)
+    return keys[first[keep]], sums[keep]
+
+
+def _pairs(n, starts):
+    """Entry i meets n[i] rows of a table, from row starts[i] on: the
+    entry and the row of every meeting."""
+    src = np.repeat(np.arange(len(n)), n)
+    return src, np.repeat(starts - np.cumsum(n) + n, n) + np.arange(len(src))
+
+
+def _powers(field, images, highest, digits, space):
+    """The powers images[v]**k, k <= highest[v], as one table of keys
+    (under digits, each below space) and coefficients: (count, start,
+    keys, coefficients), with images[v]**k in the count[k, v] rows from
+    start[k, v].  Built one degree at a time for all the images at once,
+    each level's rows grouped by v, in order."""
+    gkeys = np.array([e for g in images for e in g.terms],
+                     dtype=np.int64).reshape(-1, NVARS) @ digits
+    gvals = _values(field, [c for g in images for c in g.terms.values()])
+    gcount = np.array([len(g.terms) for g in images])
+    gstart = np.cumsum(gcount) - gcount
+    tags = np.repeat(np.arange(NVARS), gcount)
+    # level 0 is never read: an entry without x_v is not multiplied
+    levels = [(tags[:0], gkeys[:0], gvals[:0]), (tags, gkeys, gvals)]
+    for k in range(2, int(highest.max()) + 1):
+        tags, keys, coeffs = levels[-1]
+        src, at = _pairs(np.where(highest[tags] >= k, gcount[tags], 0),
+                         gstart[tags])
+        keys, coeffs = _collect(field, tags[src] * space + keys[src]
+                                + gkeys[at], _mul(field, coeffs[src],
+                                                  gvals[at]))
+        levels.append(np.divmod(keys, space) + (coeffs,))
+    count = np.array([np.bincount(t, minlength=NVARS) for t, _, _ in levels])
+    start = (np.cumsum(count) - count.ravel()).reshape(count.shape)
+    return (count, start, np.concatenate([k for _, k, _ in levels]),
+            np.concatenate([c for _, _, c in levels]))
 
 
 class MultiPoly:
@@ -221,25 +295,48 @@ class MultiPoly:
         return total
 
     def substitute(self, images) -> "MultiPoly":
-        """Replace each variable by the given polynomial, expanded exactly."""
+        """Replace each variable by the given polynomial, expanded exactly.
+
+        Works on coefficient arrays, one variable at a time.  An entry is
+        a partial product of terms, named by one integer code: the
+        exponents it has still to replace (upper digits, base e+1 for e
+        the largest exponent) above the key of the product so far
+        (_digits of the largest degree of the result, so no digit
+        carries).  Replacing x_v multiplies each entry by the power of
+        x_v's image that its exponent asks for, from one table of the
+        powers (_powers), and adds up the entries whose codes agree:
+        terms that share their remaining exponents are summed before the
+        next variable multiplies them.
+        """
         images = list(images)
         if len(images) != NVARS:
             raise ValueError("need one image per variable")
         for g in images:
             self._check(g)
-        pows = [[None, g] for g in images]  # pows[i][k] = images[i]**k
-        terms = {}
-        for e, c in self.terms.items():
-            part = MultiPoly.constant(self.field, c)
-            for i, k in enumerate(e):
-                while len(pows[i]) <= k:
-                    pows[i].append(pows[i][-1] * images[i])
-                if k:
-                    part = part * pows[i][k]
-            for pe, pc in part.terms.items():
-                s = terms.get(pe)
-                terms[pe] = pc if s is None else s + pc
-        return MultiPoly(self.field, terms)
+        field = self.field
+        if not self.terms:
+            return self
+        exps, vals = _arrays(field, self.terms)
+        top = int((exps @ [max(g.degree(), 0) for g in images]).max())
+        digits, highest = _digits(top), exps.max(axis=0)
+        space, base = (top + 1) ** NVARS, int(highest.max()) + 1
+        if space * base ** NVARS >= 2**63:
+            raise ValueError("substitution too large for int64 codes")
+        count, start, keys, coeffs = _powers(field, images, highest, digits,
+                                             space)
+        place = space * _digits(base - 1)
+        codes = exps @ place
+        for v in np.flatnonzero(highest):
+            e = codes // place[v] % base
+            still = e == 0  # entries without x_v wait as they are
+            src, at = _pairs(np.where(still, 0, count[e, v]), start[e, v])
+            codes, vals = _collect(field, np.concatenate(
+                [codes[still], codes[src] - e[src] * place[v] + keys[at]]),
+                np.concatenate([vals[still],
+                                _mul(field, vals[src], coeffs[at])]))
+        exps = codes[:, None] // digits % (top + 1)
+        return MultiPoly(field, dict(zip(map(tuple, exps.tolist()),
+                                         map(field, vals.tolist()))))
 
     def divide_exact(self, g: "MultiPoly") -> "MultiPoly":
         """Quotient h with self = g*h, else InexactDivisionError."""
@@ -321,19 +418,19 @@ _TOKEN_RE = re.compile(r"""
   | (?P<var>[xyzwt])
   | (?P<op>[\^+\-*/])
   | (?P<ws>\s+)
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(text):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"bad character in polynomial at {text[pos:]!r}")
-        pos = m.end()
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group()))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ValueError(
+                f"bad character in polynomial at {text[m.start():]!r}")
+        if kind != "ws":
+            out.append((kind, m.group()))
     return out
 
 
@@ -345,7 +442,7 @@ def _parse_poly(text: str, field: Field) -> MultiPoly:
     def peek():
         return toks[i] if i < n else (None, None)
 
-    result = MultiPoly.zero(field)
+    terms = {}  # repeated monomials add up; MultiPoly drops zero sums
     first = True
     while i < n:
         sign = 1
@@ -406,10 +503,12 @@ def _parse_poly(text: str, field: Field) -> MultiPoly:
             coeff = field.one
         if sign < 0:
             coeff = -coeff
-        result = result + MultiPoly(field, {tuple(exps): coeff})
+        exps = tuple(exps)
+        s = terms.get(exps)
+        terms[exps] = coeff if s is None else s + coeff
     if first:
         raise ValueError("empty polynomial text")
-    return result
+    return MultiPoly(field, terms)
 
 
 def poly_determinant(rows) -> MultiPoly:

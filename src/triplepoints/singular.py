@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field
-from .poly import MultiPoly, exponents_of_degree, num_monomials
+from .poly import (MultiPoly, exponents_of_degree, num_monomials, _arrays,
+                   _digits)
 from .linalg import (_numeric, _zeros, _ints, _values, _mul, _dot, rank,
                      ranks, rref, leading_zero_rows)
 from . import gfnum
@@ -249,8 +250,9 @@ def _swept_points(X: Surface, checks: dict):
 
 # -- coefficient arrays: Macaulay matrices and jets ---------------------
 #
-# A polynomial is a pair (exps, vals): an int array with one exponent row
-# per term, and its coefficients as a linalg coefficient array.
+# A polynomial is a pair (exps, vals), as poly._arrays makes it: an int
+# array with one exponent row per term, and its coefficients as a linalg
+# coefficient array.
 
 def _frozen(a):
     """a, made read-only: a cached array is shared by every caller."""
@@ -266,14 +268,6 @@ def _exponents(k, n=4):
                             dtype=np.int64).reshape(-1, n))
 
 
-def _arrays(field, terms):
-    """(exps, vals) of a nonzero exponent -> coefficient dict, exponents
-    ascending (_index finds keys faster in order)."""
-    exps = sorted(terms)
-    return (np.array(exps, dtype=np.int64),
-            _values(field, [terms[e] for e in exps]))
-
-
 def _partials(field, exps, vals):
     """The nonzero partial derivatives, in variable order.  The terms of a
     partial keep distinct exponents (e -> e - unit is injective), so only
@@ -285,13 +279,6 @@ def _partials(field, exps, vals):
         if keep.any():
             out.append((exps[keep] - unit, dv[keep]))
     return out
-
-
-def _digits(k, n=4):
-    """Place values of base-(k+1) keys of degree-k monomials: no exponent
-    exceeds k, so a key names one monomial, keys sort like
-    exponents_of_degree (descending) and keys of products add up."""
-    return (k + 1) ** np.arange(n - 1, -1, -1)
 
 
 def _index(keys, k, n=4):

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from triplepoints.cli import main
+from triplepoints.cli import build_parser, main
 from triplepoints.fields import Field
 from triplepoints.poly import MultiPoly
 from triplepoints.surfaces import Surface, save_points, ProjPoint
 from triplepoints.constructions import generic_points
+from triplepoints.singular import is_ordinary_triple_point
 
 F31 = Field.GF(31)
 
@@ -399,3 +400,48 @@ def test_surface_and_points_files_of_the_wrong_shape(capsys, tmp_path):
     assert code == 1
     assert data["error"] == ("ValueError: a points file must hold an array, "
                              "got 5")
+
+
+@pytest.mark.parametrize("family, field, params", [
+    ("k3-228", "GF:7:2", "lambda=2"),
+    ("ell-222", "GF:5:2", "lambda=1,mu=1,nu=1,b1=1,b2=1,b3=1,b4=1,b5=1,b6=1"),
+], ids=["k3-228", "ell-222"])
+def test_construct_over_a_quadratic_extension(capsys, tmp_path, family,
+                                              field, params):
+    # the quadratics for the points on lines and axes split in GF(p^2)
+    surf = str(tmp_path / "member.json")
+    code, data = run(capsys, "construct", "--family", family, "--field",
+                     field, "--params", params, "-o", surf)
+    assert code == 0 and data is None
+    X = Surface.load(surf)
+    assert X.field.tag == field and X.degree == 6 and len(X.points) == 9
+    assert all(is_ordinary_triple_point(X, P) for P in X.points)
+
+
+def test_main_called_again_in_one_process(capsys, tmp_path):
+    # the parser is built once; every call parses its own arguments
+    assert build_parser() is build_parser()
+    quadrics = ["--quadric", "x^2", "--quadric", "y^2", "--quadric", "z*w"]
+    for _ in range(2):
+        code, data = run(capsys, "steiner", "--field", "QQ", *quadrics)
+        assert code == 0 and len(data["minors"]) == 4
+        code, data = run(capsys, "dianode", "--field", "QQ", "--quartic",
+                         "x^4+y^4+z^4+w^4", *quadrics)
+        assert code == 0 and data["degree"] == 6
+    # --quadric does not keep the forms of an earlier call
+    code, data = run(capsys, "dianode", "--field", "QQ", "--quartic", "x^4",
+                     "--quadric", "x^2")
+    assert code == 1 and "three --quadric" in data["error"]
+    code, data = run(capsys, "bounds", "--table", "5..3")
+    assert code == 1 and "error" in data
+    code, data = run(capsys, "bounds", "--table", "3..4")
+    assert code == 0 and data["table"] == {"3": 1, "4": 1}
+    outputs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out, p in zip(outputs, ("2", "3")):
+        code, data = run(capsys, "construct", "--family", "k3-228",
+                         "--field", "GF:31", "--params", f"lambda={p}",
+                         "-o", str(out))
+        assert code == 0 and data is None
+    a, b = (Surface.load(out) for out in outputs)
+    assert a.metadata["params"]["lambda"] == "2"
+    assert b.metadata["params"]["lambda"] == "3"

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from triplepoints.fields import (Field, FieldElement, FieldMismatchError,
                                  is_prime, smallest_nonresidue, sqrt_mod_p,
-                                 solve_quadratic)
+                                 sqrt_gf_p2, solve_quadratic)
 
 QQ = Field.QQ()
 F7 = Field.GF(7)
@@ -168,10 +168,36 @@ def test_solve_quadratic_qq_fractional_discriminant():
     assert [str(r) for r in roots] == ["-1/3", "0"]
 
 
-def test_solve_quadratic_refuses_extension_fields():
-    F49 = Field.GF(7, 2)
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_sqrt_gf_p2_matches_brute_force(p):
+    F = Field.GF(p, 2)
+    squares = {e * e for e in F.elements()}
+    for z in F.elements():
+        r = sqrt_gf_p2(z)
+        assert (r is not None) == (z in squares)
+        assert r is None or r * r == z
+
+
+def test_solve_quadratic_over_extension_fields():
+    # every root in the field, against brute force
+    rng = random.Random(5)
+    for F in (Field.GF(3, 2), Field.GF(5, 2), F49):
+        elems = list(F.elements())
+        for _ in range(60):
+            a, b, c = (rng.choice(elems) for _ in range(3))
+            expected = sorted({t for t in elems if not a * t * t + b * t + c},
+                              key=lambda e: e.sort_key())
+            if a or b:
+                assert solve_quadratic(a, b, c) == expected
+    # t^2 + t + 1, irreducible over GF(5), splits over GF(25)
+    F25 = Field.GF(5, 2)
+    roots = solve_quadratic(F25.one, F25.one, F25.one)
+    assert len(roots) == 2 and all(r * r + r + 1 == F25.zero for r in roots)
+    assert [str(r) for r in solve_quadratic(F49.one, F49.one, F49.one)] \
+        == ["(2)", "(4)"]
+    F2 = Field.GF(2)
     with pytest.raises(ValueError):
-        solve_quadratic(F49.one, F49.one, F49.one)
+        solve_quadratic(F2.one, F2.one, F2.one)
 
 
 def test_solve_quadratic_degenerate_linear():

@@ -11,6 +11,7 @@ from triplepoints.poly import (MultiPoly, InexactDivisionError, grlex_key,
 
 QQ = Field.QQ()
 F31 = Field.GF(31)
+F49 = Field.GF(7, 2)
 
 SX, SY, SZ, SW = sympy.symbols("x y z w")
 SYMS = (SX, SY, SZ, SW)
@@ -22,6 +23,48 @@ def to_sympy(f):
         val = c.val if f.field.kind == "QQ" else int(c)
         expr += sympy.Rational(val) * SX**e[0] * SY**e[1] * SZ**e[2] * SW**e[3]
     return sympy.expand(expr)
+
+
+def sympy_substitute(f, images):
+    """f(images) by sympy's sparse polynomial arithmetic over f's field,
+    in the generators u, x, y, z, w (over GF(p^2) = GF(p)[u], u^2 = n,
+    reduced after every product), and f.substitute(images) in that ring."""
+    field = f.field
+    ring = sympy.ring("u,x,y,z,w", sympy.QQ if field.kind == "QQ"
+                      else sympy.GF(field.p))[0]
+
+    def reduced(h):  # u^k = n^(k // 2) * u^(k % 2)
+        if field.kind != "GF2":
+            return h
+        terms = {}
+        for (k, *e), c in h.items():
+            key = (k % 2, *e)
+            terms[key] = terms.get(key, 0) + c * field.nonresidue ** (k // 2)
+        return ring.from_dict(terms)
+
+    def poly(g):
+        terms = {}
+        for e, c in g.terms.items():
+            if field.kind == "QQ":
+                parts = [sympy.QQ(c.val.numerator, c.val.denominator)]
+            else:  # a + b*u over GF(p^2)
+                parts = c.val if field.kind == "GF2" else [c.val]
+            terms.update({(k,) + e: v for k, v in enumerate(parts) if v})
+        return ring.from_dict(terms) if terms else ring.zero
+
+    powers = []
+    for i, g in enumerate(images):
+        pw = [ring.one]
+        for _ in range(max((e[i] for e in f.terms), default=0)):
+            pw.append(reduced(pw[-1] * poly(g)))
+        powers.append(pw)
+    total = ring.zero
+    for e, c in f.terms.items():
+        term = poly(MultiPoly.constant(field, c))
+        for pw, k in zip(powers, e):
+            term = reduced(term * pw[k])
+        total += term
+    return total, poly(f.substitute(images))
 
 
 def from_ints(field, int_terms):
@@ -84,6 +127,44 @@ def test_parse_rejects_garbage():
     for bad in ("x+", "x^", "v^2", "2**x", "(x"):
         with pytest.raises(ValueError):
             MultiPoly.parse(bad, QQ)
+
+
+def _term_text(c, mono):
+    """One signed term of a polynomial text."""
+    if c.field.kind == "QQ":
+        v = c.val
+        text = f"{'-' if v < 0 else '+'}{abs(v.numerator)}/{v.denominator}"
+    else:
+        text = "+" + str(c)
+    return text + ("*" + mono if mono else "")
+
+
+@pytest.mark.parametrize("field", [QQ, F31, F49],
+                         ids=["QQ", "GF31", "GF49"])
+def test_parse_sums_repeated_monomials_in_one_pass(field, monkeypatch):
+    # parse(str(f)) == f, and a text that splits each term of f into four
+    # parts, two of which cancel, parses to f; no MultiPoly is added
+    rng = random.Random(41)
+    cases = []
+    for _ in range(20):
+        f = random_poly(field, rng, degree=6, nterms=30)
+        parts = []
+        for e, c in f.terms.items():
+            r = field.random_element(rng)
+            mono = "*".join(f"{v}^{k}" for v, k in zip("xyzw", e) if k)
+            parts += [_term_text(k, mono) for k in (c - r, r, r, -r)]
+        rng.shuffle(parts)
+        cases.append((f, str(f), "".join(parts)))
+    adds = []
+    add = MultiPoly.__add__
+    monkeypatch.setattr(MultiPoly, "__add__",
+                        lambda a, b: adds.append(1) or add(a, b))
+    for f, text, split in cases:
+        assert MultiPoly.parse(text, field) == f
+        assert MultiPoly.parse(split, field) == f
+    assert MultiPoly.parse("3*x^2*y+z-3*x^2*y", field) \
+        == MultiPoly.variable(field, 2)
+    assert adds == []
 
 
 @settings(max_examples=60)
@@ -167,25 +248,32 @@ def test_substitute_zero_kills_variable():
     assert f.substitute([zero, y, zero, w]) == MultiPoly.parse("y^2", QQ)
 
 
-@pytest.mark.parametrize("field", [QQ, F31], ids=["QQ", "GF31"])
+@pytest.mark.parametrize("field", [QQ, F31, F49],
+                         ids=["QQ", "GF31", "GF49"])
 def test_substitute_matches_sympy(field):
-    # images whose terms collide, monomial or not, against sympy's expansion
+    # images whose terms collide, monomial or not, against sympy's
+    # expansion; then a dense sextic under linear changes of coordinates,
+    # as the reciprocal families make them, one of them singular
     rng = random.Random(23)
-    x, y, z, w = (MultiPoly.variable(field, i) for i in range(4))
+    variables = [MultiPoly.variable(field, i) for i in range(4)]
+    x, y, z, w = variables
     zero = MultiPoly.zero(field)
-    image_sets = [[x, x * 2, z, zero], [y * z, x * w, y * z, x * x]]
-    image_sets += [[random_poly(field, rng, degree=2, nterms=3)
-                    for _ in range(4)] for _ in range(4)]
-    for images in image_sets:
-        f = random_poly(field, rng)
-        expected = sympy.expand(to_sympy(f).subs(
-            dict(zip(SYMS, [to_sympy(g) for g in images])),
-            simultaneous=True))
-        got = to_sympy(f.substitute(images))
-        if field.kind == "QQ":
-            assert got == expected
-        else:
-            assert sympy.Poly(got - expected, *SYMS, modulus=31).is_zero
+    cases = [(random_poly(field, rng), images) for images in
+             [[x, x * 2, z, zero], [y * z, x * w, y * z, x * x]]
+             + [[random_poly(field, rng, degree=2, nterms=3)
+                 for _ in range(4)] for _ in range(4)]]
+    for singular in (False, True):
+        m = [[field.random_element(rng) for _ in range(4)] for _ in range(4)]
+        if singular:
+            m[3] = [a + b for a, b in zip(m[0], m[1])]
+        images = [sum((v * c for v, c in zip(variables, row)), zero)
+                  for row in m]
+        sextic = MultiPoly(field, {e: field.random_element(rng)
+                                   for e in exponents_of_degree(6)})
+        cases.append((sextic, images))
+    for f, images in cases:
+        expected, got = sympy_substitute(f, images)
+        assert got == expected
 
 
 def test_symmetric_substitution_fixes_symmetric_poly():

@@ -162,6 +162,8 @@ def test_enumerate_guards():
 
 # -- the sweep against pointwise evaluation ------------------------------
 
+F2 = Field.GF(2)
+F3 = Field.GF(3)
 F5 = Field.GF(5)
 F9 = Field.GF(3, 2)
 
@@ -173,7 +175,7 @@ def _all_points(field):
             for tail in itertools.product(elems, repeat=3 - chart)]
 
 
-ALL_POINTS = {F.tag: _all_points(F) for F in (F5, F9)}
+ALL_POINTS = {F.tag: _all_points(F) for F in (F2, F3, F5, F9)}
 
 
 def arrays(polys):
@@ -225,7 +227,7 @@ def test_sweep_matches_pointwise_evaluation_up_to_degree_five(case):
     assert_sweep_matches_pointwise(polys, field)
 
 
-@pytest.mark.parametrize("field", [F5, F9], ids=lambda F: F.tag)
+@pytest.mark.parametrize("field", [F2, F3, F5, F9], ids=lambda F: F.tag)
 @pytest.mark.parametrize("factors, locus", [
     # in (x, y)^2: f and its partials vanish on the line x = y = 0
     (["x^2*y^3+x^2*z^2*w+3*x*y*z^3+y^2*w^3+x^5+2*y^4*z"], 1),
@@ -253,7 +255,6 @@ def test_sweep_keeps_a_singular_locus(factors, locus, field):
     "x*y*z*w+x^4+y^4+z^4+w^4",
 ])
 def test_enumerate_over_the_quadratic_extension_matches_pointwise(text):
-    F3 = Field.GF(3)
     X = Surface(MultiPoly.parse(text, F3))
     big = F3.extension()
     assert big == F9
@@ -265,7 +266,7 @@ def test_enumerate_over_the_quadratic_extension_matches_pointwise(text):
     assert enumerate_singular_points(X, e=2) == expected
 
 
-@pytest.mark.parametrize("field", [F5, F9], ids=lambda F: F.tag)
+@pytest.mark.parametrize("field", [F2, F3, F5, F9], ids=lambda F: F.tag)
 @pytest.mark.parametrize("texts", [
     ["x", "y^2-z*w"],        # every zero lies at infinity (x = 0)
     ["x*y", "x*z+x*w"],      # vanish identically on the charts x = 0
@@ -275,6 +276,44 @@ def test_enumerate_over_the_quadratic_extension_matches_pointwise(text):
 def test_sweep_edge_cases_match_pointwise(texts, field):
     polys = [MultiPoly.parse(t, field) for t in texts]
     assert_sweep_matches_pointwise(polys, field)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 67108859])
+def test_divisibility_without_division_matches_modulo(p):
+    # the sweep tests its exact sums, all below 2^53, for p | v; 67108859
+    # is the largest p with 2 * (p-1)^2 < 2^53, the sweep's bound at d = 1
+    rng = np.random.default_rng(p)
+    top = 2**53 // p
+    v = np.concatenate([
+        rng.integers(0, 2**53, 20000), np.arange(min(5 * p, 20000)),
+        p * rng.integers(0, top, 20000), p * (top - np.arange(50)),
+        p * (top - np.arange(50)) + 1, 2**53 - 1 - np.arange(200)])
+    assert np.array_equal(gfnum._divisible(v, p), v % p == 0)
+
+
+def test_sweep_chart_matches_evaluation_over_gf101():
+    # on the chart (0, 1, z, w) the whole-grid step's sums reach 7 * 100^2;
+    # the zeros of f*l1 and f*l2 are the curve f = 0 and the point l1 =
+    # l2 = 0
+    F101 = Field.GF(101)
+    rng = random.Random(101)
+    f = MultiPoly(F101, {e: F101.random_element(rng)
+                         for e in rng.sample(exponents_of_degree(5), 12)})
+    lines = [MultiPoly.parse(t, F101) for t in ("x+y+2*z", "3*x+w")]
+    t = np.arange(101)
+    powers = [t**0]
+    for _ in range(5):
+        powers.append(powers[-1] * t % 101)
+
+    def on_chart(g):  # g(0, 1, z, w) on the grid, by plain evaluation
+        return sum(int(c) * powers[e[2]][:, None] * powers[e[3]][None, :]
+                   for e, c in g.terms.items() if not e[0]) % 101
+
+    zero = (on_chart(f) == 0) | (on_chart(lines[0]) == 0) & (
+        on_chart(lines[1]) == 0)
+    got = gfnum.sweep_chart(arrays([f * g for g in lines]), 1, 101)
+    assert got.tolist() == np.argwhere(zero).tolist()
+    assert len(got) > 101
 
 
 def test_sweep_refuses_int64_overflow():
