@@ -23,6 +23,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 K3_444 = "a1=-1,a2=-1,a3=-1,b1=0,b2=0,b3=0"
 ELL_222 = "lambda=1,mu=1,nu=1,b1=1,b2=1,b3=1,b4=1,b5=1,b6=1,alpha=1"
+ELL_222_GF25 = "lambda=1,mu=1,nu=1,b1=1,b2=1,b3=1,b4=1,b5=1,b6=1"
 
 # chain -> [(document name, argv, file written or None for stdout)];
 # "{name}" in argv is the path of that chain's document
@@ -55,6 +56,18 @@ CHAINS = {
     "k3-228": [
         ("construct", ["construct", "--family", "k3-228", "--field",
                        "GF:31", "--params", "lambda=3"], True),
+        ("certify", ["certify", "-i", "{construct}"], True),
+        ("tangent-dim", ["tangent-dim", "-i", "{construct}"], False),
+    ],
+    "k3-228-gf49": [
+        ("construct", ["construct", "--family", "k3-228", "--field",
+                       "GF:7:2", "--params", "lambda=2"], True),
+        ("certify", ["certify", "-i", "{construct}"], True),
+        ("tangent-dim", ["tangent-dim", "-i", "{construct}"], False),
+    ],
+    "ell-222-gf25": [
+        ("construct", ["construct", "--family", "ell-222", "--field",
+                       "GF:5:2", "--params", ELL_222_GF25], True),
         ("certify", ["certify", "-i", "{construct}"], True),
         ("tangent-dim", ["tangent-dim", "-i", "{construct}"], False),
     ],
