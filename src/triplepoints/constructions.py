@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from .poly import MultiPoly, poly_determinant, exponents_of_degree
-from .linalg import _values, kernel_basis, rref
+from .linalg import _values, _elements, kernel_basis, rref
 from .surfaces import ProjPoint, Surface
 from .singular import _exponents, _jet_matrix
 
@@ -57,8 +57,9 @@ def forms_with_multiplicity(degree: int, assignment: MultiplicityAssignment):
     # the first C(m+2, 3) columns of the jets to the largest order
     jets = _jet_matrix(field, points, _exponents(degree), max(mults) - 1)
     coeffs = kernel_basis(field, np.concatenate([
-        j[:, :comb(m + 2, 3)].T for j, m in zip(jets, mults)]))
-    return [MultiPoly.from_coeff_vector(field, mons, map(field, v))
+        np.swapaxes(j[:, :comb(m + 2, 3)], 0, 1)
+        for j, m in zip(jets, mults)]))
+    return [MultiPoly.from_coeff_vector(field, mons, _elements(field, v))
             for v in coeffs]
 
 
@@ -81,7 +82,7 @@ def echelon_basis(polys):
     mons = exponents_of_degree(d)
     red, pivots = rref(field, _values(field, [g.coeff_vector(mons)
                                               for g in polys]))
-    return [MultiPoly.from_coeff_vector(field, mons, map(field, v))
+    return [MultiPoly.from_coeff_vector(field, mons, _elements(field, v))
             for v in red[:len(pivots)]]
 
 

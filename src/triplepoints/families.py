@@ -8,9 +8,11 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from .fields import Field, solve_quadratic
 from .poly import MultiPoly, poly_determinant, InexactDivisionError, _arrays
-from .linalg import _values, _dot, kernel_basis, rank, invert
+from .linalg import _values, _elements, _dot, kernel_basis, rank, invert
 from .surfaces import ProjPoint, Surface
 from .singular import (CertificationFailure, DomainError,
                        common_projective_zeros, _certify_points, _jets,
@@ -235,7 +237,7 @@ def reciprocal_family(base: Surface, fundamental, exc_degrees, family_id):
     if undeclared:
         raise ValueError(f"{undeclared[0]} is not a declared triple point")
     # column j of m is the j-th fundamental point
-    m = _values(field, [P.coords for P in fundamental]).T
+    m = np.swapaxes(_values(field, [P.coords for P in fundamental]), 0, 1)
     try:
         minv = invert(field, m)
     except ValueError:
@@ -245,7 +247,8 @@ def reciprocal_family(base: Surface, fundamental, exc_degrees, family_id):
               for i in range(4)]
     f2 = base.f.substitute(images)
     coords = _values(field, [P.coords for P in declared])
-    moved = [ProjPoint(field, v) for v in _dot(field, coords, minv.T)]
+    moved = [ProjPoint(field, _elements(field, v))
+             for v in _dot(field, coords, np.swapaxes(minv, 0, 1))]
     meta = {k: v for k, v in base.metadata.items() if k != "points"}
     X2 = Surface(f2, dict(meta, points=moved))
     image, mults = reciprocal_transform(X2)
@@ -524,5 +527,6 @@ def detect_minus_one_conics(points):
                                                    for i in combo]))
         if not len(kern):
             continue
-        results.append((combo, _combination(kern[0], variables)))
+        results.append((combo, _combination(_elements(field, kern[0]),
+                                            variables)))
     return results

@@ -144,7 +144,7 @@ class Field:
             if isinstance(v, Fraction):
                 return self(v.numerator) / self(v.denominator)
             return FieldElement(self, int(v) % self.p)
-        if isinstance(v, tuple):
+        if isinstance(v, (tuple, list)):
             a, b = v
             return FieldElement(self, (int(a) % self.p, int(b) % self.p))
         if isinstance(v, Fraction):

@@ -28,9 +28,14 @@ v the pivot and f the row's entry in the pivot column.  Both products
 are below (p-1)**2 < 2**62, so their difference lies in (-2**62, 2**62),
 inside int64, as p < 2**31.
 
+_mul multiplies GF(p^2) = GF(p)[u] values, u^2 = n, as (a, b) parts, for
+the sweep and for linalg's GF(p^2) arrays; reducing, it reduces the u
+parts' product before multiplying by n, so every intermediate is below
+n*(p-1) + (p-1)**2 < 2**63 for p < 2**31.
+
 The sweep (sweep_chart) takes each polynomial as the (exps, vals) arrays
 that singular's Macaulay matrices and jets use: one exponent row per
-term and int64 residues, or (a, b) parts over GF(p^2).  It reduces after
+term and int64 residues, or (a, b) pairs over GF(p^2).  It reduces after
 every product or contraction but the last, whose values are only
 compared with zero: their exact sums are tested for divisibility by p
 (_divisible, no division).  A contraction over the exponent axis, or a
@@ -241,8 +246,11 @@ def _mul(x, y, p: int, n: int, op=np.multiply, reduce=True):
             r %= p
         return (r,)
     (xa, xb), (ya, yb) = x, y
-    a = op(xa, ya)
-    a += n * op(xb, yb)
+    a = op(xb, yb)
+    if reduce:  # then n * (p-1) + (p-1)**2 < 2**63 for any p < 2**31
+        a %= p
+    a *= n
+    a += op(xa, ya)
     b = op(xa, yb)
     b += op(xb, ya)
     if reduce:

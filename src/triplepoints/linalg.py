@@ -1,21 +1,30 @@
 """Exact linear algebra over the coefficient fields, on coefficient arrays.
 
-A vector or matrix is a numpy array of coefficients.  Over GF(p), p <
-2**31 by Field.GF, it holds int64 residues; over QQ and GF(p^2) it is an
-object array of the FieldElements themselves.  _zeros, _ints and _values
-make such arrays and _mul and _dot multiply them, so one code path
-serves every field.
+A vector or matrix is a numpy array of coefficients, in one format per
+field: over GF(p), p < 2**31 by Field.GF, int64 residues; over GF(p^2) =
+GF(p)[u], u^2 = n, int64 residue pairs (a, b) for a + b*u, on a trailing
+axis of length 2 (the sweep's format, gfnum.sweep_chart); over QQ an
+object array of fractions.Fraction.  _zeros, _ints and _values make such
+arrays, _elements reads FieldElements back, and _mul and _dot multiply
+them (pairs through gfnum._mul), so one code path serves every field.
 
 rank, rref, kernel_basis and invert take (field, array) and return
 arrays; ranks and leading_zero_rows take a stack of matrices.  Over
 GF(p) every matrix, of any size, goes to the blocked elimination kernel
 in gfnum (rank_mod_p, rref_mod_p) and every stack to its one-pass
 elimination (eliminate_stack), whose results are exact (its module
-docstring gives the bounds); over QQ and GF(p^2) the rows go to exact
-Gaussian elimination, _rref_generic, one matrix at a time.  Both give
-the same pivots and reduced form.
+docstring gives the bounds).  A GF(p^2) matrix is eliminated in its real
+form (_real_form), where each row gives two GF(p) rows, its parts and
+those of u times it: the real form spans the same space read over GF(p),
+so its rank is twice the GF(p^2) rank, its pivots come in pairs (2j,
+2j+1), and its rows with even pivots are the GF(p^2) reduced rows.  Over
+QQ the rows go to exact Gaussian elimination, _rref_generic, one matrix
+at a time.  Every path gives the same pivots and reduced form.
 """
 from __future__ import annotations
+
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -23,45 +32,87 @@ from . import gfnum
 
 
 def _numeric(field) -> bool:
-    return field.kind == "GF"
+    """Whether the field's arrays are int64 residues (GF(p), GF(p^2))."""
+    return field.kind != "QQ"
+
+
+def _tail(field):
+    """The trailing shape of one coefficient: (2,) for GF(p^2) pairs."""
+    return (2,) if field.kind == "GF2" else ()
 
 
 def _zeros(field, shape):
     if _numeric(field):
-        return np.zeros(shape, dtype=np.int64)
-    return np.full(shape, field.zero, dtype=object)
+        return np.zeros(shape + _tail(field), dtype=np.int64)
+    return np.full(shape, Fraction(0), dtype=object)
 
 
 def _ints(field, ints):
-    """Integers as coefficients: residues over a numeric field, Python
-    ints (which FieldElement arithmetic accepts) otherwise."""
+    """Integers as coefficients: residues (real parts over GF(p^2)) over
+    a finite field, Fractions over QQ."""
     a = np.array(ints, dtype=object)
-    return (a % field.p).astype(np.int64) if _numeric(field) else a
+    if not _numeric(field):
+        return np.vectorize(Fraction, otypes=[object])(a)
+    a = (a % field.p).astype(np.int64)
+    return np.stack([a, 0 * a], axis=-1) if _tail(field) else a
 
 
 def _values(field, elems):
     """An array of FieldElements as coefficients."""
     a = np.array(elems, dtype=object)
-    if _numeric(field):
-        return np.array([c.val for c in a.flat],
-                        dtype=np.int64).reshape(a.shape)
-    return a
+    return np.array([c.val for c in a.flat],
+                    dtype=np.int64 if _numeric(field) else object
+                    ).reshape(a.shape + _tail(field))
+
+
+def _elements(field, a):
+    """The FieldElements of a coefficient array, in flat order."""
+    return list(map(field, np.reshape(a, (-1,) + _tail(field)).tolist()))
+
+
+def _nonzero(field, a):
+    """A boolean array: which coefficients of a are nonzero."""
+    return a.any(axis=-1) if _tail(field) else a.astype(bool)
+
+
+def _pair_product(field, a, b, op):
+    """op(a, b) of GF(p^2) arrays for a product op of GF(p) residue
+    arrays, from their (real, u) parts by gfnum._mul."""
+    return np.stack(gfnum._mul((a[..., 0], a[..., 1]), (b[..., 0], b[..., 1]),
+                               field.p, field.nonresidue, op), axis=-1)
 
 
 def _mul(field, a, b):
-    """a * b elementwise, reduced over a numeric field."""
+    """a * b elementwise, reduced over a finite field."""
+    if _tail(field):
+        return _pair_product(field, a, b, np.multiply)
     return a * b % field.p if _numeric(field) else a * b
 
 
 def _dot(field, a, b):
-    """a @ b; over a numeric field the exact product gfnum.matmul_mod_p."""
-    if not _numeric(field):
-        return a @ b
-    return gfnum.matmul_mod_p(a, b, field.p)
+    """a @ b; over a finite field the exact product gfnum.matmul_mod_p."""
+    if _tail(field):
+        return _pair_product(field, a, b,
+                             partial(gfnum.matmul_mod_p, p=field.p))
+    return gfnum.matmul_mod_p(a, b, field.p) if _numeric(field) else a @ b
+
+
+def _real_form(field, a):
+    """The GF(p) matrix of a GF(p) or GF(p^2) matrix: a itself over GF(p);
+    over GF(p^2) row i of an (m, n) matrix gives rows 2i (its parts
+    a_j, b_j at columns 2j, 2j+1) and 2i+1 (those of u times it, u(a +
+    b*u) = n*b + a*u).  Works on a stack of matrices too."""
+    if not _tail(field):
+        return a
+    ua = np.stack([field.nonresidue * a[..., 1] % field.p, a[..., 0]], -1)
+    m, n = a.shape[-3:-1]
+    return np.stack([a, ua], axis=-3).reshape(a.shape[:-3] + (2 * m, 2 * n))
 
 
 def _rref_generic(field, rows):
-    """In-place RREF on a list of lists of FieldElement; returns pivot cols."""
+    """In-place RREF on a list of lists of Fractions or FieldElements;
+    returns the pivot columns.  Exact Gaussian elimination: rref and rank
+    over QQ, and the tests' oracle for every field."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -75,15 +126,16 @@ def _rref_generic(field, rows):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        if not inv.is_one():
+        inv = 1 / rows[r][c]
+        if inv != 1:
             rows[r] = [v * inv for v in rows[r]]
         lead = rows[r]
         for i in range(nrows):
             if i == r or not rows[i][c]:
                 continue
             factor = rows[i][c]
-            rows[i] = [a - factor * b for a, b in zip(rows[i], lead)]
+            rows[i] = [a - factor * b if b else a
+                       for a, b in zip(rows[i], lead)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -93,30 +145,39 @@ def _rref_generic(field, rows):
 
 def rref(field, a):
     """(reduced row echelon form, pivot column list) of a matrix."""
-    if _numeric(field):
-        return gfnum.rref_mod_p(a, field.p)
-    rows = a.tolist()
-    pivots = _rref_generic(field, rows)
-    return np.array(rows, dtype=object).reshape(a.shape), pivots
+    if not _numeric(field):
+        rows = a.tolist()
+        pivots = _rref_generic(field, rows)
+        return np.array(rows, dtype=object).reshape(a.shape), pivots
+    red, pivots = gfnum.rref_mod_p(_real_form(field, a), field.p)
+    if not _tail(field):
+        return red, pivots
+    # the rows with even pivots, back in pairs
+    k = len(pivots) // 2
+    out = np.zeros_like(a)
+    out[:k] = red[:2 * k:2].reshape((k,) + a.shape[1:])
+    return out, [c // 2 for c in pivots[::2]]
 
 
 def rank(field, a) -> int:
-    if _numeric(field):
-        return gfnum.rank_mod_p(a, field.p)
-    return len(_rref_generic(field, a.tolist()))
+    if not _numeric(field):
+        return len(_rref_generic(field, a.tolist()))
+    r = gfnum.rank_mod_p(_real_form(field, a), field.p)
+    return r // 2 if _tail(field) else r
 
 
 def ranks(field, a):
-    """Ranks of the matrices a[..., :, :] of a stack, as an int array of
-    shape a.shape[:-2]: over GF(p) one pass over all of them
-    (gfnum.ranks_mod_p), otherwise one rank per matrix."""
-    m, n = a.shape[-2:]
-    if _numeric(field):
-        out = gfnum.ranks_mod_p(a.reshape(-1, m, n), field.p)
-    else:
-        out = np.array([rank(field, b) for b in a.reshape(-1, m, n)],
-                       dtype=np.int64)
-    return out.reshape(a.shape[:-2])
+    """Ranks of the matrices of a stack (the two axes before the
+    coefficients'), as an int array of the stack's shape: over a finite
+    field one pass over all their real forms (gfnum.ranks_mod_p), over QQ
+    one rank per matrix."""
+    lead = a.shape[:a.ndim - 2 - len(_tail(field))]
+    mats = a.reshape((int(np.prod(lead)),) + a.shape[len(lead):])
+    if not _numeric(field):
+        return np.array([rank(field, b) for b in mats],
+                        dtype=np.int64).reshape(lead)
+    out = gfnum.ranks_mod_p(_real_form(field, mats), field.p)
+    return (out // 2 if _tail(field) else out).reshape(lead)
 
 
 def leading_zero_rows(field, a, ncols, times=None):
@@ -126,7 +187,7 @@ def leading_zero_rows(field, a, ncols, times=None):
     as a, those of a[b] are multiplied by times[b] first.  Over GF(p) one
     pass over the stack (gfnum.eliminate_stack), otherwise one rref per
     matrix."""
-    if _numeric(field):
+    if field.kind == "GF":
         red, pivot = gfnum.eliminate_stack(a, field.p, ncols)
         rows = [m[~free, ncols:] for m, free in zip(red, pivot)]
     else:
@@ -149,7 +210,7 @@ def kernel_basis(field, a):
     free = [j for j in range(a.shape[1]) if j not in pivots]
     out = _zeros(field, (len(free), a.shape[1]))
     out[np.arange(len(free)), free] = _values(field, field.one)
-    neg = -red[:len(pivots), free].T
+    neg = -np.swapaxes(red[:len(pivots), free], 0, 1)
     out[:, pivots] = neg % field.p if _numeric(field) else neg
     return out
 
@@ -158,7 +219,7 @@ def invert(field, a):
     """Inverse of a square matrix, the right half of the RREF of [a | I];
     raises ValueError on singular input."""
     n = len(a)
-    if a.shape != (n, n):
+    if a.shape != (n, n) + _tail(field):
         raise ValueError("only square matrices are invertible")
     aug = np.concatenate([a, _zeros(field, (n, n))], axis=1)
     aug[range(n), range(n, 2 * n)] = _values(field, field.one)

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field, FieldElement, FieldMismatchError
-from .linalg import _numeric, _zeros, _values, _mul
+from .linalg import _numeric, _values, _elements, _nonzero, _mul
 
 NVARS = 4
 VAR_NAMES = ("x", "y", "z", "w")
@@ -88,7 +88,7 @@ def _collect(field, keys, vals):
     sums = np.add.reduceat(vals[order], first)
     if _numeric(field):
         sums %= field.p  # a sum of residues below p < 2**31 per key
-    keep = sums.astype(bool)
+    keep = _nonzero(field, sums)
     return keys[first[keep]], sums[keep]
 
 
@@ -336,7 +336,7 @@ class MultiPoly:
                                 _mul(field, vals[src], coeffs[at])]))
         exps = codes[:, None] // digits % (top + 1)
         return MultiPoly(field, dict(zip(map(tuple, exps.tolist()),
-                                         map(field, vals.tolist()))))
+                                         _elements(field, vals))))
 
     def divide_exact(self, g: "MultiPoly") -> "MultiPoly":
         """Quotient h with self = g*h, else InexactDivisionError."""
@@ -412,102 +412,34 @@ class MultiPoly:
         return _parse_poly(text, field)
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<gf2>\(\s*-?\d+\s*(?:\+\s*-?\d+\s*\*?\s*u\s*)?\))
-  | (?P<num>\d+)
-  | (?P<var>[xyzwt])
-  | (?P<op>[\^+\-*/])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
-
-
-def _tokenize(text):
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ValueError(
-                f"bad character in polynomial at {text[m.start():]!r}")
-        if kind != "ws":
-            out.append((kind, m.group()))
-    return out
+# one signed term: a sign, a coefficient in the form Field.parse reads
+# ("a", "a/b", "(a+b*u)") and the variables, each with an optional
+# exponent and an optional * before it
+_TERM_RE = re.compile(r"""\s*(?P<sign>[+-]?)\s*
+    (?P<coeff>\([^()]*\)|\d+(?:\s*/\s*\d+)?)?
+    (?P<mono>(?:\s*\*?\s*[xyzwt](?:\s*\^\s*\d+)?)*)\s*""", re.VERBOSE)
+_POWER_RE = re.compile(r"([xyzwt])(?:\s*\^\s*(\d+))?")
 
 
 def _parse_poly(text: str, field: Field) -> MultiPoly:
-    toks = _tokenize(text)
-    i = 0
-    n = len(toks)
-
-    def peek():
-        return toks[i] if i < n else (None, None)
-
-    terms = {}  # repeated monomials add up; MultiPoly drops zero sums
-    first = True
-    while i < n:
-        sign = 1
-        kind, val = peek()
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            i += 1
-        elif not first:
-            raise ValueError(f"expected + or - before {val!r}")
-        first = False
-        # term: optional coefficient then optional monomial
-        coeff = None
-        kind, val = peek()
-        if kind == "gf2":
-            coeff = field.parse(val)
-            i += 1
-        elif kind == "num":
-            num = int(val)
-            i += 1
-            kind2, val2 = peek()
-            if kind2 == "op" and val2 == "/":
-                i += 1
-                kind3, val3 = peek()
-                if kind3 != "num":
-                    raise ValueError("expected denominator")
-                i += 1
-                coeff = field.frac(num, int(val3))
-            else:
-                coeff = field(num)
-        exps = [0, 0, 0, 0]
-        saw_var = False
-        while True:
-            kind, val = peek()
-            if kind == "op" and val == "*":
-                kind2, val2 = toks[i + 1] if i + 1 < n else (None, None)
-                if kind2 != "var":
-                    break
-                i += 1
-                kind, val = peek()
-            if kind != "var":
-                break
-            idx = _VAR_INDEX[val]
-            i += 1
-            e = 1
-            kind, val = peek()
-            if kind == "op" and val == "^":
-                i += 1
-                kind, val = peek()
-                if kind != "num":
-                    raise ValueError("expected exponent after ^")
-                e = int(val)
-                i += 1
-            exps[idx] += e
-            saw_var = True
-        if coeff is None and not saw_var:
-            raise ValueError("empty term")
-        if coeff is None:
-            coeff = field.one
-        if sign < 0:
-            coeff = -coeff
-        exps = tuple(exps)
-        s = terms.get(exps)
-        terms[exps] = coeff if s is None else s + coeff
-    if first:
+    if not text.strip():
         raise ValueError("empty polynomial text")
+    terms = {}  # repeated monomials add up; MultiPoly drops zero sums
+    pos = 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        sign, coeff, mono = m.group("sign", "coeff", "mono")
+        if pos and not sign:
+            raise ValueError(f"expected + or - before {text[pos:]!r}")
+        if coeff is None and not mono:
+            raise ValueError(f"no term at {text[pos:]!r}")
+        c = field.one if coeff is None else field.parse(coeff)
+        exps = [0] * NVARS
+        for var, e in _POWER_RE.findall(mono):
+            exps[_VAR_INDEX[var]] += int(e or 1)
+        exps, c = tuple(exps), -c if sign == "-" else c
+        terms[exps] = terms[exps] + c if exps in terms else c
+        pos = m.end()
     return MultiPoly(field, terms)
 
 

@@ -25,14 +25,16 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from .fields import Field
 from .poly import (MultiPoly, exponents_of_degree, num_monomials, _arrays,
                    _digits)
-from .linalg import (_numeric, _zeros, _ints, _values, _mul, _dot, rank,
-                     ranks, rref, leading_zero_rows)
+from .linalg import (_numeric, _tail, _zeros, _ints, _values, _elements,
+                     _nonzero, _mul, _dot, rank, ranks, rref,
+                     leading_zero_rows)
 from . import gfnum
 from .surfaces import ProjPoint, Surface, SCHEMA_VERSION
 
@@ -65,16 +67,16 @@ def local_jet(X, P: ProjPoint, k: int) -> MultiPoly:
     field = f.field
     if not f:
         return f
-    jet = _jets(field, [P], [_arrays(field, f.terms)], k)[0, 0].tolist()
+    jet = _jets(field, [P], [_arrays(field, f.terms)], k)[0, 0]
     return MultiPoly.from_coeff_vector(
-        field, _embed(P.chart, k), map(field, jet))
+        field, _embed(P.chart, k), _elements(field, jet))
 
 
 def multiplicity(X: Surface, P: ProjPoint) -> int:
     """Order of vanishing of X at P; 0 iff P is not on X."""
     d = X.degree
     jet = _jets(X.field, [P], [_arrays(X.field, X.f.terms)], d)[:, 0]
-    (m,) = _orders(jet, d).tolist()
+    (m,) = _orders(X.field, jet, d).tolist()
     if m < 0:
         # the dehomogenized translate of a nonzero form is nonzero
         raise AssertionError("zero local expansion of a nonzero surface")
@@ -96,18 +98,20 @@ def _cone_smooth_rank(field, coeffs):
     a coefficient array, in exponents_of_degree(3, 3) order of the local
     variables; one rank per cubic.  Full rank 15 means the three partial
     quadrics have no common projective zero, i.e. the cubic is smooth.
-    Read through _CONE_MAP.
+    Read through _CONE_MAP (as pairs over GF(p^2)).
     """
-    mats = _dot(field, coeffs, _CONE_MAP)
-    return ranks(field, mats.reshape(coeffs.shape[:-1] + (18, 15)))
+    tail = _tail(field)
+    mats = _dot(field, coeffs, _ints(field, _CONE_MAP) if tail else _CONE_MAP)
+    return ranks(field, mats.reshape(coeffs.shape[:-1 - len(tail)] + (18, 15)
+                                     + tail))
 
 
-def _orders(jets, k):
+def _orders(field, jets, k):
     """The order of each order-k jet (a row of jets): the degree of its
     first nonzero column, or -1 for a zero jet."""
     degree = np.repeat(np.arange(k + 1), [num_monomials(j, 3)
                                          for j in range(k + 1)])
-    nonzero = jets.astype(bool)
+    nonzero = _nonzero(field, jets)
     return np.where(nonzero.any(axis=1), degree[nonzero.argmax(axis=1)], -1)
 
 
@@ -131,13 +135,13 @@ def _certify_points(X: Surface, points, check=True):
         raise ValueError(
             "triple-point certification unsupported in characteristic 2, 3")
     jets = _jets(field, points, [_arrays(field, X.f.terms)], 3)[:, 0]
-    mult = _orders(jets, 3)
+    mult = _orders(field, jets, 3)
     # a zero order-3 jet means multiplicity at least 4
     for i in np.flatnonzero(mult < 0):
         mult[i] = multiplicity(X, points[i])
     # at a triple point the jet is the tangent cone
     cones = jets[mult == 3, 10:]
-    found = zip(_cone_smooth_rank(field, cones).tolist(), cones.tolist())
+    found = zip(_cone_smooth_rank(field, cones).tolist(), cones)
     out = []
     for P, m in zip(points, mult.tolist()):
         if m != 3:
@@ -149,7 +153,7 @@ def _certify_points(X: Surface, points, check=True):
                                             multiplicity=3, rank=r))
             continue
         out.append(TriplePointCertificate(P, 3, MultiPoly.from_coeff_vector(
-            field, _embed(P.chart, 3)[10:], map(field, cone)), r))
+            field, _embed(P.chart, 3)[10:], _elements(field, cone)), r))
     if check:
         for c in out:
             if isinstance(c, CertificationFailure):
@@ -187,15 +191,6 @@ def is_ordinary_triple_point(X, P) -> bool:
 _ENUM_LIMIT = 6_000_000
 
 
-def _parts(vals):
-    """Sweep coefficients of (exps, vals): int64 residues as they are (the
-    real parts, in a GF(p^2) sweep), GF(p^2) elements as (a, b) rows."""
-    if vals.dtype != object:
-        return vals
-    return np.array([c.val for c in vals.tolist()],
-                    dtype=np.int64).reshape(-1, 2)
-
-
 def common_projective_zeros(polys, field: Field):
     """All points of P^3 over the finite field where every poly vanishes.
 
@@ -210,7 +205,6 @@ def common_projective_zeros(polys, field: Field):
     if q**3 + q**2 + q + 1 > _ENUM_LIMIT:
         raise ValueError(f"P^3 over order-{q} field is too large to sweep")
     elems = list(field.elements())
-    polys = [(exps, _parts(vals)) for exps, vals in polys]
     found = []
     for chart in range(4):
         for row in gfnum.sweep_chart(polys, chart, field.p, field.nonresidue):
@@ -275,7 +269,7 @@ def _partials(field, exps, vals):
     out = []
     for i, unit in enumerate(np.eye(exps.shape[1], dtype=exps.dtype)):
         dv = _mul(field, vals, _ints(field, exps[:, i].tolist()))
-        keep = dv.astype(bool)
+        keep = _nonzero(field, dv)
         if keep.any():
             out.append((exps[keep] - unit, dv[keep]))
     return out
@@ -305,7 +299,8 @@ def _macaulay(field, gens, k, w_free=False):
         shifts = shifts @ digits
         rows.append(np.repeat(np.arange(top, top + len(shifts)), len(v)))
         cols.append((shifts[:, None] + exps @ digits).ravel())
-        vals.append(np.tile(v, len(shifts)))
+        # along the term axis, which is not the last one for pairs
+        vals.append(np.tile(v, (len(shifts),) + (1,) * (v.ndim - 1)))
         top += len(shifts)
     mac = _zeros(field, (top, num_monomials(k, n)))
     cols = _index(np.concatenate(cols), k, n)
@@ -361,16 +356,10 @@ def _embed(chart, k):
 
 
 @lru_cache(maxsize=None)
-def _binomials(n, k, p):
-    """C(a, r) for a <= n and r <= k by Pascal's rule: int64 residues mod
-    p, or exact Python ints for p None."""
-    t = np.zeros((n + 1, k + 1), dtype=object if p is None else np.int64)
-    t[:, 0] = 1
-    for a in range(1, n + 1):
-        t[a, 1:] = t[a - 1, 1:] + t[a - 1, :-1]
-        if p is not None:
-            t[a, 1:] %= p
-    return _frozen(t)
+def _binomials(n, k, field):
+    """C(a, r) for a <= n and r <= k, as coefficients (read-only)."""
+    return _frozen(_ints(field, [[comb(a, r) for r in range(k + 1)]
+                                 for a in range(n + 1)]))
 
 
 def _jet_matrix(field, points, exps, k):
@@ -380,9 +369,10 @@ def _jet_matrix(field, points, exps, k):
     With b_m the local coordinates of P and e_m the exponents of the local
     variables, a monomial becomes prod_m (b_m + s_m)^e_m, so its entry in
     column (r_0, r_1, r_2) is prod_m B[e_m, r_m, m] for the binomial
-    table B[e, r, m] = C(e, r) * b_m^(e - r) of P.  Over a numeric GF(p)
-    the table holds residues and the product is reduced after every
-    factor, so no intermediate exceeds (p-1)**2 < 2**62, as p < 2**31.
+    table B[e, r, m] = C(e, r) * b_m^(e - r) of P.  Over a finite field
+    the table holds residues (pairs over GF(p^2)) and the product is
+    reduced after every factor, so no intermediate exceeds (p-1)**2 <
+    2**62 (over GF(p^2) the bound of gfnum._mul), as p < 2**31.
     """
     local = _LOCAL[[P.chart for P in points]]
     e = np.moveaxis(exps[:, local], 1, 0)
@@ -395,7 +385,7 @@ def _jet_matrix(field, points, exps, k):
     # comb(a, r) = 0 where a < r, so the clipped power there is harmless
     shift = np.maximum(np.subtract.outer(np.arange(top + 1),
                                          np.arange(k + 1)), 0)
-    binom = _binomials(top, k, field.p if _numeric(field) else None)
+    binom = _binomials(top, k, field)
     table = _mul(field, binom[:, :, None], np.stack(pows, axis=1)[:, shift])
     cols = _jet_columns(k)
     at = np.arange(len(points))[:, None, None]

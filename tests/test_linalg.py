@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import sympy
 from triplepoints import gfnum
 from triplepoints.fields import Field
 from triplepoints.linalg import (rref, rank, ranks, kernel_basis, invert,
-                                 leading_zero_rows, _dot, _values,
-                                 _rref_generic)
+                                 leading_zero_rows, _dot, _ints, _values,
+                                 _elements, _nonzero, _rref_generic)
 
 QQ = Field.QQ()
 F31 = Field.GF(31)
@@ -39,6 +40,7 @@ def test_rank_against_sympy():
 
 
 def test_rref_against_sympy():
+    # a QQ reduced form holds Fractions, equal to sympy's entries
     rng = random.Random(22)
     for _ in range(20):
         ints = random_int_matrix(rng, 4, 5)
@@ -48,7 +50,9 @@ def test_rref_against_sympy():
         assert list(pivots) == list(spivots)
         for i in range(4):
             for j in range(5):
-                assert sympy.Rational(red[i, j].val) == sred[i, j]
+                assert isinstance(red[i, j], Fraction)
+                assert sympy.Rational(red[i, j].numerator,
+                                      red[i, j].denominator) == sred[i, j]
 
 
 def test_kernel_is_killed_by_matrix():
@@ -58,18 +62,18 @@ def test_kernel_is_killed_by_matrix():
             ints = random_int_matrix(rng, 3, 6)
             m = array(field, ints)
             basis = kernel_basis(field, m)
-            assert basis.shape == (6 - rank(field, m), 6)
-            for v in basis:
-                assert not any(_dot(field, v, m.T))
+            assert basis.shape == (6 - rank(field, m), 6) + m.shape[2:]
+            assert not _nonzero(field, _dot(field, m, np.swapaxes(
+                basis, 0, 1))).any()
 
 
 def test_kernel_edge_cases():
-    for field in (QQ, F31):
+    for field in (QQ, F31, F49):
         # no rows: every column is free
         for n in (0, 3):
             empty = _values(field, np.empty((0, n), dtype=object))
-            assert [[int(e) if field is F31 else e.val for e in v]
-                    for v in kernel_basis(field, empty)] == np.eye(n).tolist()
+            assert np.array_equal(kernel_basis(field, empty),
+                                  _ints(field, np.eye(n, dtype=int)))
         zero_rows = array(field, [[0, 0, 0]])
         assert len(kernel_basis(field, zero_rows)) == 3
 
@@ -118,11 +122,12 @@ def test_invert():
             assert _dot(field, m, inv).tolist() == eye
         with pytest.raises(ValueError, match="square"):
             invert(field, array(field, [[1, 2]]))
-    # GF(7^2) entries with a nonzero u part
+    # GF(7^2) entries with a nonzero u part, as (a, b) residue pairs
     u = F49.ext(0, 1)
     m = _values(F49, [[u, F49.one], [F49.one, u]])  # det u^2 - 1 = 2
-    assert _dot(F49, invert(F49, m), m).tolist() == [[F49.one, F49.zero],
-                                                     [F49.zero, F49.one]]
+    assert m.tolist() == [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]
+    assert _dot(F49, invert(F49, m), m).tolist() == [[[1, 0], [0, 0]],
+                                                     [[0, 0], [1, 0]]]
     with pytest.raises(ValueError, match="singular"):
         invert(F49, _values(F49, [[u, u], [F49.one, F49.one]]))
 
@@ -295,8 +300,9 @@ def test_leading_zero_rows_span_the_annihilated_rows(field):
         ncols = rng.randint(0, a.shape[2])
         got = leading_zero_rows(field, a, ncols)
         assert got.shape[1] == a.shape[2] - ncols
-        want = [_dot(field, kernel_basis(field, m[:, :ncols].T), m[:, ncols:])
-                for m in a if len(kernel_basis(field, m[:, :ncols].T))]
+        want = [_dot(field, kernel_basis(field, np.swapaxes(
+                    m[:, :ncols], 0, 1)), m[:, ncols:]) for m in a]
+        want = [w for w in want if len(w)]
         want = np.concatenate(want) if want else got[:0]
         both = np.concatenate([got, want])
         r = rank(field, both) if len(both) else 0
@@ -329,3 +335,79 @@ def test_leading_zero_rows_times_a_stack(field):
         r = rank(field, both) if len(both) else 0
         assert r == (rank(field, got) if len(got) else 0)
         assert r == (rank(field, want) if len(want) else 0)
+
+
+EXT_FIELDS = [Field.GF(3, 2), Field.GF(5, 2), F49, Field.GF(2**31 - 1, 2)]
+
+
+def ext_rows(rng, field, nrows, ncols):
+    """FieldElement rows, sparse, the last row a combination of the first
+    two (with a coefficient off GF(p)) when there are three or more."""
+    rows = [[field.random_element(rng) if rng.random() < 0.7 else field.zero
+             for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 2:
+        c = field.ext(rng.randrange(field.p), 1)
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def ext_array(field, rows, ncols):
+    return _values(field, np.array(rows, dtype=object).reshape(len(rows),
+                                                               ncols))
+
+
+@pytest.mark.parametrize("field", EXT_FIELDS, ids=lambda F: F.tag)
+def test_extension_field_algebra_matches_generic_elimination(field):
+    # the real-form elimination of residue pairs against the generic
+    # elimination of FieldElement rows
+    rng = random.Random(field.p + 2)
+    shapes = [(0, 0), (0, 4), (3, 0), (1, 1), (1, 5), (4, 4), (5, 7),
+              (7, 5), (6, 6)]
+    for nrows, ncols in shapes:
+        stack = []
+        for _ in range(4):
+            rows = ext_rows(rng, field, nrows, ncols)
+            a = ext_array(field, rows, ncols)
+            assert a.shape == (nrows, ncols, 2) and a.dtype == np.int64
+            stack.append(a)
+            gen = [list(r) for r in rows]
+            pivots = _rref_generic(field, gen)
+            red, got = rref(field, a)
+            assert got == pivots and red.shape == a.shape
+            assert _elements(field, red[:len(pivots)]) == [
+                c for r in gen[:len(pivots)] for c in r]
+            assert not red[len(pivots):].any()
+            assert rank(field, a) == len(pivots)
+            # 1 at each free column, minus the reduced column at the pivots
+            free = [j for j in range(ncols) if j not in pivots]
+            want = []
+            for j in free:
+                v = [field.zero] * ncols
+                v[j] = field.one
+                for r, c in enumerate(pivots):
+                    v[c] = -gen[r][j]
+                want += v
+            assert _elements(field, kernel_basis(field, a)) == want
+            if nrows == ncols and nrows:
+                if len(pivots) < nrows:
+                    with pytest.raises(ValueError, match="singular"):
+                        invert(field, a)
+                else:
+                    assert np.array_equal(
+                        _dot(field, a, invert(field, a)),
+                        _ints(field, np.eye(nrows, dtype=int)))
+        stack = np.array(stack)
+        assert ranks(field, stack).tolist() == [rank(field, m) for m in stack]
+        for ncut in {0, ncols // 2, ncols}:
+            got = leading_zero_rows(field, stack, ncut)
+            assert got.shape[1:] == (ncols - ncut, 2)
+            # the oracle: the generic reduced rows with pivots past ncut
+            want = []
+            for m in stack:
+                gen = [_elements(field, r) for r in m]
+                pivots = _rref_generic(field, gen)
+                want += [gen[i][ncut:] for i, c in enumerate(pivots)
+                         if c >= ncut]
+            want = ext_array(field, want, ncols - ncut)
+            both = np.concatenate([got, want])
+            assert rank(field, got) == rank(field, want) == rank(field, both)

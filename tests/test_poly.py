@@ -129,6 +129,26 @@ def test_parse_rejects_garbage():
             MultiPoly.parse(bad, QQ)
 
 
+@pytest.mark.parametrize("bad", ["x2", "2**x", "(x", "x^", "--x", "x+"])
+@pytest.mark.parametrize("field", [QQ, F31, F49], ids=["QQ", "GF31", "GF49"])
+def test_parse_rejects_malformed_terms(field, bad):
+    with pytest.raises(ValueError):
+        MultiPoly.parse(bad, field)
+
+
+def test_parse_reads_coefficients_as_field_parse_does():
+    # every coefficient text goes to Field.parse, so the GF(p^2) forms it
+    # reads parse in a polynomial too, and only over GF(p^2)
+    x = MultiPoly.variable(F49, 0)
+    assert MultiPoly.parse("(u)*x", F49) == x.scale(F49.ext(0, 1))
+    assert MultiPoly.parse("(3*u)*x", F49) == x.scale(F49.ext(0, 3))
+    assert MultiPoly.parse("-(2+3*u)*x^2*y + 5/2*z", F49) == MultiPoly(F49, {
+        (2, 1, 0, 0): -F49.ext(2, 3), (0, 0, 1, 0): F49.frac(5, 2)})
+    for field in (QQ, F31):
+        with pytest.raises(ValueError):
+            MultiPoly.parse("(u)*x", field)
+
+
 def _term_text(c, mono):
     """One signed term of a polynomial text."""
     if c.field.kind == "QQ":

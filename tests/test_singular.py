@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 import random
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplepoints import families as fam, gfnum, singular
-from triplepoints.fields import Field
-from triplepoints.linalg import kernel_basis, rank, _rref_generic
+from triplepoints.fields import Field, FieldElement
+from triplepoints.linalg import (kernel_basis, rank, rref, _elements,
+                                 _nonzero, _rref_generic)
 from triplepoints.poly import MultiPoly, exponents_of_degree, num_monomials
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import (CertificationFailure, local_jet,
@@ -495,8 +497,8 @@ def test_macaulay_matrix_rows_are_monomial_multiples(field):
                     for g in f.gradient() if g
                     for m in (MultiPoly(field, {e: field.one})
                               for e in exponents_of_degree(k - 4))]
-        assert [[field(int(v)) if field == F31 else v for v in row]
-                for row in mac.tolist()] == expected
+        assert mac.shape[:2] == (len(expected), num_monomials(k))
+        assert _elements(field, mac) == [c for row in expected for c in row]
 
 
 @pytest.mark.parametrize("field, f", [
@@ -511,13 +513,12 @@ def test_partials_match_gradient(field, f):
 
     def poly(g):
         # (exps, vals) as a MultiPoly in x, y, z, w
-        return MultiPoly(field, {
-            tuple(map(int, e)):
-            v if isinstance(v, type(field.one)) else field(int(v))
-            for e, v in zip(*g)})
+        exps, vals = g
+        return MultiPoly(field, dict(zip(map(tuple, exps.tolist()),
+                                         _elements(field, vals))))
     partials = singular._jacobian(Surface(f))
     assert [poly(g) for g in partials] == [g for g in f.gradient() if g]
-    assert all(v.all() for _, v in partials)
+    assert all(_nonzero(field, v).all() for _, v in partials)
 
 
 def first_regular_plane(field, partials, t):
@@ -703,9 +704,10 @@ def test_cone_map_matches_macaulay_of_partials(field):
         mac = singular._macaulay(field, partials, 4)
         coeffs = singular._values(field, [cone.get(e, field.zero)
                                           for e in cubics])
-        mapped = singular._dot(field, coeffs, singular._CONE_MAP)
+        mapped = singular._dot(field, coeffs,
+                               singular._ints(field, singular._CONE_MAP))
         if len(partials) == 3:
-            assert (mapped.reshape(18, 15) == mac).all()
+            assert (mapped.reshape(mac.shape) == mac).all()
         ranks.append(singular._cone_smooth_rank(field, coeffs))
         assert ranks[-1] == rank(field, mac)
     # x^3, x^2*y and xyz + x^3 are singular cones; random ones are smooth
@@ -900,3 +902,24 @@ def test_jets_in_chunks_match_one_batch(monkeypatch):
         cols = singular._embed(Q.chart, 3)
         assert local_jet(X, Q, 3) == MultiPoly(
             F31, {e: F31(v) for e, v in zip(cols, row)})
+
+
+@pytest.mark.parametrize("field", [QQ, F31, Field.GF(7, 2)],
+                         ids=lambda F: F.tag)
+def test_coefficient_arrays_hold_no_field_elements(field):
+    # one array format per field: Fractions over QQ, int64 residues over
+    # GF(p), int64 residue pairs over GF(p^2); FieldElements stay scalars
+    X, P = triple_point_quartic(field)
+    exps, vals = singular._arrays(field, X.f.terms)
+    points = [P, ProjPoint(field, [1, 2, 0, 3])]
+    jets = singular._jets(field, points, [(exps, vals)], 3)
+    mac = singular._macaulay(field, singular._jacobian(X), 5)
+    red, _ = rref(field, mac)
+    tail = (2,) if field.kind == "GF2" else ()
+    for a in (vals, jets, mac, red):
+        if field.kind == "QQ":
+            assert a.dtype == object
+            assert all(type(v) is Fraction for v in a.flat)
+        else:
+            assert a.dtype == np.int64 and a.shape[a.ndim - len(tail):] == tail
+        assert not any(isinstance(v, FieldElement) for v in a.flat)
