@@ -77,10 +77,6 @@ def homogeneous_surface_spectrum(d: int) -> SpectrumDivisor:
     return brieskorn_spectrum([d, d, d])
 
 
-def interval_count(spectrum: SpectrumDivisor, a, b) -> int:
-    return spectrum.count_open(a, b)
-
-
 def spectrum_bound(d: int, sing: SpectrumDivisor) -> int:
     """Semicontinuity bound: min over open unit intervals of the count ratio.
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand prints one JSON document.  Exit codes: 0 on success,
-1 on a domain error (with an error JSON on stdout), 2 on usage errors.
+1 on a domain error or a file that cannot be read or written (with an
+error JSON on stdout), 2 on usage errors.
 """
 from __future__ import annotations
 
@@ -168,6 +169,8 @@ def cmd_construct(args):
     else:
         if not args.points:
             raise DomainError("quintic-nu requires --points")
+        if field is None:
+            raise DomainError("--field is required for this family")
         pts = load_points(args.points, field)
         X = families.quintic_with_triple_points(pts)
     _emit(X.to_json(), args.output)
@@ -220,9 +223,8 @@ def cmd_steiner(args):
 def cmd_linear_system(args):
     field = Field.parse_tag(args.field)
     pts = load_points(args.points, field)
-    assignment = constructions.MultiplicityAssignment(
-        [(P, args.multiplicity) for P in pts])
-    basis = constructions.forms_with_multiplicity(args.degree, assignment)
+    basis = constructions.forms_with_multiplicity(
+        args.degree, [(P, args.multiplicity) for P in pts])
     _emit({"dimension": len(basis),
            "basis": [str(g) for g in basis]})
 
@@ -313,8 +315,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (DomainError, ValueError, ArithmeticError, KeyError,
-            FileNotFoundError, IndexError) as exc:
+    except (DomainError, ValueError, ArithmeticError, KeyError, OSError,
+            IndexError) as exc:
         sys.stdout.write(json.dumps(
             {"schema_version": SCHEMA_VERSION,
              "error": f"{type(exc).__name__}: {exc}"}) + "\n")

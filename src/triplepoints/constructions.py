@@ -15,40 +15,20 @@ from .surfaces import ProjPoint, Surface
 from .singular import _exponents, _jet_matrix
 
 
-class MultiplicityAssignment:
-    """Points with required vanishing multiplicities."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        items = [(P, int(m)) for P, m in items]
-        seen = set()
-        for P, m in items:
-            if m < 1:
-                raise ValueError("multiplicities must be at least 1")
-            if P in seen:
-                raise ValueError(f"repeated point {P}")
-            seen.add(P)
-        self.items = items
-
-    def conditions(self) -> int:
-        return sum(comb(m + 2, 3) for _, m in self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
-
-
-def forms_with_multiplicity(degree: int, assignment: MultiplicityAssignment):
-    """Reduced-echelon basis of degree-k forms vanishing to the assigned
-    order at each point (order-(m-1) jet vanishes)."""
+def forms_with_multiplicity(degree: int, assignment):
+    """Reduced-echelon basis of degree-k forms vanishing to order m at
+    each point of the (point, m) pairs (order-(m-1) jet vanishes)."""
+    assignment = [(P, int(m)) for P, m in assignment]
+    seen = set()
+    for P, m in assignment:
+        if m < 1:
+            raise ValueError("multiplicities must be at least 1")
+        if P in seen:
+            raise ValueError(f"repeated point {P}")
+        seen.add(P)
     if degree < 1:
         raise ValueError("degree must be positive")
-    if not isinstance(assignment, MultiplicityAssignment):
-        assignment = MultiplicityAssignment(assignment)
-    if not len(assignment):
+    if not assignment:
         raise ValueError("empty assignment")
     points, mults = zip(*assignment)
     field = points[0].field
@@ -65,8 +45,7 @@ def forms_with_multiplicity(degree: int, assignment: MultiplicityAssignment):
 
 def quadrics_through(points):
     """Basis of the quadrics through the given points."""
-    return forms_with_multiplicity(
-        2, MultiplicityAssignment([(P, 1) for P in points]))
+    return forms_with_multiplicity(2, [(P, 1) for P in points])
 
 
 def echelon_basis(polys):
@@ -173,12 +152,8 @@ def steiner_curve(q1: MultiPoly, q2: MultiPoly, q3: MultiPoly):
     return minors
 
 
-def generic_points(field, n, seed=0, avoid_degenerate=None):
-    """n deterministic pseudorandom points of P^3 over the field.
-
-    avoid_degenerate, if given, is a predicate on the accumulated list;
-    candidates violating it are redrawn.
-    """
+def generic_points(field, n, seed=0):
+    """n deterministic pseudorandom points of P^3 over the field."""
     rng = random.Random(seed)
     pts = []
     attempts = 0
@@ -190,10 +165,6 @@ def generic_points(field, n, seed=0, avoid_degenerate=None):
         if not any(coords):
             continue
         P = ProjPoint(field, coords)
-        if P in pts:
-            continue
-        cand = pts + [P]
-        if avoid_degenerate is not None and not avoid_degenerate(cand):
-            continue
-        pts.append(P)
+        if P not in pts:
+            pts.append(P)
     return pts

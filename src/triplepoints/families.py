@@ -17,23 +17,11 @@ from .surfaces import ProjPoint, Surface
 from .singular import (CertificationFailure, DomainError,
                        common_projective_zeros, _certify_points, _jets,
                        _swept_points)
-from .constructions import reciprocal_transform, forms_with_multiplicity, \
-    MultiplicityAssignment
+from .constructions import reciprocal_transform, forms_with_multiplicity
 
 
 def _variables(field):
     return [MultiPoly.variable(field, i) for i in range(4)]
-
-
-def homogenize(f: MultiPoly, d: int) -> MultiPoly:
-    """Pad each term with powers of w up to total degree d."""
-    terms = {}
-    for e, c in f.terms.items():
-        s = sum(e)
-        if s > d:
-            raise ValueError(f"term of degree {s} exceeds {d}")
-        terms[(e[0], e[1], e[2], e[3] + d - s)] = c
-    return MultiPoly(f.field, terms)
 
 
 def vertex(field, i: int) -> ProjPoint:
@@ -128,8 +116,7 @@ def quintic_with_triple_points(points, selector=None, seed=0):
     if _collinear_triple(points):
         raise ValueError("three of the points are collinear")
     field = points[0].field
-    basis = forms_with_multiplicity(
-        5, MultiplicityAssignment([(P, 3) for P in points]))
+    basis = forms_with_multiplicity(5, [(P, 3) for P in points])
     if not basis:
         raise ValueError("empty linear system")
     meta = {"family": "quintic-nu", "params": {"nu": len(points)}}
@@ -449,7 +436,7 @@ def septic_s4(field, mu, nu):
 
 
 SEPTIC_FACTORS = [
-    # (factor in (lambda, mu, nu) as exponent dict, multiplicity)
+    # (factor text in x, y, z standing for lambda, mu, nu, multiplicity)
     ("z", 5),
     ("x-y", 4),
     ("x-z", 5),

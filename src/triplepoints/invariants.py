@@ -94,15 +94,13 @@ def minus_one_multiplicity(d: int, c: int) -> int:
 def geometric_genus(X, points) -> int:
     """p_g of the resolution, as the dimension of the adjoint system of
     degree d-4 forms through the triple points."""
-    from .constructions import forms_with_multiplicity, MultiplicityAssignment
+    from .constructions import forms_with_multiplicity
     d = X.degree
     if d <= 4:
         return 0
     if not points:
         return comb(d - 1, 3)
-    basis = forms_with_multiplicity(
-        d - 4, MultiplicityAssignment([(P, 1) for P in points]))
-    return len(basis)
+    return len(forms_with_multiplicity(d - 4, [(P, 1) for P in points]))
 
 
 @dataclass

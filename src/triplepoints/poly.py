@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, FieldElement, FieldMismatchError
+from .fields import Field, FieldElement, FieldMismatchError, _power
 from .linalg import _numeric, _values, _elements, _nonzero, _mul
 
 NVARS = 4
@@ -153,10 +153,6 @@ class MultiPoly:
         return cls(field, {tuple(e): field.one})
 
     @classmethod
-    def monomial(cls, field, exps, c=1):
-        return cls(field, {tuple(exps): field(c)})
-
-    @classmethod
     def from_coeff_vector(cls, field, exps_list, coeffs):
         return cls(field, dict(zip(exps_list, coeffs)))
 
@@ -177,10 +173,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     def homogeneous_degree(self):
         """The common degree of all terms, or None if not homogeneous."""
@@ -252,14 +244,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, MultiPoly.constant(self.field, 1))
 
     # -- calculus / evaluation ------------------------------------------
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplepoints.bounds import (SpectrumDivisor, brieskorn_spectrum,
-                                 homogeneous_surface_spectrum, interval_count,
+                                 homogeneous_surface_spectrum,
                                  spectrum_bound, polar_bound, miyaoka_bound,
                                  curve_bound, surface_bound, combined_bound,
                                  TRIPLE_POINT_SPECTRUM, NODE_SPECTRUM)
@@ -64,12 +64,12 @@ def test_ambient_spectrum_matches_brieskorn():
 
 def test_interval_counts():
     amb5 = homogeneous_surface_spectrum(5)
-    assert interval_count(amb5, Fraction(3, 5), Fraction(8, 5)) == 31
-    assert interval_count(amb5, Fraction(4, 5), Fraction(9, 5)) == 40
+    assert amb5.count_open(Fraction(3, 5), Fraction(8, 5)) == 31
+    assert amb5.count_open(Fraction(4, 5), Fraction(9, 5)) == 40
     amb6 = homogeneous_surface_spectrum(6)
-    assert interval_count(amb6, Fraction(5, 6), Fraction(11, 6)) == 80
-    assert interval_count(TRIPLE_POINT_SPECTRUM,
-                          Fraction(4, 5), Fraction(9, 5)) == 7
+    assert amb6.count_open(Fraction(5, 6), Fraction(11, 6)) == 80
+    assert TRIPLE_POINT_SPECTRUM.count_open(Fraction(4, 5),
+                                            Fraction(9, 5)) == 7
 
 
 def test_spectrum_bound_table():

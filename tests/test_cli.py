@@ -327,17 +327,21 @@ def test_dianode_and_steiner(capsys):
     (["construct", "--family", "k3-246"], "k3-246 requires --base"),
     (["construct", "--family", "quintic-nu", "--field", "GF:31"],
      "quintic-nu requires --points"),
+    (["construct", "--family", "quintic-nu", "--points", "POINTS"],
+     "--field is required for this family"),
     (["tangent-dim", "-i", "SURFACE"], "no points declared or supplied"),
     (["steiner", "--field", "QQ", "--quadric", "x^2", "--quadric", "y^2"],
      "need exactly three --quadric forms"),
 ], ids=["field-required", "bad-parameter", "unknown-family",
-        "k3-246-base", "quintic-nu-points", "tangent-dim-no-points",
-        "steiner-two-quadrics"])
+        "k3-246-base", "quintic-nu-points", "quintic-nu-field",
+        "tangent-dim-no-points", "steiner-two-quadrics"])
 def test_domain_errors_print_one_error_document(capsys, tmp_path, argv,
                                                 message):
-    surface = tmp_path / "surface.json"
+    surface, points = tmp_path / "surface.json", tmp_path / "points.json"
     Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F31)).save(surface)
-    argv = [str(surface) if a == "SURFACE" else a for a in argv]
+    save_points(points, generic_points(F31, 3, seed=0))
+    files = {"SURFACE": str(surface), "POINTS": str(points)}
+    argv = [files.get(a, a) for a in argv]
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 1
@@ -359,6 +363,23 @@ def test_linear_system(capsys, tmp_path):
 def test_missing_file_is_a_domain_error(capsys):
     code, data = run(capsys, "certify", "-i", "/nonexistent/surface.json")
     assert code == 1 and data["error"].startswith("FileNotFoundError")
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "-i", "DIR"],
+    ["construct", "--family", "sextic-ten-gf31", "-o", "DIR"],
+    ["linear-system", "--field", "GF:31", "--degree", "2", "--points", "DIR"],
+], ids=["certify-input", "construct-output", "linear-system-points"])
+def test_a_directory_in_place_of_a_file_is_a_domain_error(capsys, tmp_path,
+                                                          argv):
+    # every OSError, not only FileNotFoundError, gives one error document
+    code = main([str(tmp_path) if a == "DIR" else a for a in argv])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("\n") == 1
+    data = json.loads(out)
+    assert set(data) == {"schema_version", "error"}
+    assert data["error"].startswith("IsADirectoryError: ")
 
 
 @pytest.mark.parametrize("command", ["certify", "tangent-dim", "cremona"])

@@ -6,8 +6,7 @@ from triplepoints.fields import Field
 from triplepoints.poly import MultiPoly
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import local_jet, certify
-from triplepoints.constructions import (MultiplicityAssignment,
-                                        forms_with_multiplicity,
+from triplepoints.constructions import (forms_with_multiplicity,
                                         quadrics_through, echelon_basis,
                                         mixed_power_system, reciprocal_point,
                                         reciprocal_transform, dianode_surface,
@@ -18,14 +17,22 @@ F31 = Field.GF(31)
 
 
 def test_assignment_guards():
-    P = ProjPoint(QQ, [1, 0, 0, 0])
-    with pytest.raises(ValueError):
-        MultiplicityAssignment([(P, 0)])
-    with pytest.raises(ValueError):
-        MultiplicityAssignment([(P, 1), (P, 2)])
-    a = MultiplicityAssignment([(P, 2), (ProjPoint(QQ, [0, 1, 0, 0]), 1)])
-    assert a.conditions() == 4 + 1
-    assert len(a) == 2
+    P, Q = ProjPoint(QQ, [1, 0, 0, 0]), ProjPoint(QQ, [0, 1, 0, 0])
+    # each pair is checked in turn, multiplicity before repetition, and
+    # the pairs before the degree and the degree before emptiness
+    for degree, pairs, message in [
+            (2, [(P, 0)], "multiplicities must be at least 1"),
+            (0, [(P, 1), (Q, 0)], "multiplicities must be at least 1"),
+            (2, [(P, 1), (P, 0)], "multiplicities must be at least 1"),
+            (2, [(P, 1), (P, 2), (Q, 0)], r"repeated point \(1:0:0:0\)"),
+            (0, [(P, 1), (P, 2)], r"repeated point \(1:0:0:0\)"),
+            (0, [(P, 1)], "degree must be positive"),
+            (0, [], "degree must be positive"),
+            (2, [], "empty assignment")]:
+        with pytest.raises(ValueError, match=message):
+            forms_with_multiplicity(degree, pairs)
+    # a double point imposes 4 conditions and a simple one 1: 10 - 5
+    assert len(forms_with_multiplicity(2, [(P, 2), (Q, 1)])) == 10 - 5
 
 
 def test_forms_with_multiplicity_dimensions():
@@ -237,9 +244,7 @@ def test_generic_points():
     assert len(set(a)) == 5
     c = generic_points(F31, 5, seed=4)
     assert a != c
-    # the predicate is honoured
-    pts = generic_points(F31, 4, seed=0,
-                         avoid_degenerate=lambda ps: ps[-1].coords[0])
-    assert all(P.coords[0] for P in pts)
+    # P^3(GF(2)) has 15 points: the draw for a 16th gives up
+    assert len(set(generic_points(Field.GF(2), 15))) == 15
     with pytest.raises(RuntimeError):
-        generic_points(F31, 1, avoid_degenerate=lambda ps: False)
+        generic_points(Field.GF(2), 16)

@@ -52,14 +52,12 @@ def ten():
     return fam.sextic_ten_gf31()
 
 
+@pytest.fixture(scope="module")
+def septic_qq():
+    return fam.septic_s4(QQ, 1, 2)
+
+
 # -- helpers -------------------------------------------------------------
-
-def test_homogenize():
-    f = MultiPoly.parse("x^2+y", QQ)
-    assert fam.homogenize(f, 3) == MultiPoly.parse("x^2*w+y*w^2", QQ)
-    with pytest.raises(ValueError):
-        fam.homogenize(f, 1)
-
 
 def test_vertex():
     assert fam.vertex(QQ, 2) == ProjPoint(QQ, [0, 0, 1, 0])
@@ -206,6 +204,14 @@ def test_k3_228(k228):
     assert equisingular_tangent_dimension(X, X.points) == 22
 
 
+def test_member_search_over_the_rationals():
+    # no sweep over QQ: the first candidate that certifies is the member
+    X = fam.sextic_k3_228(QQ, 3)
+    assert len(X.points) == 7
+    assert "checks" not in X.metadata
+    assert X.metadata["params"]["coefficients"] == ["1", "1"]
+
+
 def test_member_search_records_a_skipped_sweep(k228, monkeypatch):
     assert "checks" not in k228.metadata
     monkeypatch.setattr(singular, "_ENUM_LIMIT", 1000)
@@ -312,8 +318,8 @@ def test_sextic_ten_gf31_tangent_and_genus(ten):
 
 # -- septics -------------------------------------------------------------
 
-def test_septic_s4():
-    X = fam.septic_s4(QQ, 1, 2)
+def test_septic_s4(septic_qq):
+    X = septic_qq
     assert X.degree == 7
     assert len(X.points) == 16
     assert ProjPoint(QQ, [-2, 1, 2, 2]) in X.points
@@ -327,8 +333,21 @@ def test_septic_s4_tangent_dimension_gf101():
     assert equisingular_tangent_dimension(X, X.points) == 16
 
 
-def test_septic_s4_is_symmetric():
-    X = fam.septic_s4(QQ, 1, 2)
+def test_septic_s4_certifies_over_the_rationals(septic_qq):
+    # over QQ there is no sweep, so no checks key, and the degree is not
+    # computed unless asked for
+    report = certify(septic_qq)
+    assert [(p["multiplicity"], p["smooth_rank"])
+            for p in report["points"]] == [(3, 15)] * 16
+    assert report["verdict"] == "certified-rational-only"
+    assert report["degree_evidence"] == {
+        "method": "skipped", "proven": False,
+        "reason": "rational field; pass --hilbert"}
+    assert "checks" not in report
+
+
+def test_septic_s4_is_symmetric(septic_qq):
+    X = septic_qq
     variables = [MultiPoly.variable(QQ, i) for i in range(4)]
     for perm in itertools.permutations(range(4)):
         assert X.f.substitute([variables[perm[i]] for i in range(4)]) == X.f

@@ -41,6 +41,18 @@ def test_is_prime_small():
                       41, 43, 47, 53, 59]
 
 
+def test_is_prime_against_a_sieve():
+    n = 200_000
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, int(n ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, n, d))
+    assert [is_prime(k) for k in range(n)] == sieve
+    # near the 2^31 cap: 2^31 - 1 and 2^31 - 19 are prime, 2^31 - 5 is not
+    assert is_prime(2147483647) and is_prime(2147483629)
+    assert not is_prime(2147483643)
+
+
 def test_smallest_nonresidue():
     # oracle: brute force
     for p in (3, 7, 11, 29, 31, 101):

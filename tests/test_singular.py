@@ -421,6 +421,26 @@ def test_singular_scheme_degree_smooth():
     assert res["degree"] == 0
 
 
+def test_singular_scheme_degree_fermat_sextic_by_regularity():
+    X = Surface(MultiPoly.parse("x^6+y^6+z^6+w^6", F31))
+    how = {}
+    assert singular_scheme_degree(X, evidence=how)["degree"] == 0
+    assert how == {"method": "regularity", "proven": True,
+                   "plane": "x+y+z+w", "regular_from": 17, "computed_to": 18}
+
+
+@pytest.mark.xfail(strict=True, reason="the growth rule calls h = [1, 4, "
+                   "10, 20, 35, 52, 68] positive-dimensional; ROADMAP item 1 "
+                   "deletes the rule")
+def test_singular_scheme_degree_fermat_sextic_below_its_regularity():
+    # a smooth surface: no verdict computed to k_max = 6 may say
+    # positive-dimensional
+    X = Surface(MultiPoly.parse("x^6+y^6+z^6+w^6", F31))
+    res = singular_scheme_degree(X, k_max=6)
+    assert res["hilbert"] == [1, 4, 10, 20, 35, 52, 68]
+    assert res.get("verdict") != "positive-dimensional"
+
+
 def test_singular_scheme_degree_triple_point():
     X, P = triple_point_quartic(F31)
     res = singular_scheme_degree(X)
