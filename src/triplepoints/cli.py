@@ -178,7 +178,7 @@ def cmd_construct(args):
 
 def cmd_certify(args):
     X = Surface.load(args.input)
-    _emit(singular.certify(X, hilbert=args.hilbert or None), args.output)
+    _emit(singular.certify(X, hilbert=args.hilbert), args.output)
 
 
 def cmd_cremona(args):

@@ -108,17 +108,14 @@ def reciprocal_transform(X: Surface):
         ne = tuple(d - e[i] - mults[i] for i in range(4))
         terms[ne] = c
     g = MultiPoly(f.field, terms)
-    meta = {k: v for k, v in X.metadata.items()
-            if k not in ("points", "exc_degrees")}
+    meta = {k: v for k, v in X.metadata.items() if k != "exc_degrees"}
     mapped = []
     for P in X.points:
         try:
             mapped.append(reciprocal_point(P))
         except ValueError:
             pass
-    if mapped:
-        meta["points"] = mapped
-    return Surface(g, meta), mults
+    return Surface(g, meta, mapped), mults
 
 
 def dianode_surface(g: MultiPoly, q1: MultiPoly, q2: MultiPoly,

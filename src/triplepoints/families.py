@@ -71,9 +71,8 @@ def _member_search(field, gens, points, candidates, meta):
         f = _combination(coeffs, gens)
         if not f or f.homogeneous_degree() != gens[0].homogeneous_degree():
             continue
-        X = Surface(f, dict(meta, points=list(points),
-                            params=dict(meta.get("params", {}),
-                                        coefficients=[str(c) for c in coeffs])))
+        params = dict(meta["params"], coefficients=[str(c) for c in coeffs])
+        X = Surface(f, dict(meta, params=params), points)
         try:
             _ensure_certified(X, points)
         except CertificationFailure as exc:
@@ -216,7 +215,7 @@ def reciprocal_family(base: Surface, fundamental, exc_degrees, family_id):
     fundamental = list(fundamental)
     if len(fundamental) != 4:
         raise ValueError("need exactly four fundamental points")
-    declared = list(base.points)
+    declared = base.points
     undeclared = [P for P in fundamental if P not in declared]
     # the points before the first undeclared one are certified first
     _ensure_certified(base, fundamental[:fundamental.index(undeclared[0])]
@@ -236,17 +235,17 @@ def reciprocal_family(base: Surface, fundamental, exc_degrees, family_id):
     coords = _values(field, [P.coords for P in declared])
     moved = [ProjPoint(field, _elements(field, v))
              for v in _dot(field, coords, np.swapaxes(minv, 0, 1))]
-    meta = {k: v for k, v in base.metadata.items() if k != "points"}
-    X2 = Surface(f2, dict(meta, points=moved))
+    X2 = Surface(f2, base.metadata, moved)
     image, mults = reciprocal_transform(X2)
     if mults != (3, 3, 3, 3):
         raise ValueError(f"fundamental points have multiplicities {mults}")
-    points = [vertex(field, i) for i in range(4)] + list(image.points)
+    points = [vertex(field, i) for i in range(4)] + image.points
     if len(points) != len(declared) - 4 + 4:
         raise ValueError("lost points under the transformation")
-    meta2 = {"family": family_id, "exc_degrees": list(exc_degrees),
-             "params": dict(meta.get("params", {}))}
-    out = Surface(image.f, dict(meta2, points=points))
+    out = Surface(image.f, {"family": family_id,
+                            "exc_degrees": list(exc_degrees),
+                            "params": base.metadata.get("params", {})},
+                  points)
     _ensure_certified(out, points)
     return out
 
@@ -390,7 +389,7 @@ def sextic_ten_gf31():
     meta = {"family": "sextic-ten-gf31",
             "params": {"lambda": "2", "a": "9", "b": "-11",
                        "coefficients": [str(c) for c in coeffs]}}
-    X = Surface(f, dict(meta, points=points))
+    X = Surface(f, meta, points)
     _ensure_certified(X, points)
     return X
 
@@ -428,9 +427,8 @@ def septic_s4(field, mu, nu):
         raise ValueError(f"orbit has {len(orbit)} points, expected 12")
     points = [vertex(field, i) for i in range(4)] \
         + sorted(orbit, key=lambda P: P.sort_key())
-    meta = {"family": "septic-s4",
-            "params": {"mu": str(mu), "nu": str(nu)}}
-    X = Surface(f, dict(meta, points=points))
+    X = Surface(f, {"family": "septic-s4",
+                    "params": {"mu": str(mu), "nu": str(nu)}}, points)
     _ensure_certified(X, points)
     return X
 

@@ -365,29 +365,18 @@ class MultiPoly:
     # -- text form -------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        out = ""
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(VAR_NAMES, e) if k)
             sign = "+"
-            cs = str(c)
             if self.field.kind == "QQ" and c.val < 0:
-                sign = "-"
-                cs = str(-c)
-            if not mono:
-                parts.append((sign, cs))
-            elif cs == "1":
-                parts.append((sign, mono))
-            else:
-                parts.append((sign, f"{cs}*{mono}"))
-        first_sign, first = parts[0]
-        out = (first if first_sign == "+" else "-" + first)
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+                sign, c = "-", -c
+            mono = "*".join(v if k == 1 else f"{v}^{k}"
+                            for v, k in zip(VAR_NAMES, e) if k)
+            cs = str(c)
+            if mono:
+                cs = mono if cs == "1" else f"{cs}*{mono}"
+            out += sign + cs
+        return out.removeprefix("+") or "0"
 
     def __repr__(self):
         return f"MultiPoly({self.field.tag}, {self})"

@@ -513,45 +513,6 @@ def _regular_plane(field, below, echelon):
     return None
 
 
-def _settle(X: Surface, k_max):
-    """(singular_scheme_degree's result, how it was settled)."""
-    d = X.degree
-    if d < 1:  # the rules compare h(k) with h(k-1) from k = d on
-        raise ValueError("a singular scheme needs degree at least 1")
-    k_max = _checked_k_max(X, k_max, d)
-    field = X.field
-    partials = _jacobian(X)
-    echelon = last = _Echelon(field)
-    h = []
-    for attempt in range(2):
-        limit = k_max * (attempt + 1)
-        while len(h) <= limit:
-            k = len(h)
-            # _hilbert_value replaces echelon's arrays, never writes into
-            # them: keep J's form in degree k-1 and the free monomials of k-2
-            below, last = last.free, copy.copy(echelon)
-            h.append(_hilbert_value(field, partials, d, k, echelon))
-            if k >= d and h[k] == h[k - 1]:
-                i = _regular_plane(field, below, last)
-                if i is not None:
-                    plane = MultiPoly.parse(
-                        f"w+{i}*x+{i ** 2}*y+{i ** 3}*z", field)
-                    return ({"degree": h[k], "hilbert": h + [h[k]]},
-                            {"method": "regularity", "proven": True,
-                             "plane": str(plane), "regular_from": k - 1,
-                             "computed_to": k})
-            if len(h) >= 3 and h[-1] == h[-2] == h[-3] and len(h) > d:
-                return ({"degree": h[-1], "hilbert": h},
-                        {"method": "plateau", "proven": False,
-                         "computed_to": k})
-        if h[-1] > h[-2] > h[-3]:
-            return ({"verdict": "positive-dimensional", "hilbert": h},
-                    {"method": "growth", "proven": False,
-                     "computed_to": len(h) - 1})
-    raise ArithmeticError("Hilbert function did not stabilize; "
-                          f"tail {h[-5:]}")
-
-
 def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
     """Degree of the singular scheme, or a positive-dimensional verdict.
 
@@ -576,7 +537,8 @@ def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
     - plateau (a heuristic): three equal values in a row past degree d,
       taken only where no plane certifies.
     - growth: at the cutoff k_max a strictly increasing tail is taken as
-      positive-dimensional; otherwise one retry up to 2*k_max.
+      positive-dimensional; otherwise the pass runs on to 2*k_max, where
+      the same test is the last.
 
     k_max is 4*d by default; below d, where no rule can fire yet, it is
     a ValueError.
@@ -587,10 +549,37 @@ def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
     or growth), "proven", "computed_to" (the last degree computed) and,
     for regularity, "plane" and "regular_from" (k-1).
     """
-    result, how = _settle(X, k_max)
-    if evidence is not None:
-        evidence.update(how)
-    return result
+    d = X.degree
+    if d < 1:  # the rules compare h(k) with h(k-1) from k = d on
+        raise ValueError("a singular scheme needs degree at least 1")
+    k_max = _checked_k_max(X, k_max, d)
+    how = {} if evidence is None else evidence
+    field = X.field
+    partials = _jacobian(X)
+    echelon = last = _Echelon(field)
+    h = []
+    for k in range(2 * k_max + 1):
+        # _hilbert_value replaces echelon's arrays, never writes into
+        # them: keep J's form in degree k-1 and the free monomials of k-2
+        below, last = last.free, copy.copy(echelon)
+        h.append(_hilbert_value(field, partials, d, k, echelon))
+        if k >= d and h[k] == h[k - 1]:
+            i = _regular_plane(field, below, last)
+            if i is not None:
+                plane = MultiPoly.parse(f"w+{i}*x+{i ** 2}*y+{i ** 3}*z",
+                                        field)
+                how.update(method="regularity", proven=True,
+                           plane=str(plane), regular_from=k - 1,
+                           computed_to=k)
+                return {"degree": h[k], "hilbert": h + [h[k]]}
+        if k >= max(2, d) and h[k] == h[k - 1] == h[k - 2]:
+            how.update(method="plateau", proven=False, computed_to=k)
+            return {"degree": h[k], "hilbert": h}
+        if k in (k_max, 2 * k_max) and h[k] > h[k - 1] > h[k - 2]:
+            how.update(method="growth", proven=False, computed_to=k)
+            return {"verdict": "positive-dimensional", "hilbert": h}
+    raise ArithmeticError("Hilbert function did not stabilize; "
+                          f"tail {h[-5:]}")
 
 
 # -- equisingular tangent space -----------------------------------------
@@ -639,23 +628,21 @@ def _point_info(cert):
     return info
 
 
-def certify(X: Surface, points=None, hilbert=None) -> dict:
+def certify(X: Surface, points=None, hilbert=False) -> dict:
     """Certify the singular locus of X; returns the report, a JSON
     document.
 
-    Over a finite field the singular points are enumerated; over the
-    rationals the declared (or supplied) points are used, and also over
-    a field too large to sweep, which the report's "checks" records.
+    The supplied points are certified, over every field.  Without them,
+    over a finite field the singular points are enumerated; over the
+    rationals, and over a field too large to sweep (which the report's
+    "checks" records), the declared points X.points are used.
     A point given twice is listed and counted once.
-    hilbert=None computes the Hilbert evidence automatically over finite
-    fields; degree_evidence then says how its degree was settled (see
-    singular_scheme_degree).  When it is not computed, degree_evidence is
-    {"method": "skipped", "proven": False, "reason": ...}, the reason
-    "rational field; pass --hilbert" or "not requested" (hilbert=False).
+    The Hilbert evidence is computed over a finite field, and over the
+    rationals only with hilbert; degree_evidence then says how its degree
+    was settled (see singular_scheme_degree).  When it is not computed,
+    degree_evidence is {"method": "skipped", "proven": False, "reason":
+    "rational field; pass --hilbert"}.
     """
-    skipped = {"method": "skipped", "proven": False,
-               "reason": ("not requested" if hilbert is False
-                          else "rational field; pass --hilbert")}
     checks = {}
     if points is None:
         points = _swept_points(X, checks)
@@ -667,12 +654,12 @@ def certify(X: Surface, points=None, hilbert=None) -> dict:
     expected = 8 * sum(isinstance(c, TriplePointCertificate) for c in certs)
     out = {"schema_version": SCHEMA_VERSION, "surface": str(X.f),
            "field": X.field.tag, "points": infos, "hilbert": None,
-           "degree_evidence": skipped, "expected_degree": expected,
+           "degree_evidence": {"method": "skipped", "proven": False,
+                               "reason": "rational field; pass --hilbert"},
+           "expected_degree": expected,
            "verdict": ("certified-rational-only" if all_ok and infos
                        else "failed")}
-    if hilbert is None:
-        hilbert = X.field.kind != "QQ"
-    if hilbert:
+    if hilbert or X.field.kind != "QQ":
         evidence = out["degree_evidence"] = {}
         result = singular_scheme_degree(X, evidence=evidence)
         out["hilbert"] = result["hilbert"]

@@ -73,11 +73,11 @@ class ProjPoint:
 
 
 class Surface:
-    """A degree-d hypersurface in P^3 with optional metadata."""
+    """A degree-d surface in P^3, its declared triple points and metadata."""
 
-    __slots__ = ("field", "degree", "f", "metadata")
+    __slots__ = ("field", "degree", "f", "metadata", "points")
 
-    def __init__(self, f: MultiPoly, metadata=None):
+    def __init__(self, f: MultiPoly, metadata=None, points=()):
         if not f:
             raise ValueError("the zero polynomial does not define a surface")
         d = f.homogeneous_degree()
@@ -87,24 +87,19 @@ class Surface:
         self.degree = d
         self.f = f
         self.metadata = dict(metadata or {})
-
-    @property
-    def points(self):
-        """Declared triple points (possibly partial list)."""
-        return self.metadata.get("points", [])
+        self.points = list(points)
 
     def __repr__(self):
         return f"Surface(deg {self.degree} over {self.field.tag})"
 
     def to_json(self):
-        meta = {k: v for k, v in self.metadata.items() if k != "points"}
         return {
             "schema_version": SCHEMA_VERSION,
             "field": self.field.tag,
             "degree": self.degree,
             "polynomial": str(self.f),
             "points": [p.to_json() for p in self.points],
-            "metadata": meta,
+            "metadata": dict(self.metadata),
         }
 
     @classmethod
@@ -116,11 +111,8 @@ class Surface:
                 raise ValueError(f"{key!r} must be {name}, got {data[key]!r}")
         field = Field.parse_tag(data["field"])
         f = MultiPoly.parse(data["polynomial"], field)
-        meta = dict(data.get("metadata", {}))
-        pts = [ProjPoint.from_json(field, c) for c in data.get("points", [])]
-        if pts:
-            meta["points"] = pts
-        s = cls(f, meta)
+        s = cls(f, data.get("metadata"),
+                [ProjPoint.from_json(field, c) for c in data.get("points", [])])
         if "degree" in data and s.degree != data["degree"]:
             raise ValueError(
                 f"stated degree {data['degree']} != actual {s.degree}")

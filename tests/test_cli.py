@@ -253,7 +253,7 @@ def test_certify_over_a_field_too_large_to_sweep(capsys, tmp_path):
     F191 = Field.GF(191)
     surf = tmp_path / "quartic.json"
     Surface(MultiPoly.parse("x^3*w+y^3*w+z^3*w+x^4+y^4+z^4", F191),
-            {"points": [ProjPoint(F191, [0, 0, 0, 1])]}).save(surf)
+            points=[ProjPoint(F191, [0, 0, 0, 1])]).save(surf)
     code, report = run(capsys, "certify", "-i", str(surf))
     assert code == 0
     assert report["verdict"] == "certified-exact"
@@ -269,8 +269,8 @@ def test_a_point_declared_twice_counts_once(capsys, tmp_path):
     F191 = Field.GF(191)
     surf = tmp_path / "quartic.json"
     Surface(MultiPoly.parse("x^3*w+y^3*w+z^3*w+x^4+y^4+z^4", F191),
-            {"points": [ProjPoint(F191, [0, 0, 0, 1]),
-                        ProjPoint(F191, [0, 0, 0, 5])]}).save(surf)
+            points=[ProjPoint(F191, [0, 0, 0, 1]),
+                    ProjPoint(F191, [0, 0, 0, 5])]).save(surf)
     code, report = run(capsys, "certify", "-i", str(surf))
     assert code == 0
     assert report["verdict"] == "certified-exact"
@@ -421,6 +421,44 @@ def test_surface_and_points_files_of_the_wrong_shape(capsys, tmp_path):
     assert code == 1
     assert data["error"] == ("ValueError: a points file must hold an array, "
                              "got 5")
+
+
+@pytest.mark.parametrize("command", ["certify", "tangent-dim", "cremona"])
+@pytest.mark.parametrize("field, metadata", [
+    ("QQ", {"points": [["1", "0", "0", "0"]]}),
+    ("QQ", {"points": 5}),
+    ("GF:31", {"points": [["1", "0", "0", "0"]]}),
+], ids=["QQ-list", "QQ-int", "GF31-list"])
+def test_surface_metadata_is_kept_as_given(capsys, tmp_path, command, field,
+                                           metadata):
+    # the declared points are the top-level array alone; a "points" key in
+    # the metadata used to end in a TypeError or AttributeError traceback
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"field": field, "metadata": metadata,
+                                "polynomial": "x^3+y^3+z^3+w^3"}))
+    code, data = run(capsys, command, "-i", str(path))
+    if command == "certify":
+        assert (code, data["points"]) == (0, [])
+        # over GF(31) the sweep runs and finds the surface smooth
+        assert (data["verdict"], "checks" in data) == (
+            "failed" if field == "QQ" else "certified-exact", False)
+    elif command == "tangent-dim":
+        assert (code, data["error"]) == (
+            1, "DomainError: no points declared or supplied")
+    else:
+        assert (code, data["metadata"], data["points"]) == (0, metadata, [])
+
+
+def test_reciprocal_family_copies_the_base_params(capsys, tmp_path,
+                                                   k3_444_file):
+    # params that are not an object used to end in a TypeError traceback
+    doc = json.loads(open(k3_444_file).read())
+    doc["metadata"]["params"] = 5
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(doc))
+    code, data = run(capsys, "construct", "--family", "k3-246", "--base",
+                     str(base), "--fundamental", "0,1,3,4")
+    assert (code, data["metadata"]["params"]) == (0, 5)
 
 
 @pytest.mark.parametrize("family, field, params", [

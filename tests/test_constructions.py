@@ -200,7 +200,7 @@ def test_dianode_surface():
     q1, q2, q3 = quadrics_through(pts)
     delta = dianode_surface(g, q1, q2, q3)
     assert delta.homogeneous_degree() == 6
-    X = Surface(delta, {"points": pts})
+    X = Surface(delta, points=pts)
     report = certify(X)
     assert report["verdict"] == "certified-exact"
     assert len(report["points"]) == 7

@@ -323,7 +323,7 @@ def test_septic_s4(septic_qq):
     assert X.degree == 7
     assert len(X.points) == 16
     assert ProjPoint(QQ, [-2, 1, 2, 2]) in X.points
-    assert certify(X, points=X.points, hilbert=False)["verdict"] \
+    assert certify(X, points=X.points)["verdict"] \
         == "certified-rational-only"
 
 

@@ -83,6 +83,21 @@ def test_rational_arithmetic():
     assert a.inverse() * a == QQ.one
 
 
+@pytest.mark.parametrize("field", [QQ, F31, F49], ids=["QQ", "GF31", "GF49"])
+def test_negative_powers_and_fraction_operands(field):
+    assert field(3) ** -2 * field(9) == field.one
+    half = field(Fraction(1, 2))
+    assert half * 2 == field.one
+    assert field(1) + Fraction(1, 2) == half * 3
+
+
+def test_corner_cases_of_the_prime_fields():
+    assert F31(Fraction(1, 2)) == F31(16)
+    assert sqrt_mod_p(1, 2) == 1
+    with pytest.raises(FieldMismatchError):
+        F49.lift(QQ(1))
+
+
 def test_gf_arithmetic_matches_ints():
     rng = random.Random(1)
     for _ in range(200):

@@ -113,6 +113,33 @@ def test_parse_print_roundtrip_fixed():
         assert MultiPoly.parse(str(f), F31) == f
 
 
+@pytest.mark.parametrize("field,text,printed", [
+    (QQ, "-x+3/2*y*w-1", "3/2*y*w-x-1"),
+    (QQ, "-1", "-1"),
+    (QQ, "0", "0"),
+    (F31, "-x+2", "30*x+2"),
+    (F31, "x*y-1", "x*y+30"),
+    (F49, "(u)*x+(3+2*u)*y-1", "(0+1*u)*x+(3+2*u)*y+(6)"),
+    (F49, "x^2+(0+1*u)", "(1)*x^2+(0+1*u)"),
+])
+def test_printed_text(field, text, printed):
+    # every polynomial string of a CLI document is this text: terms in
+    # grlex order, a QQ sign before its term, a coefficient 1 left out
+    # except over GF(p^2), where every coefficient is a bracketed pair
+    assert str(MultiPoly.parse(text, field)) == printed
+
+
+@pytest.mark.parametrize("field", [QQ, F31, F49], ids=["QQ", "GF31", "GF49"])
+def test_scalar_operands(field):
+    x = MultiPoly.variable(field, 0)
+    assert x + 1 == MultiPoly.parse("x+1", field)
+    assert 2 - x == MultiPoly.parse("-x+2", field)
+    assert x - field(3) == MultiPoly.parse("x-3", field)
+    if field == F31:
+        assert [str(x + 1), str(2 - x), str(x - field(3))] \
+            == ["x+1", "30*x+2", "x+28"]
+
+
 def test_parse_t_is_w_alias():
     assert MultiPoly.parse("x*t^2", QQ) == MultiPoly.parse("x*w^2", QQ)
 

@@ -341,7 +341,8 @@ def test_sweep_refuses_sums_beyond_float64_integers():
 
 def fresh_hilbert(X, k_max):
     """h(0..k_max) from a fresh Macaulay rank in each degree: the oracle
-    for the incremental pass of jacobian_hilbert and _settle."""
+    for the incremental pass of jacobian_hilbert and
+    singular_scheme_degree."""
     field, partials = X.field, singular._jacobian(X)
     return [num_monomials(k) - (rank(field, singular._macaulay(
         field, partials, k)) if k >= X.degree - 1 and partials else 0)
@@ -408,6 +409,18 @@ def test_singular_scheme_degree_needs_k_max_at_least_degree(d):
     assert "degree" in res or "verdict" in res
     with pytest.raises(ValueError, match="k_max must be at least"):
         jacobian_hilbert(X, d - 2)
+
+
+def test_singular_scheme_degree_computes_past_k_max():
+    # at k_max = 3 no rule fires and the tail is not rising, so the pass
+    # runs on towards 2 * k_max; the regularity certificate fires at 6
+    X = Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F31))
+    evidence = {}
+    assert singular_scheme_degree(X, 3, evidence) == {
+        "degree": 0, "hilbert": [1, 4, 6, 4, 1, 0, 0, 0]}
+    assert evidence == {"method": "regularity", "proven": True,
+                        "plane": "x+y+z+w", "regular_from": 5,
+                        "computed_to": 6}
 
 
 def test_singular_scheme_degree_refuses_a_constant():
@@ -755,14 +768,16 @@ def test_certify_report_rational():
 
 
 def test_certify_report_failure():
-    X = Surface(MultiPoly.parse("x^3*w+y^4", F31))
-    data = certify(X, points=[ProjPoint(F31, [0, 0, 0, 1])], hilbert=False)
+    # the cone x^3 is singular; the singular scheme is the one point, of
+    # degree 2 * 3 * 3, so the Hilbert pass over GF(31) keeps "failed"
+    X = Surface(MultiPoly.parse("x^3*w+y^4+z^4", F31))
+    data = certify(X, points=[ProjPoint(F31, [0, 0, 0, 1])])
     assert data["verdict"] == "failed"
     assert data["points"][0]["failure"] == "tangent cone singular"
     assert (data["points"][0]["multiplicity"],
             data["points"][0]["smooth_rank"]) == (3, 6)
-    assert data["degree_evidence"] == {"method": "skipped", "proven": False,
-                                       "reason": "not requested"}
+    assert (data["hilbert"][-1], data["degree_evidence"]["proven"]) \
+        == (18, True)
 
 
 def test_certify_degree_mismatch_is_rational_only():

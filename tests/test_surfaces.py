@@ -67,7 +67,7 @@ def test_surface_construction_guards():
 def test_surface_json_roundtrip(tmp_path):
     pts = [ProjPoint(F31, [1, 1, 1, 1]), ProjPoint(F31, [1, 2, 3, 4])]
     X = Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F31),
-                {"points": pts, "family": "test"})
+                {"family": "test"}, pts)
     data = X.to_json()
     assert data["schema_version"] == SCHEMA_VERSION
     assert data["field"] == "GF:31"
