@@ -178,7 +178,7 @@ def cmd_construct(args):
 
 def cmd_certify(args):
     X = Surface.load(args.input)
-    _emit(singular.certify(X, hilbert=args.hilbert), args.output)
+    _emit(singular.certify(X), args.output)
 
 
 def cmd_cremona(args):
@@ -275,8 +275,6 @@ def build_parser():
 
     ce = sub.add_parser("certify", help="certify the singular locus")
     ce.add_argument("-i", "--input", required=True)
-    ce.add_argument("--hilbert", action="store_true",
-                    help="force the Hilbert-function computation")
     ce.add_argument("-o", "--output")
     ce.set_defaults(func=cmd_certify)
 

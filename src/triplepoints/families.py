@@ -79,7 +79,7 @@ def _member_search(field, gens, points, candidates, meta):
             last_error = exc
             continue
         checks = {}
-        extra = set(_swept_points(X, checks) or ()) - set(points)
+        extra = set(_swept_points(X, checks)) - set(points)
         if checks:
             X.metadata["checks"] = checks
         if extra:
@@ -196,9 +196,8 @@ def sextic_k3_228(field, lam, alpha=None, beta=None):
     for perm in ((lam, 1, 1, 1), (1, lam, 1, 1), (1, 1, lam, 1)):
         points.append(ProjPoint(field, list(perm)))
     # tangency points on the line h1 = h2 = 0 solve r^2 + r + 1 = 0
-    if field.kind != "QQ":
-        for r in solve_quadratic(field.one, field.one, field.one):
-            points.append(ProjPoint(field, [r, field.one, -r - 1, 0]))
+    for r in solve_quadratic(field.one, field.one, field.one):
+        points.append(ProjPoint(field, [r, field.one, -r - 1, 0]))
     meta = {"family": "k3-228", "exc_degrees": [2, 2, 8],
             "params": {"lambda": str(lam)}}
     gens = [q * q * q, h1 * h2 * g4]

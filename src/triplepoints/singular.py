@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -230,16 +230,16 @@ def enumerate_singular_points(X: Surface, e: int = 1):
 
 
 def _swept_points(X: Surface, checks: dict):
-    """The singular points of X by the sweep (enumerate_singular_points),
-    or None over the rationals.  Over a field too large to sweep also
-    None, and checks["sweep"] says why the sweep was skipped."""
+    """The singular points of X by the sweep (enumerate_singular_points);
+    over the rationals, and over a field too large to sweep (then
+    checks["sweep"] says why), the declared points X.points."""
     if X.field.kind == "QQ":
-        return None
+        return X.points
     try:
         return enumerate_singular_points(X)
     except ValueError as exc:
         checks["sweep"] = f"skipped: {exc}"
-        return None
+        return X.points
 
 
 # -- coefficient arrays: Macaulay matrices and jets ---------------------
@@ -628,46 +628,61 @@ def _point_info(cert):
     return info
 
 
-def certify(X: Surface, points=None, hilbert=False) -> dict:
-    """Certify the singular locus of X; returns the report, a JSON
-    document.
+_QQ_PRIME = 32003
 
-    The supplied points are certified, over every field.  Without them,
-    over a finite field the singular points are enumerated; over the
-    rationals, and over a field too large to sweep (which the report's
-    "checks" records), the declared points X.points are used.
-    A point given twice is listed and counted once.
-    The Hilbert evidence is computed over a finite field, and over the
-    rationals only with hilbert; degree_evidence then says how its degree
-    was settled (see singular_scheme_degree).  When it is not computed,
-    degree_evidence is {"method": "skipped", "proven": False, "reason":
-    "rational field; pass --hilbert"}.
+
+def _reduction(X: Surface) -> Surface:
+    """X's polynomial scaled to coprime integer coefficients (not all zero
+    mod p, so the degree is kept) and reduced mod p = _QQ_PRIME."""
+    field, cs = Field.GF(_QQ_PRIME), X.f.terms
+    den = lcm(*(c.val.denominator for c in cs.values()))
+    num = gcd(*(c.val.numerator for c in cs.values()))
+    return Surface(MultiPoly(field, {e: field(c.val * den / num)
+                                     for e, c in cs.items()}))
+
+
+def certify(X: Surface, points=None) -> dict:
+    """Certify the singular locus of X; returns the report, a JSON document.
+
+    The supplied points are certified; without them, the swept singular points,
+    or X.points where there is no sweep (_swept_points).  A point given twice
+    is listed and counted once.
+
+    degree_evidence says how singular_scheme_degree settled the degree of X,
+    over QQ of _reduction(X), then with its "prime".  Reduction mod p can
+    only lower the rank of a Macaulay matrix of the integer partials, so
+    h_QQ(k) <= h_p(k) for every k, and a degree D proven mod p bounds the
+    degree of V(J) over QQ by D.  In characteristic 0 an ordinary triple
+    point is right-equivalent to its quasi-homogeneous tangent cone (no
+    Milnor-algebra monomial of weight > 1), so its Tjurina number is 8 = mu
+    (Saito 1971); Euler puts f in J, so each of the n certified points adds
+    exactly 8.  So 8n <= deg <= D, and D = 8n proves that there is no other
+    singular point, not even over the algebraic closure.  A positive-dimensional
+    locus mod p proves nothing over QQ.
     """
     checks = {}
     if points is None:
         points = _swept_points(X, checks)
-    if points is None:
-        points = X.points
     certs = _certify_points(X, distinct_points(points), check=False)
     infos = [_point_info(c) for c in certs]
     all_ok = all("failure" not in info for info in infos)
     expected = 8 * sum(isinstance(c, TriplePointCertificate) for c in certs)
+    rational = X.field.kind == "QQ"
+    evidence = {}
+    result = singular_scheme_degree(_reduction(X) if rational else X,
+                                    evidence=evidence)
+    if rational:
+        evidence["prime"] = _QQ_PRIME
     out = {"schema_version": SCHEMA_VERSION, "surface": str(X.f),
-           "field": X.field.tag, "points": infos, "hilbert": None,
-           "degree_evidence": {"method": "skipped", "proven": False,
-                               "reason": "rational field; pass --hilbert"},
-           "expected_degree": expected,
+           "field": X.field.tag, "points": infos, "hilbert": result["hilbert"],
+           "degree_evidence": evidence, "expected_degree": expected,
            "verdict": ("certified-rational-only" if all_ok and infos
                        else "failed")}
-    if hilbert or X.field.kind != "QQ":
-        evidence = out["degree_evidence"] = {}
-        result = singular_scheme_degree(X, evidence=evidence)
-        out["hilbert"] = result["hilbert"]
-        if "verdict" in result:
-            out["verdict"] = "positive-dimensional-singular-locus"
-        elif all_ok:
-            out["verdict"] = ("certified-exact" if result["degree"] == expected
-                              else "certified-rational-only")
+    if "verdict" in result and not rational:
+        out["verdict"] = "positive-dimensional-singular-locus"
+    elif "degree" in result and all_ok:
+        out["verdict"] = ("certified-exact" if result["degree"] == expected
+                          else "certified-rational-only")
     if checks:
         out["checks"] = checks
     return out

@@ -79,6 +79,15 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_certify_has_no_hilbert_option(tmp_path):
+    # the degree evidence is computed over every field, with no switch
+    path = tmp_path / "surface.json"
+    Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", Field.QQ())).save(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "-i", str(path), "--hilbert"])
+    assert exc.value.code == 2
+
+
 def test_construct_certify_tangent_roundtrip(capsys, tmp_path):
     surf = tmp_path / "ten.json"
     code, data = run(capsys, "construct", "--family", "sextic-ten-gf31",
@@ -439,9 +448,10 @@ def test_surface_metadata_is_kept_as_given(capsys, tmp_path, command, field,
     code, data = run(capsys, command, "-i", str(path))
     if command == "certify":
         assert (code, data["points"]) == (0, [])
-        # over GF(31) the sweep runs and finds the surface smooth
+        # the smooth surface has a singular scheme of degree 0, proven
+        # over GF(31) and mod 32003 over QQ
         assert (data["verdict"], "checks" in data) == (
-            "failed" if field == "QQ" else "certified-exact", False)
+            "certified-exact", False)
     elif command == "tangent-dim":
         assert (code, data["error"]) == (
             1, "DomainError: no points declared or supplied")

@@ -323,8 +323,7 @@ def test_septic_s4(septic_qq):
     assert X.degree == 7
     assert len(X.points) == 16
     assert ProjPoint(QQ, [-2, 1, 2, 2]) in X.points
-    assert certify(X, points=X.points)["verdict"] \
-        == "certified-rational-only"
+    assert certify(X, points=X.points)["verdict"] == "certified-exact"
 
 
 def test_septic_s4_tangent_dimension_gf101():
@@ -334,15 +333,16 @@ def test_septic_s4_tangent_dimension_gf101():
 
 
 def test_septic_s4_certifies_over_the_rationals(septic_qq):
-    # over QQ there is no sweep, so no checks key, and the degree is not
-    # computed unless asked for
+    # over QQ there is no sweep, so no checks key; the degree proven mod
+    # 32003 is 8 * 16, so the 16 points are all the singular points
     report = certify(septic_qq)
     assert [(p["multiplicity"], p["smooth_rank"])
             for p in report["points"]] == [(3, 15)] * 16
-    assert report["verdict"] == "certified-rational-only"
+    assert report["verdict"] == "certified-exact"
     assert report["degree_evidence"] == {
-        "method": "skipped", "proven": False,
-        "reason": "rational field; pass --hilbert"}
+        "method": "regularity", "proven": True, "plane": "x+y+z+w",
+        "regular_from": 13, "computed_to": 14, "prime": 32003}
+    assert report["hilbert"][-1] == report["expected_degree"] == 128
     assert "checks" not in report
 
 

@@ -759,12 +759,48 @@ def test_certify_report_finite_field():
 
 
 def test_certify_report_rational():
+    # the degree is proven on the reduction mod 32003 and bounds the
+    # degree over QQ, which the certified point makes at least 8
     X, P = triple_point_quartic(QQ)
     report = certify(X, points=[P])
-    assert report["verdict"] == "certified-rational-only"
+    assert report["verdict"] == "certified-exact"
     assert report["degree_evidence"] == {
-        "method": "skipped", "proven": False,
-        "reason": "rational field; pass --hilbert"}
+        "method": "regularity", "proven": True, "plane": "x+y+z+w",
+        "regular_from": 7, "computed_to": 8, "prime": 32003}
+    assert report["hilbert"][-1] == report["expected_degree"] == 8
+
+
+@pytest.mark.parametrize("f", [
+    "32003*x^3+32003*y^3+32003*z^3+32003*w^3",
+    "1/2*x^3+3/4*y^3+z^3-5*w^3",
+], ids=["content-p", "fractions"])
+def test_certify_rational_scales_before_reducing(f):
+    # scaled to coprime integer coefficients: content p would otherwise
+    # reduce to the zero polynomial
+    report = certify(Surface(MultiPoly.parse(f, QQ)))
+    assert report["verdict"] == "certified-exact"
+    assert (report["hilbert"][-1], report["degree_evidence"]["proven"],
+            report["degree_evidence"]["prime"]) == (0, True, 32003)
+
+
+def test_certify_rational_bad_reduction_is_not_over_claimed():
+    # smooth over QQ, but a cone mod 32003: the proven degree 8 is only an
+    # upper bound, which no listed point accounts for
+    X = Surface(MultiPoly.parse("x^3+y^3+z^3+32003*w^3", QQ))
+    report = certify(X)
+    assert report["verdict"] == "certified-rational-only"
+    assert (report["hilbert"][-1], report["degree_evidence"]["proven"]) \
+        == (8, True)
+
+
+def test_certify_rational_positive_dimensional_mod_p_only():
+    # smooth over QQ (t^3 + t + 1 has discriminant -31), singular along
+    # x = y = 0 mod 32003: that proves nothing over QQ
+    X = Surface(MultiPoly.parse("x^3+x*y^2+y^3+32003*z^3+32003*w^3", QQ))
+    report = certify(X, points=[])
+    assert report["verdict"] == "failed"
+    assert (report["degree_evidence"]["method"],
+            report["degree_evidence"]["prime"]) == ("growth", 32003)
 
 
 def test_certify_report_failure():
