@@ -18,7 +18,10 @@ from them.  Only the pivot and free monomials and the free block are
 kept from one degree to the next (_Echelon, _hilbert_value).  The
 regularity certificate is read from the same forms: (R/(J + l))_t = 0
 iff the normal forms of l*m, m the free monomials of degree t-1, span
-(R/J)_t, since l*J_{t-1} lies in J_t (_regular_plane).
+(R/J)_t, since l*J_{t-1} lies in J_t (_regular_plane).  The pass stops
+at 4d - 5: by Lazard's bound, h is constant from 4d - 7 on whenever the
+singular locus is finite, so a degree not settled by then proves it
+positive-dimensional (singular_scheme_degree).
 """
 from __future__ import annotations
 
@@ -468,20 +471,16 @@ def _jacobian(X: Surface):
     return _partials(X.field, *_arrays(X.field, X.f.terms))
 
 
-def _checked_k_max(X: Surface, k_max, least):
-    """k_max, 4 * degree by default; a ValueError below least."""
-    if k_max is not None and k_max < least:
-        raise ValueError(f"k_max must be at least {least} for a "
-                         f"degree-{X.degree} surface")
-    return 4 * X.degree if k_max is None else k_max
-
-
 def jacobian_hilbert(X: Surface, k_max: int = None):
-    """Hilbert function h(0..k_max) of R modulo the Jacobian ideal."""
+    """Hilbert function h(0..k_max) of R modulo the Jacobian ideal;
+    k_max is 4*d by default and a ValueError below d - 1."""
     d = X.degree
-    k_max = _checked_k_max(X, k_max, d - 1)
-    partials = _jacobian(X)
-    echelon = _Echelon(X.field)
+    if k_max is None:
+        k_max = 4 * d
+    elif k_max < d - 1:
+        raise ValueError(f"k_max must be at least {d - 1} for a "
+                         f"degree-{d} surface")
+    partials, echelon = _jacobian(X), _Echelon(X.field)
     return [_hilbert_value(X.field, partials, d, k, echelon)
             for k in range(k_max + 1)]
 
@@ -513,13 +512,14 @@ def _regular_plane(field, below, echelon):
     return None
 
 
-def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
-    """Degree of the singular scheme, or a positive-dimensional verdict.
+def singular_scheme_degree(X: Surface):
+    """Degree of the singular scheme, or a proven positive-dimensional
+    verdict.
 
-    Computes h(k) = dim (R/J)_k, J the Jacobian ideal, for k = 0, 1, ...
-    in one incremental pass (each degree's echelon form from the last
-    one's, see the module docstring) and after each value tries, in this
-    order:
+    Computes h(k) = dim (R/J)_k, J the Jacobian ideal, for k = 0, 1, ...,
+    max(4d - 5, d) in one incremental pass (each degree's echelon form
+    from the last one's, see the module docstring) and after each value
+    tries, in this order:
 
     - regularity certificate: k >= d, h(k) = h(k-1), and
       (R/(J + l))_{k-1} = 0 for one of the planes l = w + i*x + i^2*y +
@@ -536,29 +536,29 @@ def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
       h(k+1) is proven, not computed.
     - plateau (a heuristic): three equal values in a row past degree d,
       taken only where no plane certifies.
-    - growth: at the cutoff k_max a strictly increasing tail is taken as
-      positive-dimensional; otherwise the pass runs on to 2*k_max, where
-      the same test is the last.
 
-    k_max is 4*d by default; below d, where no rule can fire yet, it is
-    a ValueError.
+    If neither fires, V(J) is positive-dimensional (lazard): J is
+    generated by at most four forms of degree d - 1 in four variables,
+    so if V(J) were finite, h(k) would equal its degree for all
+    k >= 4(d - 1) - 3 = 4d - 7 (D. Lazard, EUROCAL '83, LNCS 162).  Then
+    h(4d-7) = h(4d-6) = h(4d-5), and the plateau rule would have fired at
+    k = 4d - 5 >= max(2, d) for d >= 2.  For d = 1, J is the unit ideal
+    and the certificate fires at k = 1.
 
-    Returns {"degree": n, "hilbert": [...]} or
-    {"verdict": "positive-dimensional", "hilbert": [...]}.  A dict passed
-    as evidence gets how it was settled: "method" (plateau, regularity
-    or growth), "proven", "computed_to" (the last degree computed) and,
-    for regularity, "plane" and "regular_from" (k-1).
+    Returns {"degree": n, "hilbert": [...], "evidence": {...}} or
+    {"verdict": "positive-dimensional", "hilbert": [...],
+    "evidence": {...}}.  The evidence says how it was settled: "method"
+    (regularity, plateau or lazard), "proven", "computed_to" (the last
+    degree computed) and, for regularity, "plane" and "regular_from"
+    (k-1).
     """
     d = X.degree
     if d < 1:  # the rules compare h(k) with h(k-1) from k = d on
         raise ValueError("a singular scheme needs degree at least 1")
-    k_max = _checked_k_max(X, k_max, d)
-    how = {} if evidence is None else evidence
-    field = X.field
-    partials = _jacobian(X)
+    field, partials, top = X.field, _jacobian(X), max(4 * d - 5, d)
     echelon = last = _Echelon(field)
     h = []
-    for k in range(2 * k_max + 1):
+    for k in range(top + 1):
         # _hilbert_value replaces echelon's arrays, never writes into
         # them: keep J's form in degree k-1 and the free monomials of k-2
         below, last = last.free, copy.copy(echelon)
@@ -568,18 +568,15 @@ def singular_scheme_degree(X: Surface, k_max: int = None, evidence=None):
             if i is not None:
                 plane = MultiPoly.parse(f"w+{i}*x+{i ** 2}*y+{i ** 3}*z",
                                         field)
-                how.update(method="regularity", proven=True,
-                           plane=str(plane), regular_from=k - 1,
-                           computed_to=k)
-                return {"degree": h[k], "hilbert": h + [h[k]]}
+                return {"degree": h[k], "hilbert": h + [h[k]], "evidence": {
+                    "method": "regularity", "proven": True,
+                    "plane": str(plane), "regular_from": k - 1,
+                    "computed_to": k}}
         if k >= max(2, d) and h[k] == h[k - 1] == h[k - 2]:
-            how.update(method="plateau", proven=False, computed_to=k)
-            return {"degree": h[k], "hilbert": h}
-        if k in (k_max, 2 * k_max) and h[k] > h[k - 1] > h[k - 2]:
-            how.update(method="growth", proven=False, computed_to=k)
-            return {"verdict": "positive-dimensional", "hilbert": h}
-    raise ArithmeticError("Hilbert function did not stabilize; "
-                          f"tail {h[-5:]}")
+            return {"degree": h[k], "hilbert": h, "evidence": {
+                "method": "plateau", "proven": False, "computed_to": k}}
+    return {"verdict": "positive-dimensional", "hilbert": h, "evidence": {
+        "method": "lazard", "proven": True, "computed_to": top}}
 
 
 # -- equisingular tangent space -----------------------------------------
@@ -648,17 +645,20 @@ def certify(X: Surface, points=None) -> dict:
     or X.points where there is no sweep (_swept_points).  A point given twice
     is listed and counted once.
 
-    degree_evidence says how singular_scheme_degree settled the degree of X,
-    over QQ of _reduction(X), then with its "prime".  Reduction mod p can
-    only lower the rank of a Macaulay matrix of the integer partials, so
-    h_QQ(k) <= h_p(k) for every k, and a degree D proven mod p bounds the
-    degree of V(J) over QQ by D.  In characteristic 0 an ordinary triple
+    degree_evidence is the evidence of singular_scheme_degree: how it
+    settled the degree of X (regularity or plateau) or proved V(J)
+    positive-dimensional (lazard); over QQ that of _reduction(X), with its
+    "prime".  Reduction mod p can only lower the rank of a Macaulay
+    matrix of the integer partials, so h_QQ(k) <= h_p(k) for every k, and
+    a degree D proven mod p bounds the degree of V(J) over QQ by D.  In characteristic 0 an ordinary triple
     point is right-equivalent to its quasi-homogeneous tangent cone (no
     Milnor-algebra monomial of weight > 1), so its Tjurina number is 8 = mu
     (Saito 1971); Euler puts f in J, so each of the n certified points adds
     exactly 8.  So 8n <= deg <= D, and D = 8n proves that there is no other
     singular point, not even over the algebraic closure.  A positive-dimensional
-    locus mod p proves nothing over QQ.
+    locus mod p proves nothing over QQ, nor over GF(p^e) when p divides the
+    degree: Euler's relation no longer puts V(J) inside X, and the singular
+    locus is V(J) on X.
     """
     checks = {}
     if points is None:
@@ -668,9 +668,8 @@ def certify(X: Surface, points=None) -> dict:
     all_ok = all("failure" not in info for info in infos)
     expected = 8 * sum(isinstance(c, TriplePointCertificate) for c in certs)
     rational = X.field.kind == "QQ"
-    evidence = {}
-    result = singular_scheme_degree(_reduction(X) if rational else X,
-                                    evidence=evidence)
+    result = singular_scheme_degree(_reduction(X) if rational else X)
+    evidence = result["evidence"]
     if rational:
         evidence["prime"] = _QQ_PRIME
     out = {"schema_version": SCHEMA_VERSION, "surface": str(X.f),
@@ -678,7 +677,7 @@ def certify(X: Surface, points=None) -> dict:
            "degree_evidence": evidence, "expected_degree": expected,
            "verdict": ("certified-rational-only" if all_ok and infos
                        else "failed")}
-    if "verdict" in result and not rational:
+    if "verdict" in result and not rational and X.degree % X.field.char:
         out["verdict"] = "positive-dimensional-singular-locus"
     elif "degree" in result and all_ok:
         out["verdict"] = ("certified-exact" if result["degree"] == expected

@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction
 import random
@@ -398,29 +399,33 @@ def test_jacobian_hilbert_fermat_sextic():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
 def test_singular_scheme_degree_needs_k_max_at_least_degree(d):
-    # no rule can fire below degree d: a smaller k_max is refused, not
-    # answered from values no relation of J has reached (or IndexError)
+    # below degree d - 1 J has no generators yet: a smaller k_max is
+    # refused, not answered with the Hilbert function of R
     X = Surface(MultiPoly.parse("+".join(f"{v}^{d}" for v in "xyzw"), F31))
-    for k_max in (0, 1, d - 1):
-        if k_max < d:
-            with pytest.raises(ValueError, match="k_max must be at least"):
-                singular_scheme_degree(X, k_max)
-    res = singular_scheme_degree(X, d)
-    assert "degree" in res or "verdict" in res
     with pytest.raises(ValueError, match="k_max must be at least"):
         jacobian_hilbert(X, d - 2)
 
 
 def test_singular_scheme_degree_computes_past_k_max():
-    # at k_max = 3 no rule fires and the tail is not rising, so the pass
-    # runs on towards 2 * k_max; the regularity certificate fires at 6
+    # h reaches 0 at k = 5; the regularity certificate fires at 6
     X = Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F31))
-    evidence = {}
-    assert singular_scheme_degree(X, 3, evidence) == {
-        "degree": 0, "hilbert": [1, 4, 6, 4, 1, 0, 0, 0]}
-    assert evidence == {"method": "regularity", "proven": True,
-                        "plane": "x+y+z+w", "regular_from": 5,
-                        "computed_to": 6}
+    res = singular_scheme_degree(X)
+    assert res == {
+        "degree": 0, "hilbert": [1, 4, 6, 4, 1, 0, 0, 0],
+        "evidence": {"method": "regularity", "proven": True,
+                     "plane": "x+y+z+w", "regular_from": 5,
+                     "computed_to": 6}}
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_lazard_bound_is_attained_by_the_fermat_surfaces(d):
+    # J = (x^(d-1), y^(d-1), z^(d-1), w^(d-1)): the last nonzero value of
+    # h is at 4(d - 2) = 4d - 8, and h is its degree 0 from 4d - 7 on,
+    # the bound the positive-dimensional verdict rests on
+    X = Surface(MultiPoly.parse("+".join(f"{v}^{d}" for v in "xyzw"), F31))
+    h = jacobian_hilbert(X, 4 * d)
+    assert h[4 * d - 8] == 1
+    assert h[4 * d - 7:] == [0] * 8
 
 
 def test_singular_scheme_degree_refuses_a_constant():
@@ -436,22 +441,11 @@ def test_singular_scheme_degree_smooth():
 
 def test_singular_scheme_degree_fermat_sextic_by_regularity():
     X = Surface(MultiPoly.parse("x^6+y^6+z^6+w^6", F31))
-    how = {}
-    assert singular_scheme_degree(X, evidence=how)["degree"] == 0
-    assert how == {"method": "regularity", "proven": True,
-                   "plane": "x+y+z+w", "regular_from": 17, "computed_to": 18}
-
-
-@pytest.mark.xfail(strict=True, reason="the growth rule calls h = [1, 4, "
-                   "10, 20, 35, 52, 68] positive-dimensional; ROADMAP item 1 "
-                   "deletes the rule")
-def test_singular_scheme_degree_fermat_sextic_below_its_regularity():
-    # a smooth surface: no verdict computed to k_max = 6 may say
-    # positive-dimensional
-    X = Surface(MultiPoly.parse("x^6+y^6+z^6+w^6", F31))
-    res = singular_scheme_degree(X, k_max=6)
-    assert res["hilbert"] == [1, 4, 10, 20, 35, 52, 68]
-    assert res.get("verdict") != "positive-dimensional"
+    res = singular_scheme_degree(X)
+    assert res["degree"] == 0
+    assert res["evidence"] == {"method": "regularity", "proven": True,
+                               "plane": "x+y+z+w", "regular_from": 17,
+                               "computed_to": 18}
 
 
 def test_singular_scheme_degree_triple_point():
@@ -464,17 +458,16 @@ def test_singular_scheme_degree_triple_point():
 def test_singular_scheme_cubic_cone_plateau():
     # Jacobian ring k[x,y,z,w]/(x^2,y^2,z^2) has constant Hilbert value 8
     X = Surface(MultiPoly.parse("x^3+y^3+z^3", F31))
-    evidence = {}
-    res = singular_scheme_degree(X, evidence=evidence)
+    res = singular_scheme_degree(X)
     assert res["hilbert"][:6] == [1, 4, 7, 8, 8, 8]
     assert res.get("degree") == 8
     # h(5) = h(4) and the plane w + x + y + z certifies at degree 4 (not
     # at 3, where xyz survives), so the regularity rule, tried first,
     # proves the degree where the plateau rule would only guess it
     assert res["hilbert"] == [1, 4, 7, 8, 8, 8, 8]
-    assert evidence == {"method": "regularity", "proven": True,
-                        "plane": "x+y+z+w", "regular_from": 4,
-                        "computed_to": 5}
+    assert res["evidence"] == {"method": "regularity", "proven": True,
+                               "plane": "x+y+z+w", "regular_from": 4,
+                               "computed_to": 5}
 
 
 @pytest.mark.parametrize("build, hilbert", [
@@ -488,34 +481,43 @@ def test_singular_scheme_full_hilbert_sequence(build, hilbert):
     # show in the final degree
     X = build()
     res = singular_scheme_degree(X)
-    assert res == {"degree": hilbert[-1], "hilbert": hilbert}
+    assert (res["degree"], res["hilbert"]) == (hilbert[-1], hilbert)
     # the last value is proven, not computed
     assert fresh_hilbert(X, len(hilbert) - 2) == hilbert[:-1]
 
 
 def test_regularity_certificate_is_sound():
     # whenever the plane check fires at K, the Hilbert function computed
-    # directly is constant from K-1 on and matches the returned list, its
-    # proven last value included
+    # directly is constant from K-1 on, and from 4d - 7 on (Lazard's
+    # bound), and matches the returned list, its proven last value
+    # included; a lazard verdict is reached at 4d - 5 with h(4d-7..4d-5)
+    # not constant
     rng = random.Random(20261018)
-    fired = 0
+    methods = collections.Counter()
     for _ in range(60):
         F = Field.GF(rng.choice([5, 7, 11, 13]))
-        mons = exponents_of_degree(rng.randint(3, 5))
+        d = rng.randint(3, 5)
+        mons = exponents_of_degree(d)
         terms = {e: F(rng.randrange(1, F.p))
                  for e in rng.sample(mons, rng.randint(2, 8))}
         X = Surface(MultiPoly(F, terms))
-        how = {}
-        res = singular_scheme_degree(X, k_max=6, evidence=how)
+        res = singular_scheme_degree(X)
+        how = res["evidence"]
+        methods[how["method"]] += 1
+        if how["method"] == "lazard":
+            assert how["computed_to"] == 4 * d - 5
+            assert len(set(res["hilbert"][4 * d - 7:])) > 1, str(X.f)
+            continue
         if how["method"] != "regularity":
             continue
-        fired += 1
         K = how["computed_to"]
         assert how["regular_from"] == K - 1
-        h = fresh_hilbert(X, K + 3)
-        assert h[K - 1:] == [h[K]] * 5, (str(X.f), F.tag)
+        top = max(K, 4 * d - 7) + 3
+        h = fresh_hilbert(X, top)
+        assert h[K - 1:] == [h[K]] * (top - K + 2), (str(X.f), F.tag)
+        assert len(set(h[max(0, 4 * d - 7):])) == 1, (str(X.f), F.tag)
         assert res["hilbert"] == h[:K + 2]
-    assert fired >= 15
+    assert methods == {"regularity": 30, "lazard": 29, "plateau": 1}
 
 
 @pytest.mark.parametrize("field", [F31, QQ, Field.GF(5, 2)],
@@ -604,9 +606,10 @@ def test_regularity_certificate_is_checked_one_degree_below():
     # only a zero cokernel at degree K-1 = 4 would prove the plateau
     X = Surface(MultiPoly.parse("7*x^3*z+x*y*z^2+3*x*z^3+10*y*z^3+4*z^4"
                                 "+10*z^3*w+10*w^4", Field.GF(11)))
-    how = {}
-    res = singular_scheme_degree(X, evidence=how)
-    assert res == {"degree": 18, "hilbert": [1, 4, 10, 16, 19, 19, 18, 18, 18]}
+    res = singular_scheme_degree(X)
+    assert (res["degree"], res["hilbert"]) == (
+        18, [1, 4, 10, 16, 19, 19, 18, 18, 18])
+    how = res["evidence"]
     assert how["regular_from"] == 6 and how["computed_to"] == 7
 
 
@@ -631,10 +634,9 @@ def test_regularity_certificate_skips_the_last_rank(monkeypatch, build,
                                                     k_last, plane):
     X = build()
     ks = _counted(monkeypatch)
-    how = {}
-    res = singular_scheme_degree(X, evidence=how)
+    res = singular_scheme_degree(X)
     assert ks == list(range(k_last + 1))
-    assert how == {"method": "regularity", "proven": True, "plane": plane,
+    assert res["evidence"] == {"method": "regularity", "proven": True, "plane": plane,
                    "regular_from": k_last - 1, "computed_to": k_last}
     assert len(res["hilbert"]) == k_last + 2
     assert res["hilbert"][-1] == res["hilbert"][-2] == res["degree"]
@@ -643,23 +645,24 @@ def test_regularity_certificate_skips_the_last_rank(monkeypatch, build,
 def test_no_certificate_on_a_positive_dimensional_locus(monkeypatch):
     X = Surface(MultiPoly.parse("x^3+x*y^2+y^3", F31))
     ks = _counted(monkeypatch)
-    how = {}
-    res = singular_scheme_degree(X, evidence=how)
-    assert res == {"verdict": "positive-dimensional", "hilbert":
-                   [1, 4, 8, 13, 19, 26, 34, 43, 53, 64, 76, 89, 103]}
-    assert ks == list(range(13))
-    assert how == {"method": "growth", "proven": False, "computed_to": 12}
+    res = singular_scheme_degree(X)
+    # a finite V(J) would make h constant from 4d - 7 = 5 on (Lazard)
+    assert res == {"verdict": "positive-dimensional",
+                   "hilbert": [1, 4, 8, 13, 19, 26, 34, 43],
+                   "evidence": {"method": "lazard", "proven": True,
+                                "computed_to": 7}}
+    assert ks == list(range(8))
 
 
 def test_regularity_certificate_over_the_rationals(monkeypatch):
     # the same dict as the plateau rule, without the Fraction rank at k = 9
     X, _ = triple_point_quartic(QQ)
     ks = _counted(monkeypatch)
-    how = {}
-    res = singular_scheme_degree(X, evidence=how)
-    assert res == {"degree": 8,
-                   "hilbert": [1, 4, 10, 16, 19, 16, 11, 8, 8, 8]}
+    res = singular_scheme_degree(X)
+    assert (res["degree"], res["hilbert"]) == (
+        8, [1, 4, 10, 16, 19, 16, 11, 8, 8, 8])
     assert ks == list(range(9))
+    how = res["evidence"]
     assert how["method"] == "regularity" and how["regular_from"] == 7
 
 
@@ -800,7 +803,7 @@ def test_certify_rational_positive_dimensional_mod_p_only():
     report = certify(X, points=[])
     assert report["verdict"] == "failed"
     assert (report["degree_evidence"]["method"],
-            report["degree_evidence"]["prime"]) == ("growth", 32003)
+            report["degree_evidence"]["prime"]) == ("lazard", 32003)
 
 
 def test_certify_report_failure():
@@ -831,6 +834,17 @@ def test_certify_positive_dimensional_verdict():
     X = Surface(MultiPoly.parse("x^3+x*y^2+y^3", F31))
     report = certify(X, points=[])
     assert report["verdict"] == "positive-dimensional-singular-locus"
+
+
+def test_certify_positive_dimensional_jacobian_locus_off_the_surface():
+    # p = 5 divides d = 5, so w^5 has no partial and V(J) is the line
+    # x = y = 0; on X it is the one point (0:0:1:0), where d/dz = x^4,
+    # d/dx = y^4 + ... and f = 4*w^5 all vanish
+    X = Surface(MultiPoly.parse("x^4*z+2*x^2*y^3+x*y^4+4*w^5", Field.GF(5)))
+    report = certify(X)
+    assert report["degree_evidence"]["method"] == "lazard"
+    assert [p["coords"] for p in report["points"]] == [["0", "0", "1", "0"]]
+    assert report["verdict"] == "failed"
 
 
 @pytest.mark.parametrize("field,f", [
