@@ -437,7 +437,9 @@ def _hilbert_value(field, partials, d, k, echelon):
     echelon holds J's form in degree k-1 and is moved to degree k: the
     rows N of the w-free multiples, reduced modulo w*J_{k-1}, are
     N - N[:, w*pivots] @ block on the other columns, and their reduced
-    form adds the new pivot rows.
+    form adds the new pivot rows.  The old rows are nonzero only on the
+    w*free columns: those that stay free are copied, and only those that
+    became new pivots are cleared, by their rows of the new form.
     """
     if echelon.k != k - 1:
         raise ValueError("the Hilbert function is computed degree by degree")
@@ -454,12 +456,14 @@ def _hilbert_value(field, partials, d, k, echelon):
         red, new = rref(field, m)
         red = red[:len(new)]
     keep = np.delete(np.arange(len(rest)), new)
-    block = _zeros(field, (len(old), len(rest)))
-    block[:, at] = echelon.block
-    # red is the identity on the new pivots: clear them from the old rows
-    block = np.concatenate([
-        block[:, keep] - _dot(field, block[:, new], red[:, keep]),
-        red[:, keep]])
+    turned = np.isin(at, new)
+    block = _zeros(field, (len(old), len(keep)))
+    block[:, np.searchsorted(keep, at[~turned])] = echelon.block[:, ~turned]
+    if turned.any():
+        # red is the identity on the new pivots: clear them from the old rows
+        block -= _dot(field, echelon.block[:, turned],
+                      red[np.searchsorted(new, at[turned])][:, keep])
+    block = np.concatenate([block, red[:, keep]])
     echelon.k = k
     echelon.pivots = np.concatenate([old, rest[new]])
     echelon.free = rest[keep]
@@ -485,9 +489,27 @@ def jacobian_hilbert(X: Surface, k_max: int = None):
             for k in range(k_max + 1)]
 
 
-def _regular_plane(field, below, echelon):
-    """The first i in 1..4 with (R/(J + l_i))_t = 0, or None, from J's
-    echelon form in degree t and its free monomials below in degree t-1.
+def _planes_through(field, partials, points):
+    """The i in 1..4 whose plane l_i (_regular_plane) passes through one
+    of the points at which every partial vanishes.  Such a plane never
+    certifies: evaluation at the point is a nonzero functional on R_t
+    that vanishes on J_t + l_i*R_{t-1}."""
+    if not points or not partials:
+        return set()
+    # the order-0 jets are the values of the partials
+    on_v = ~_nonzero(field, _jets(field, points, partials, 0)).any(axis=(1, 2))
+    coords = _values(field, [P.coords for P in points])[on_v]
+    # column i - 1: the coefficients of x, y, z, w in l_i
+    values = _dot(field, coords, _ints(field, [[i ** j for i in range(1, 5)]
+                                               for j in (1, 2, 3, 0)]))
+    return {int(i) + 1 for i in np.flatnonzero(
+        ~_nonzero(field, values).all(axis=0))}
+
+
+def _regular_plane(field, below, echelon, skip=()):
+    """The first i in 1..4, not in skip, with (R/(J + l_i))_t = 0, or
+    None, from J's echelon form in degree t and its free monomials below
+    in degree t-1.
 
     l_i = w + i*x + i^2*y + i^3*z; for p < 5 only i = 1..p, whose
     values mod p are distinct.  A point P != 0 lies on at most 3 of the 4
@@ -506,6 +528,8 @@ def _regular_plane(field, below, echelon):
     forms = table[_index((_exponents(t - 1)[below] @ digits)[:, None]
                          + digits, t)]
     for i in range(1, min(4, field.char or 4) + 1):
+        if i in skip:
+            continue
         lin = _ints(field, [i, i ** 2, i ** 3, 1])[:, None]
         if rank(field, _mul(field, forms, lin).sum(axis=1)) == len(free):
             return i
@@ -525,7 +549,9 @@ def singular_scheme_degree(X: Surface):
       (R/(J + l))_{k-1} = 0 for one of the planes l = w + i*x + i^2*y +
       i^3*z, i = 1..4: the normal forms modulo J of the l*m, m the free
       monomials of degree k-2, span (R/J)_{k-1}, which needs no other m
-      as l*J_{k-2} lies in J_{k-1} (_regular_plane).  Then (R/(J + l))_k = 0 too,
+      as l*J_{k-2} lies in J_{k-1} (_regular_plane).  A plane through a
+      point of X.points where J vanishes is never tried, as it cannot
+      certify (_planes_through).  Then (R/(J + l))_k = 0 too,
       so multiplication by l maps (R/J)_{k-1} onto (R/J)_k, and as
       h(k) = h(k-1) also injectively: (J : l)_{k-1} = J_{k-1} and
       (J + l)_{k-1} = R_{k-1}.  By Bayer-Stillman (Invent. Math. 87,
@@ -556,6 +582,7 @@ def singular_scheme_degree(X: Surface):
     if d < 1:  # the rules compare h(k) with h(k-1) from k = d on
         raise ValueError("a singular scheme needs degree at least 1")
     field, partials, top = X.field, _jacobian(X), max(4 * d - 5, d)
+    skip = _planes_through(field, partials, X.points)
     echelon = last = _Echelon(field)
     h = []
     for k in range(top + 1):
@@ -564,7 +591,7 @@ def singular_scheme_degree(X: Surface):
         below, last = last.free, copy.copy(echelon)
         h.append(_hilbert_value(field, partials, d, k, echelon))
         if k >= d and h[k] == h[k - 1]:
-            i = _regular_plane(field, below, last)
+            i = _regular_plane(field, below, last, skip)
             if i is not None:
                 plane = MultiPoly.parse(f"w+{i}*x+{i ** 2}*y+{i ** 3}*z",
                                         field)
@@ -641,34 +668,62 @@ def _reduction(X: Surface) -> Surface:
 def certify(X: Surface, points=None) -> dict:
     """Certify the singular locus of X; returns the report, a JSON document.
 
-    The supplied points are certified; without them, the swept singular points,
-    or X.points where there is no sweep (_swept_points).  A point given twice
-    is listed and counted once.
+    The supplied points are certified; without them, the declared points
+    X.points.  A point given twice is listed and counted once.  Over a
+    finite field, with no supplied points, the sweep (_swept_points) then
+    runs only where the proof below leaves room: in characteristic 2 or 3
+    (first, in place of X.points), or when a declared point fails, the
+    degree is not proven or it is not 8n.  Its singular points are then
+    certified in place of the declared ones, or X.points again where the
+    field is too large to sweep (checks["sweep"] says why).  When the proof
+    covers the declared points they are listed in the sweep's order
+    (ProjPoint.sort_key), the points the sweep would have found.
 
     degree_evidence is the evidence of singular_scheme_degree: how it
     settled the degree of X (regularity or plateau) or proved V(J)
     positive-dimensional (lazard); over QQ that of _reduction(X), with its
     "prime".  Reduction mod p can only lower the rank of a Macaulay
     matrix of the integer partials, so h_QQ(k) <= h_p(k) for every k, and
-    a degree D proven mod p bounds the degree of V(J) over QQ by D.  In characteristic 0 an ordinary triple
-    point is right-equivalent to its quasi-homogeneous tangent cone (no
-    Milnor-algebra monomial of weight > 1), so its Tjurina number is 8 = mu
-    (Saito 1971); Euler puts f in J, so each of the n certified points adds
-    exactly 8.  So 8n <= deg <= D, and D = 8n proves that there is no other
-    singular point, not even over the algebraic closure.  A positive-dimensional
-    locus mod p proves nothing over QQ, nor over GF(p^e) when p divides the
-    degree: Euler's relation no longer puts V(J) inside X, and the singular
-    locus is V(J) on X.
+    a degree D proven mod p bounds the degree of V(J) over QQ by D.
+
+    Each of the n certified points adds exactly 8 to the degree, its
+    length l_P = dim O_P/J_P.  In characteristic 0 an ordinary triple point
+    is right-equivalent to its quasi-homogeneous tangent cone (no
+    Milnor-algebra monomial of weight > 1), so its Tjurina number is
+    8 = mu (Saito 1971).  Over GF(p^e), p >= 5, take f dehomogenized in
+    the local variables s_0, s_1, s_2 at P.  The initial forms of the
+    df/ds_i are the partials of the smooth cone cubic, a regular sequence
+    with Hilbert series (1 + t)^3, so (df/ds) has colength 8 and, by
+    Nakayama, contains m^4.  If p does not divide d, Euler's relation gives
+    J_P = (df/ds, f), and f lies in (df/ds): its cone is
+    (1/3) sum s_i d(cone)/ds_i, as 3 is invertible, and the rest of f lies
+    in m^4.  If p divides d, Euler puts the chart partial in (df/ds), so
+    J_P = (df/ds).  Either way l_P = 8.  So 8n <= deg <= D, and D = 8n
+    proves that there is no other singular point, not even over the
+    algebraic closure, where the sweep sees only the rational points.  A
+    positive-dimensional locus mod p proves nothing over QQ, nor over
+    GF(p^e) when p divides the degree: Euler's relation no longer puts
+    V(J) inside X, and the singular locus is V(J) on X.
     """
-    checks = {}
-    if points is None:
-        points = _swept_points(X, checks)
-    certs = _certify_points(X, distinct_points(points), check=False)
+    checks, rational = {}, X.field.kind == "QQ"
+    sweep = points is None and not rational
+    if sweep and X.field.char in (2, 3):  # no triple-point certificates
+        points, sweep = _swept_points(X, checks), False
+    certs = _certify_points(
+        X, distinct_points(X.points if points is None else points),
+        check=False)
+    result = singular_scheme_degree(_reduction(X) if rational else X)
+    if sweep:
+        if (all(isinstance(c, TriplePointCertificate) for c in certs)
+                and result["evidence"]["proven"]
+                and result.get("degree") == 8 * len(certs)):
+            certs.sort(key=lambda c: c.point.sort_key())
+        else:
+            certs = _certify_points(
+                X, distinct_points(_swept_points(X, checks)), check=False)
     infos = [_point_info(c) for c in certs]
     all_ok = all("failure" not in info for info in infos)
     expected = 8 * sum(isinstance(c, TriplePointCertificate) for c in certs)
-    rational = X.field.kind == "QQ"
-    result = singular_scheme_degree(_reduction(X) if rational else X)
     evidence = result["evidence"]
     if rational:
         evidence["prime"] = _QQ_PRIME

@@ -257,8 +257,9 @@ def test_construct_rejects_bad_fundamental_indices(capsys, k3_444_file,
 
 
 def test_certify_over_a_field_too_large_to_sweep(capsys, tmp_path):
-    # P^3 over GF(191) has more points than a sweep takes: the declared
-    # point is certified, and the report says the sweep was skipped
+    # P^3 over GF(191) has more points than a sweep takes, but none is
+    # needed: the declared point certifies and the proven degree is 8, so
+    # it is the whole singular locus
     F191 = Field.GF(191)
     surf = tmp_path / "quartic.json"
     Surface(MultiPoly.parse("x^3*w+y^3*w+z^3*w+x^4+y^4+z^4", F191),
@@ -266,9 +267,23 @@ def test_certify_over_a_field_too_large_to_sweep(capsys, tmp_path):
     code, report = run(capsys, "certify", "-i", str(surf))
     assert code == 0
     assert report["verdict"] == "certified-exact"
+    assert report["degree_evidence"]["proven"]
+    assert "checks" not in report
+    assert [info["multiplicity"] for info in report["points"]] == [3]
+
+
+def test_certify_says_when_a_needed_sweep_is_skipped(capsys, tmp_path):
+    # with no declared point the proven degree 8 leaves room for a
+    # singular point, and the sweep that would find it cannot run
+    F191 = Field.GF(191)
+    surf = tmp_path / "quartic.json"
+    Surface(MultiPoly.parse("x^3*w+y^3*w+z^3*w+x^4+y^4+z^4", F191)).save(surf)
+    code, report = run(capsys, "certify", "-i", str(surf))
+    assert code == 0
+    assert report["verdict"] == "certified-rational-only"
     assert report["checks"] == {
         "sweep": "skipped: P^3 over order-191 field is too large to sweep"}
-    assert [info["multiplicity"] for info in report["points"]] == [3]
+    assert report["points"] == [] and report["hilbert"][-1] == 8
 
 
 def test_a_point_declared_twice_counts_once(capsys, tmp_path):

@@ -2,6 +2,7 @@ import collections
 import itertools
 from fractions import Fraction
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from triplepoints.singular import (CertificationFailure, local_jet,
 QQ = Field.QQ()
 F7 = Field.GF(7)
 F31 = Field.GF(31)
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def triple_point_quartic(field):
@@ -386,6 +388,31 @@ def test_incremental_hilbert_goes_degree_by_degree():
         singular._hilbert_value(F31, partials, 3, 2, echelon)
 
 
+@pytest.mark.parametrize("field", [F31, Field.GF(5, 2), QQ],
+                         ids=lambda F: F.tag)
+def test_echelon_is_the_reduced_form_of_a_fresh_macaulay_matrix(field):
+    # after every degree the kept form, its pivots, free columns and
+    # block, is the RREF of J's Macaulay matrix built from scratch
+    numeric = field.kind == "GF"
+    rng = random.Random(field.order if field.kind != "QQ" else 0)
+    for degree in range(2, 7):
+        X = random_surface(rng, field, degree,
+                           rng.randint(2, 12 if numeric else 6))
+        partials, echelon = singular._jacobian(X), singular._Echelon(field)
+        for k in range(10 if numeric else degree + 1):
+            singular._hilbert_value(field, partials, degree, k, echelon)
+            n = num_monomials(k)
+            red, pivots = (rref(field, singular._macaulay(field, partials, k))
+                           if k >= degree - 1 and partials
+                           else (singular._zeros(field, (0, n)), []))
+            free = [j for j in range(n) if j not in pivots]
+            order = np.argsort(echelon.pivots)
+            assert echelon.pivots[order].tolist() == pivots, (str(X.f), k)
+            assert echelon.free.tolist() == free, (str(X.f), k)
+            assert np.array_equal(echelon.block[order],
+                                  red[:len(pivots)][:, free]), (str(X.f), k)
+
+
 def test_jacobian_hilbert_fermat_sextic():
     # R/(x^5, y^5, z^5, w^5): Hilbert series (1+t+t^2+t^3+t^4)^4
     X = Surface(MultiPoly.parse("x^6+y^6+z^6+w^6", F7))
@@ -642,6 +669,37 @@ def test_regularity_certificate_skips_the_last_rank(monkeypatch, build,
     assert res["hilbert"][-1] == res["hilbert"][-2] == res["degree"]
 
 
+def test_planes_through_a_singular_point_are_never_tried(monkeypatch):
+    # l_1, l_2 and l_4 meet declared points of the k3-228 member over
+    # GF(31), where J vanishes, so they cannot certify: only l_3 is ranked
+    X = fam.sextic_k3_228(F31, F31(3))
+    assert singular._planes_through(F31, singular._jacobian(X),
+                                    X.points) == {1, 2, 4}
+    ranked = []
+    real = singular.rank
+    monkeypatch.setattr(singular, "rank",
+                        lambda *args: ranked.append(1) or real(*args))
+    res = singular_scheme_degree(X)
+    assert len(ranked) == 1
+    assert res["evidence"] == {
+        "method": "regularity", "proven": True, "plane": "3*x+9*y+27*z+w",
+        "regular_from": 11, "computed_to": 12}
+    # with no declared points all three planes are ranked, to the same end
+    ranked.clear()
+    assert singular_scheme_degree(Surface(X.f)) == res
+    assert len(ranked) == 3
+
+
+def test_a_declared_smooth_point_skips_no_plane():
+    # (1:-1:0:0) lies on the Fermat cubic and on l_1 = x+y+z+w, but J
+    # does not vanish there: l_1 is still tried, and certifies
+    X = Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F31),
+                points=[ProjPoint(F31, [1, -1, 0, 0])])
+    assert singular._planes_through(F31, singular._jacobian(X),
+                                    X.points) == set()
+    assert singular_scheme_degree(X)["evidence"]["plane"] == "x+y+z+w"
+
+
 def test_no_certificate_on_a_positive_dimensional_locus(monkeypatch):
     X = Surface(MultiPoly.parse("x^3+x*y^2+y^3", F31))
     ks = _counted(monkeypatch)
@@ -864,6 +922,74 @@ def test_no_points_need_no_point_certificate_in_char_2_3(field, f):
     P = ProjPoint(field, [0, 0, 0, 1])
     with pytest.raises(ValueError, match="not a declared triple point"):
         fam.reciprocal_family(X, [P] * 4, [2, 2, 2], "none")
+
+
+GOLDEN_GF_P = ["ten-construct", "k3-444-construct", "k3-444-construct-246",
+               "ell-222-construct", "k3-228-construct", "septic-101-construct"]
+
+
+@pytest.mark.parametrize("name", GOLDEN_GF_P)
+def test_tjurina_length_is_eight_at_every_golden_point(name):
+    # l_P = dim O_P/J_P, J_P the four dehomogenized partials: the order-4
+    # jets of their monomial multiples span all but l_P of the 35 local
+    # monomials of degree <= 4, and all of degree 4, so m^4 lies in
+    # J_P + m^5, hence in J_P (Nakayama), and the count is exact
+    X = Surface.load(GOLDEN / f"{name}.json")
+    field = X.field
+    partials = [g for g in X.f.gradient() if g]
+    for P in X.points:
+        cols = singular._embed(P.chart, 4)
+        at = {e: j for j, e in enumerate(cols)}
+        rows = []
+        for g in partials:
+            jet = local_jet(g, P, 4).coeff_vector(cols)
+            for a in cols:
+                row = [field.zero] * len(cols)
+                for e, c in zip(cols, jet):
+                    ae = tuple(u + v for u, v in zip(a, e))
+                    if ae in at:
+                        row[at[ae]] = c
+                rows.append(row)
+        quartics = [[field(int(i == j)) for i in range(len(cols))]
+                    for j in range(20, 35)]
+        r = rank(field, singular._values(field, rows))
+        assert rank(field, singular._values(field, rows + quartics)) == r
+        assert len(cols) - r == 8, (name, P)
+
+
+def test_certify_sweeps_only_when_the_proof_leaves_room(monkeypatch):
+    # certify(X) equals certify(X, points=<the swept singular points>):
+    # with no sweep when the declared points are all of them and certify
+    # to a proven degree 8n, with a sweep when they are a strict subset
+    swept = []
+    sweep = singular._swept_points
+    monkeypatch.setattr(singular, "_swept_points",
+                        lambda X, checks: swept.append(X) or sweep(X, checks))
+    rng = random.Random(2027)
+    surfaces = [fam.sextic_ten_gf31(), fam.sextic_k3_228(F31, F31(3)),
+                fam.sextic_elliptic_222(F7, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                                        alpha=1, beta=None, gamma=None)]
+    for _ in range(10):
+        field = Field.GF(rng.choice([5, 7, 11, 13]))
+        P = _random_point(rng, field)
+        surfaces.append(Surface(_designed_surface(rng, field, P, 3)))
+    paths = collections.Counter()
+    for X in surfaces:
+        every = enumerate_singular_points(X)
+        want = certify(X, points=every)
+        subsets = [rng.sample(every, len(every))]
+        if every:
+            subsets.append(rng.sample(every, rng.randrange(len(every))))
+        for declared in subsets:
+            swept.clear()
+            got = certify(Surface(X.f, points=declared))
+            assert got == want, (str(X.f), declared)
+            covered = len(declared) == len(every) and (
+                got["verdict"] == "certified-exact"
+                and got["degree_evidence"]["proven"])
+            assert bool(swept) != covered, (str(X.f), declared)
+            paths[covered, len(declared) == len(every)] += 1
+    assert paths[True, True] and paths[False, False]
 
 
 # -- the batched point pass against a per-point oracle ------------------
