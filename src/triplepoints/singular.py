@@ -18,10 +18,10 @@ from them.  Only the pivot and free monomials and the free block are
 kept from one degree to the next (_Echelon, _hilbert_value).  The
 regularity certificate is read from the same forms: (R/(J + l))_t = 0
 iff the normal forms of l*m, m the free monomials of degree t-1, span
-(R/J)_t, since l*J_{t-1} lies in J_t (_regular_plane).  The pass stops
-at 4d - 5: by Lazard's bound, h is constant from 4d - 7 on whenever the
-singular locus is finite, so a degree not settled by then proves it
-positive-dimensional (singular_scheme_degree).
+(R/J)_t, since l*J_{t-1} lies in J_t (_regular_plane): the one rule
+that settles a degree.  The pass stops at 4d - 5: by Lazard's bound, h
+is constant from 4d - 7 on whenever the singular locus is finite, so h
+not constant there proves it positive-dimensional (singular_scheme_degree).
 """
 from __future__ import annotations
 
@@ -489,34 +489,39 @@ def jacobian_hilbert(X: Surface, k_max: int = None):
             for k in range(k_max + 1)]
 
 
-def _planes_through(field, partials, points):
-    """The i in 1..4 whose plane l_i (_regular_plane) passes through one
-    of the points at which every partial vanishes.  Such a plane never
-    certifies: evaluation at the point is a nonzero functional on R_t
-    that vanishes on J_t + l_i*R_{t-1}."""
-    if not points or not partials:
-        return set()
-    # the order-0 jets are the values of the partials
-    on_v = ~_nonzero(field, _jets(field, points, partials, 0)).any(axis=(1, 2))
-    coords = _values(field, [P.coords for P in points])[on_v]
+def _planes(field, partials, points):
+    """The i of the planes l_i (_regular_plane) worth ranking: the first
+    four in 1..min(p, 3m + 4) (1..3m + 4 over QQ) whose plane misses the m
+    points at which every partial vanishes.  A plane through such a point
+    never certifies: evaluation at the point is a nonzero functional on
+    R_t that vanishes on J_t + l_i*R_{t-1}.  A point P lies on at most 3
+    of the l_i, as l_i(P) is a nonzero cubic in i, so four are left when
+    p >= 3m + 4; with m = 0 they are 1..min(p, 4)."""
+    if points and partials:
+        # the order-0 jets are the values of the partials
+        zero = ~_nonzero(field, _jets(field, points, partials, 0)).any(
+            axis=(1, 2))
+        points = [P for P, z in zip(points, zero) if z]
+    top = 3 * len(points) + 4
+    planes = range(1, min(field.char or top, top) + 1)
+    if not points:
+        return list(planes)[:4]
     # column i - 1: the coefficients of x, y, z, w in l_i
-    values = _dot(field, coords, _ints(field, [[i ** j for i in range(1, 5)]
-                                               for j in (1, 2, 3, 0)]))
-    return {int(i) + 1 for i in np.flatnonzero(
-        ~_nonzero(field, values).all(axis=0))}
+    values = _dot(field, _values(field, [P.coords for P in points]), _ints(
+        field, [[i ** j for i in planes] for j in (1, 2, 3, 0)]))
+    return [i for i, ok in zip(planes, _nonzero(field, values).all(axis=0))
+            if ok][:4]
 
 
-def _regular_plane(field, below, echelon, skip=()):
-    """The first i in 1..4, not in skip, with (R/(J + l_i))_t = 0, or
-    None, from J's echelon form in degree t and its free monomials below
-    in degree t-1.
+def _regular_plane(field, below, echelon, planes):
+    """The first i in planes (_planes) with (R/(J + l_i))_t = 0, or None,
+    from J's echelon form in degree t and its free monomials below in
+    degree t-1.
 
-    l_i = w + i*x + i^2*y + i^3*z; for p < 5 only i = 1..p, whose
-    values mod p are distinct.  A point P != 0 lies on at most 3 of the 4
-    planes, since l_i(P) is a nonzero cubic in i.  The test is one rank:
-    the normal forms modulo J_t of the l*m, m free (rows of a table: unit
-    vectors of the free monomials, minus the block rows of the pivots),
-    must span (R/J)_t.  The other m add nothing, as l*J_{t-1} is in J_t.
+    l_i = w + i*x + i^2*y + i^3*z.  The test is one rank: the normal forms
+    modulo J_t of the l*m, m free (rows of a table: unit vectors of the
+    free monomials, minus the block rows of the pivots), must span
+    (R/J)_t.  The other m add nothing, as l*J_{t-1} is in J_t.
     """
     t, free = echelon.k, echelon.free
     table = _zeros(field, (num_monomials(t), len(free)))
@@ -527,9 +532,7 @@ def _regular_plane(field, below, echelon, skip=()):
     digits = _digits(t)
     forms = table[_index((_exponents(t - 1)[below] @ digits)[:, None]
                          + digits, t)]
-    for i in range(1, min(4, field.char or 4) + 1):
-        if i in skip:
-            continue
+    for i in planes:
         lin = _ints(field, [i, i ** 2, i ** 3, 1])[:, None]
         if rank(field, _mul(field, forms, lin).sum(axis=1)) == len(free):
             return i
@@ -537,52 +540,43 @@ def _regular_plane(field, below, echelon, skip=()):
 
 
 def singular_scheme_degree(X: Surface):
-    """Degree of the singular scheme, or a proven positive-dimensional
-    verdict.
+    """Degree of the singular scheme, a proven positive-dimensional
+    verdict, or neither (undetermined).
 
     Computes h(k) = dim (R/J)_k, J the Jacobian ideal, for k = 0, 1, ...,
-    max(4d - 5, d) in one incremental pass (each degree's echelon form
-    from the last one's, see the module docstring) and after each value
-    tries, in this order:
+    max(4d - 5, d) in one incremental pass (see the module docstring).
+    After each value it tries the regularity certificate: k >= d, h(k) =
+    h(k-1), and (R/(J + l))_{k-1} = 0 for a plane l = w + i*x + i^2*y +
+    i^3*z, i in _planes(..., X.points) (_regular_plane).  Then
+    (R/(J + l))_k = 0 too, so multiplication by l maps (R/J)_{k-1} onto
+    (R/J)_k, and as h(k) = h(k-1) also injectively: (J : l)_{k-1} =
+    J_{k-1} and (J + l)_{k-1} = R_{k-1}.  By Bayer-Stillman (Invent. Math.
+    87, 1987, Thm 1.10 (b), j = 1) J is (k-1)-regular, so h(t) = h(k) for
+    all t >= k-1.  The degree must be k-1: a zero cokernel at k with
+    h(k) = h(k-1) is not the theorem's hypothesis.  The last value of the
+    returned list, h(k+1), is proven, not computed.  For d = 1, J is the
+    unit ideal and the certificate fires at k = 1.
 
-    - regularity certificate: k >= d, h(k) = h(k-1), and
-      (R/(J + l))_{k-1} = 0 for one of the planes l = w + i*x + i^2*y +
-      i^3*z, i = 1..4: the normal forms modulo J of the l*m, m the free
-      monomials of degree k-2, span (R/J)_{k-1}, which needs no other m
-      as l*J_{k-2} lies in J_{k-1} (_regular_plane).  A plane through a
-      point of X.points where J vanishes is never tried, as it cannot
-      certify (_planes_through).  Then (R/(J + l))_k = 0 too,
-      so multiplication by l maps (R/J)_{k-1} onto (R/J)_k, and as
-      h(k) = h(k-1) also injectively: (J : l)_{k-1} = J_{k-1} and
-      (J + l)_{k-1} = R_{k-1}.  By Bayer-Stillman (Invent. Math. 87,
-      1987, Thm 1.10 (b), j = 1) J is (k-1)-regular, so h(t) = h(k) for
-      all t >= k-1.  The degree must be k-1: a zero cokernel at k with
-      h(k) = h(k-1) is not the theorem's hypothesis.  The result is what
-      the plateau rule would give one degree later; its last value
-      h(k+1) is proven, not computed.
-    - plateau (a heuristic): three equal values in a row past degree d,
-      taken only where no plane certifies.
+    If no plane certifies by k = 4d - 5: J is generated by at most four
+    forms of degree d - 1 in four variables, so if V(J) were finite, h(k)
+    would equal its degree for all k >= 4(d - 1) - 3 = 4d - 7 (D. Lazard,
+    EUROCAL '83, LNCS 162).  So h(4d-7..4d-5) not constant proves V(J)
+    positive-dimensional (lazard); constant, it proves nothing
+    (undetermined, as when every plane tried meets V(J)).
 
-    If neither fires, V(J) is positive-dimensional (lazard): J is
-    generated by at most four forms of degree d - 1 in four variables,
-    so if V(J) were finite, h(k) would equal its degree for all
-    k >= 4(d - 1) - 3 = 4d - 7 (D. Lazard, EUROCAL '83, LNCS 162).  Then
-    h(4d-7) = h(4d-6) = h(4d-5), and the plateau rule would have fired at
-    k = 4d - 5 >= max(2, d) for d >= 2.  For d = 1, J is the unit ideal
-    and the certificate fires at k = 1.
-
-    Returns {"degree": n, "hilbert": [...], "evidence": {...}} or
-    {"verdict": "positive-dimensional", "hilbert": [...],
-    "evidence": {...}}.  The evidence says how it was settled: "method"
-    (regularity, plateau or lazard), "proven", "computed_to" (the last
-    degree computed) and, for regularity, "plane" and "regular_from"
-    (k-1).
+    Returns {"degree": n, "hilbert": [...], "evidence": {...}},
+    {"verdict": "positive-dimensional", "hilbert": [...], "evidence":
+    {...}} or, undetermined, {"hilbert": [...], "evidence": {...}}: a
+    "degree" key means the degree is proven.  The evidence says how it
+    was settled: "method" (regularity, lazard or undetermined), "proven"
+    (false only for undetermined), "computed_to" (the last degree
+    computed) and, for regularity, "plane" and "regular_from" (k-1).
     """
     d = X.degree
     if d < 1:  # the rules compare h(k) with h(k-1) from k = d on
         raise ValueError("a singular scheme needs degree at least 1")
     field, partials, top = X.field, _jacobian(X), max(4 * d - 5, d)
-    skip = _planes_through(field, partials, X.points)
+    planes = _planes(field, partials, X.points)
     echelon = last = _Echelon(field)
     h = []
     for k in range(top + 1):
@@ -591,7 +585,7 @@ def singular_scheme_degree(X: Surface):
         below, last = last.free, copy.copy(echelon)
         h.append(_hilbert_value(field, partials, d, k, echelon))
         if k >= d and h[k] == h[k - 1]:
-            i = _regular_plane(field, below, last, skip)
+            i = _regular_plane(field, below, last, planes)
             if i is not None:
                 plane = MultiPoly.parse(f"w+{i}*x+{i ** 2}*y+{i ** 3}*z",
                                         field)
@@ -599,9 +593,9 @@ def singular_scheme_degree(X: Surface):
                     "method": "regularity", "proven": True,
                     "plane": str(plane), "regular_from": k - 1,
                     "computed_to": k}}
-        if k >= max(2, d) and h[k] == h[k - 1] == h[k - 2]:
-            return {"degree": h[k], "hilbert": h, "evidence": {
-                "method": "plateau", "proven": False, "computed_to": k}}
+    if d >= 2 and h[top - 2] == h[top - 1] == h[top]:
+        return {"hilbert": h, "evidence": {
+            "method": "undetermined", "proven": False, "computed_to": top}}
     return {"verdict": "positive-dimensional", "hilbert": h, "evidence": {
         "method": "lazard", "proven": True, "computed_to": top}}
 
@@ -672,19 +666,23 @@ def certify(X: Surface, points=None) -> dict:
     X.points.  A point given twice is listed and counted once.  Over a
     finite field, with no supplied points, the sweep (_swept_points) then
     runs only where the proof below leaves room: in characteristic 2 or 3
-    (first, in place of X.points), or when a declared point fails, the
-    degree is not proven or it is not 8n.  Its singular points are then
+    (first, in place of X.points), or when a declared point fails, no
+    degree is proven or it is not 8n.  Its singular points are then
     certified in place of the declared ones, or X.points again where the
     field is too large to sweep (checks["sweep"] says why).  When the proof
     covers the declared points they are listed in the sweep's order
     (ProjPoint.sort_key), the points the sweep would have found.
 
-    degree_evidence is the evidence of singular_scheme_degree: how it
-    settled the degree of X (regularity or plateau) or proved V(J)
-    positive-dimensional (lazard); over QQ that of _reduction(X), with its
-    "prime".  Reduction mod p can only lower the rank of a Macaulay
-    matrix of the integer partials, so h_QQ(k) <= h_p(k) for every k, and
-    a degree D proven mod p bounds the degree of V(J) over QQ by D.
+    The verdict: positive-dimensional-singular-locus where proven
+    (below), else certified-exact if every listed point certifies and the
+    proven degree is 8n, else certified-rational-only if they all certify
+    and at least one is listed, else failed.  degree_evidence is that of
+    singular_scheme_degree, which proved the degree (regularity) or V(J)
+    positive-dimensional (lazard), or neither (undetermined); over QQ that
+    of _reduction(X), with its "prime".  Reduction mod p can only lower
+    the rank of a Macaulay matrix of the integer partials, so h_QQ(k) <=
+    h_p(k) for every k, and a degree D proven mod p bounds the degree of
+    V(J) over QQ by D.
 
     Each of the n certified points adds exactly 8 to the degree, its
     length l_P = dim O_P/J_P.  In characteristic 0 an ordinary triple point
@@ -715,7 +713,6 @@ def certify(X: Surface, points=None) -> dict:
     result = singular_scheme_degree(_reduction(X) if rational else X)
     if sweep:
         if (all(isinstance(c, TriplePointCertificate) for c in certs)
-                and result["evidence"]["proven"]
                 and result.get("degree") == 8 * len(certs)):
             certs.sort(key=lambda c: c.point.sort_key())
         else:
@@ -727,16 +724,18 @@ def certify(X: Surface, points=None) -> dict:
     evidence = result["evidence"]
     if rational:
         evidence["prime"] = _QQ_PRIME
+    if "verdict" in result and not rational and X.degree % X.field.char:
+        verdict = "positive-dimensional-singular-locus"
+    elif all_ok and result.get("degree") == expected:
+        verdict = "certified-exact"
+    elif all_ok and infos:
+        verdict = "certified-rational-only"
+    else:
+        verdict = "failed"
     out = {"schema_version": SCHEMA_VERSION, "surface": str(X.f),
            "field": X.field.tag, "points": infos, "hilbert": result["hilbert"],
            "degree_evidence": evidence, "expected_degree": expected,
-           "verdict": ("certified-rational-only" if all_ok and infos
-                       else "failed")}
-    if "verdict" in result and not rational and X.degree % X.field.char:
-        out["verdict"] = "positive-dimensional-singular-locus"
-    elif "degree" in result and all_ok:
-        out["verdict"] = ("certified-exact" if result["degree"] == expected
-                          else "certified-rational-only")
+           "verdict": verdict}
     if checks:
         out["checks"] = checks
     return out

@@ -12,6 +12,7 @@ and shows the difference in its diff.
 """
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -106,6 +107,16 @@ def test_cli_documents_match_golden(chain, tmp_path):
     for name, text in run_chain(chain, tmp_path).items():
         golden = GOLDEN / f"{chain}-{name}.json"
         assert text == golden.read_text(), golden.name
+
+
+def test_every_exact_golden_verdict_is_proven():
+    # certified-exact rests on a proven degree, never on a guess
+    exact = [json.loads(path.read_text())
+             for path in sorted(GOLDEN.glob("*-certify*.json"))]
+    exact = [r for r in exact if r["verdict"] == "certified-exact"]
+    assert exact
+    assert [r["surface"] for r in exact if not
+            r["degree_evidence"]["proven"]] == []
 
 
 if __name__ == "__main__":

@@ -482,15 +482,14 @@ def test_singular_scheme_degree_triple_point():
     assert res["degree"] == 8
 
 
-def test_singular_scheme_cubic_cone_plateau():
+def test_singular_scheme_cubic_cone_by_regularity():
     # Jacobian ring k[x,y,z,w]/(x^2,y^2,z^2) has constant Hilbert value 8
     X = Surface(MultiPoly.parse("x^3+y^3+z^3", F31))
     res = singular_scheme_degree(X)
     assert res["hilbert"][:6] == [1, 4, 7, 8, 8, 8]
     assert res.get("degree") == 8
     # h(5) = h(4) and the plane w + x + y + z certifies at degree 4 (not
-    # at 3, where xyz survives), so the regularity rule, tried first,
-    # proves the degree where the plateau rule would only guess it
+    # at 3, where xyz survives): J is 4-regular
     assert res["hilbert"] == [1, 4, 7, 8, 8, 8, 8]
     assert res["evidence"] == {"method": "regularity", "proven": True,
                                "plane": "x+y+z+w", "regular_from": 4,
@@ -535,8 +534,6 @@ def test_regularity_certificate_is_sound():
             assert how["computed_to"] == 4 * d - 5
             assert len(set(res["hilbert"][4 * d - 7:])) > 1, str(X.f)
             continue
-        if how["method"] != "regularity":
-            continue
         K = how["computed_to"]
         assert how["regular_from"] == K - 1
         top = max(K, 4 * d - 7) + 3
@@ -544,7 +541,7 @@ def test_regularity_certificate_is_sound():
         assert h[K - 1:] == [h[K]] * (top - K + 2), (str(X.f), F.tag)
         assert len(set(h[max(0, 4 * d - 7):])) == 1, (str(X.f), F.tag)
         assert res["hilbert"] == h[:K + 2]
-    assert methods == {"regularity": 30, "lazard": 29, "plateau": 1}
+    assert methods == {"regularity": 31, "lazard": 29}
 
 
 @pytest.mark.parametrize("field", [F31, QQ, Field.GF(5, 2)],
@@ -583,11 +580,12 @@ def test_partials_match_gradient(field, f):
     assert all(_nonzero(field, v).all() for _, v in partials)
 
 
-def first_regular_plane(field, partials, t):
-    """The first i with (R/(J + l_i))_t = 0, or None, from a rank of the
-    Macaulay matrix of J + l_i in all four variables: the oracle for
-    _regular_plane, with no echelon form and no restriction to a plane."""
-    for i in range(1, min(4, field.char or 4) + 1):
+def first_regular_plane(field, partials, t, planes):
+    """The first i in planes with (R/(J + l_i))_t = 0, or None, from a
+    rank of the Macaulay matrix of J + l_i in all four variables: the
+    oracle for _regular_plane, with no echelon form and no restriction to
+    a plane."""
+    for i in planes:
         plane = (np.eye(4, dtype=np.int64), singular._values(
             field, [field(c) for c in (i, i ** 2, i ** 3, 1)]))
         mac = singular._macaulay(field, partials + [plane], t)
@@ -605,8 +603,8 @@ def first_regular_plane(field, partials, t):
 ], ids=["GF:2", "GF:3", "GF:5", "GF:13", "GF:101", "GF:5:2", "QQ"])
 def test_regular_plane_matches_macaulay_rank(field, degrees, top):
     # at every degree t < top the plane read from J's echelon forms in
-    # degrees t-1 and t is the first whose four-variable Macaulay rank is
-    # full
+    # degrees t-1 and t is the first of the plane list whose four-variable
+    # Macaulay rank is full
     rng = random.Random(field.order if field.kind != "QQ" else 7)
     cases = [(random_surface(rng, field, d, rng.randint(2, 8)), top)
              for d in degrees for _ in range(2)]
@@ -616,12 +614,14 @@ def test_regular_plane_matches_macaulay_rank(field, degrees, top):
     found = set()
     for X, top in cases:
         F, partials = X.field, singular._jacobian(X)
+        planes = singular._planes(F, partials, X.points)
         echelon = singular._Echelon(F)
         for t in range(top):
             below = echelon.free
             singular._hilbert_value(F, partials, X.degree, t, echelon)
-            i = singular._regular_plane(F, below, echelon)
-            assert i == first_regular_plane(F, partials, t), (str(X.f), t)
+            i = singular._regular_plane(F, below, echelon, planes)
+            assert i == first_regular_plane(F, partials, t, planes), (
+                str(X.f), t)
             found.add(i)
     assert None in found and 1 in found
     if field == Field.GF(101):
@@ -630,7 +630,7 @@ def test_regular_plane_matches_macaulay_rank(field, degrees, top):
 
 def test_regularity_certificate_is_checked_one_degree_below():
     # h(5) = h(4) = 19 and (R/(J + l))_5 = 0 for l = x+y+z+w, yet h(6) = 18:
-    # only a zero cokernel at degree K-1 = 4 would prove the plateau
+    # only a zero cokernel at degree K-1 = 4 would prove h constant
     X = Surface(MultiPoly.parse("7*x^3*z+x*y*z^2+3*x*z^3+10*y*z^3+4*z^4"
                                 "+10*z^3*w+10*w^4", Field.GF(11)))
     res = singular_scheme_degree(X)
@@ -670,11 +670,12 @@ def test_regularity_certificate_skips_the_last_rank(monkeypatch, build,
 
 
 def test_planes_through_a_singular_point_are_never_tried(monkeypatch):
-    # l_1, l_2 and l_4 meet declared points of the k3-228 member over
-    # GF(31), where J vanishes, so they cannot certify: only l_3 is ranked
+    # l_1, l_2, l_4, l_5 and l_8 meet declared points of the k3-228 member
+    # over GF(31), where J vanishes, so they cannot certify: only l_3, the
+    # first of the list, is ranked
     X = fam.sextic_k3_228(F31, F31(3))
-    assert singular._planes_through(F31, singular._jacobian(X),
-                                    X.points) == {1, 2, 4}
+    assert singular._planes(F31, singular._jacobian(X),
+                            X.points) == [3, 6, 7, 9]
     ranked = []
     real = singular.rank
     monkeypatch.setattr(singular, "rank",
@@ -695,9 +696,53 @@ def test_a_declared_smooth_point_skips_no_plane():
     # does not vanish there: l_1 is still tried, and certifies
     X = Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F31),
                 points=[ProjPoint(F31, [1, -1, 0, 0])])
-    assert singular._planes_through(F31, singular._jacobian(X),
-                                    X.points) == set()
+    assert singular._planes(F31, singular._jacobian(X),
+                            X.points) == [1, 2, 3, 4]
     assert singular_scheme_degree(X)["evidence"]["plane"] == "x+y+z+w"
+
+
+def test_planes_miss_every_singular_point_of_k3_228_over_gf49():
+    # each of l_1..l_7 but l_6 meets one of its nine points, where J
+    # vanishes: the one plane left certifies, and the degree is proven
+    F49 = Field.GF(7, 2)
+    X = fam.sextic_k3_228(F49, F49(2))
+    assert singular._planes(F49, singular._jacobian(X), X.points) == [6]
+    res = singular_scheme_degree(X)
+    assert res["degree"] == 72 and len(res["hilbert"]) == 14
+    assert res["evidence"] == {
+        "method": "regularity", "proven": True,
+        "plane": "(6)*x+(1)*y+(6)*z+(1)*w", "regular_from": 11,
+        "computed_to": 12}
+
+
+@pytest.mark.parametrize("field, f, hilbert", [
+    (Field.GF(2), "x*y*w+y^2*w+z^3", [1, 4, 6, 6, 6, 6, 6, 6]),
+    (Field.GF(3), "2*x*z^2+2*x*z*w+y^2*w+2*y*w^2+2*z*w^2",
+     [1, 4, 6, 5, 5, 5, 5, 5]),
+], ids=["GF:2", "GF:3"])
+def test_undetermined_when_no_plane_certifies(field, f, hilbert):
+    # h is constant on 4d-7..4d-5, so Lazard's bound proves nothing, and
+    # none of the p planes certifies: no degree and no verdict
+    res = singular_scheme_degree(Surface(MultiPoly.parse(f, field)))
+    assert res == {"hilbert": hilbert, "evidence": {
+        "method": "undetermined", "proven": False, "computed_to": 7}}
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["one-point", "smooth"])
+def test_certify_never_calls_an_unproven_degree_exact(monkeypatch, smooth):
+    # h ends at 8n, n the listed points, but an undetermined result is no
+    # proof: one certified point gives certified-rational-only, none failed
+    X, P = triple_point_quartic(F31)
+    if smooth:
+        X, P = Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F31)), None
+    h = singular_scheme_degree(X)["hilbert"]
+    monkeypatch.setattr(singular, "singular_scheme_degree", lambda X: {
+        "hilbert": h, "evidence": {"method": "undetermined", "proven": False,
+                                   "computed_to": len(h) - 1}})
+    report = certify(X, points=[P] if P else [])
+    assert report["hilbert"][-1] == report["expected_degree"]
+    assert report["verdict"] == ("failed" if smooth
+                                 else "certified-rational-only")
 
 
 def test_no_certificate_on_a_positive_dimensional_locus(monkeypatch):
@@ -713,7 +758,7 @@ def test_no_certificate_on_a_positive_dimensional_locus(monkeypatch):
 
 
 def test_regularity_certificate_over_the_rationals(monkeypatch):
-    # the same dict as the plateau rule, without the Fraction rank at k = 9
+    # the certificate fires at k = 8, without the Fraction rank at k = 9
     X, _ = triple_point_quartic(QQ)
     ks = _counted(monkeypatch)
     res = singular_scheme_degree(X)
@@ -846,10 +891,11 @@ def test_certify_rational_scales_before_reducing(f):
 
 def test_certify_rational_bad_reduction_is_not_over_claimed():
     # smooth over QQ, but a cone mod 32003: the proven degree 8 is only an
-    # upper bound, which no listed point accounts for
+    # upper bound, which no listed point accounts for, and with no point
+    # listed nothing is certified
     X = Surface(MultiPoly.parse("x^3+y^3+z^3+32003*w^3", QQ))
     report = certify(X)
-    assert report["verdict"] == "certified-rational-only"
+    assert report["verdict"] == "failed"
     assert (report["hilbert"][-1], report["degree_evidence"]["proven"]) \
         == (8, True)
 
