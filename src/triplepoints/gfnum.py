@@ -119,9 +119,10 @@ def _eliminate(a, p: int, above: bool):
 
     Returns (working array, pivot columns).  Rows 0..rank-1 of the array
     are congruent mod p to the pivot rows, with 1 at their pivot and 0 in
-    the other pivot columns; below them the rows are congruent to 0.
-    Rows above each panel's pivots are cleared only when `above` is set,
-    which is all that distinguishes the reduced echelon form from a rank.
+    the other pivot columns; the rows below keep residues in the panels'
+    columns, eliminated only in each panel's copy w.  Rows above each
+    panel's pivots are cleared only when `above` is set, which is all that
+    distinguishes the reduced echelon form from a rank.
 
     Each panel column takes its largest residue as pivot; the update with
     its multipliers (kept as a column of L, 1 at the pivot row) zeroes the

@@ -14,18 +14,13 @@ The Jacobian Hilbert function h(0), h(1), ... is one incremental pass:
 J_k = w*J_{k-1} + the multiples m*g of the partials with w not dividing
 m, so the reduced echelon form of J_k is that of J_{k-1} times w, plus
 the reduced form of those rows once one product has cleared w*J_{k-1}
-from them.  Only the pivot and free monomials and the free block are
-kept from one degree to the next (_Echelon, _hilbert_value).  The
-regularity certificate is read from the same forms: (R/(J + l))_t = 0
-iff the normal forms of l*m, m the free monomials of degree t-1, span
-(R/J)_t, since l*J_{t-1} lies in J_t (_regular_plane): the one rule
-that settles a degree.  The pass stops at 4d - 5: by Lazard's bound, h
-is constant from 4d - 7 on whenever the singular locus is finite, so h
-not constant there proves it positive-dimensional (singular_scheme_degree).
+from them (_Echelon, _hilbert_value).  In coordinates where a plane l
+is w, the pivots also say whether (R/(J + l))_k = 0, and the degree is
+settled by regularity, by the Tjurina bound of certify or, at 4d - 5,
+by Lazard's bound (singular_scheme_degree).
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -420,14 +415,17 @@ class _Echelon:
 
     pivots and free are complementary column indices (exponents_of_degree
     order); row i of the form is the monomial pivots[i] plus block[i] on
-    the free monomials.  It starts at k = -1, where there are none.
+    the free monomials, free listed in the column order [w-free monomials
+    of degree k | w times that of degree k-1].  covered: every w-free
+    monomial is a pivot, (R/(J + w))_k = 0.  It starts at k = -1.
     """
-    __slots__ = ("k", "pivots", "free", "block")
+    __slots__ = ("k", "pivots", "free", "block", "covered")
 
     def __init__(self, field):
         self.k = -1
         self.pivots = self.free = np.zeros(0, dtype=np.int64)
         self.block = _zeros(field, (0, 0))
+        self.covered = False
 
 
 def _hilbert_value(field, partials, d, k, echelon):
@@ -437,17 +435,20 @@ def _hilbert_value(field, partials, d, k, echelon):
     echelon holds J's form in degree k-1 and is moved to degree k: the
     rows N of the w-free multiples, reduced modulo w*J_{k-1}, are
     N - N[:, w*pivots] @ block on the other columns, and their reduced
-    form adds the new pivot rows.  The old rows are nonzero only on the
-    w*free columns: those that stay free are copied, and only those that
-    became new pivots are cleared, by their rows of the new form.
+    form adds the new pivot rows.  Its columns are [the w-free monomials
+    | w*free]: w*J_{k-1} is zero on the first, so they all become pivots
+    iff (R/(J + w))_k = 0 (echelon.covered).  The old rows are nonzero
+    only on the w*free columns: those that stay free are copied, and only
+    those that became new pivots are cleared, by their rows of the new form.
     """
     if echelon.k != k - 1:
         raise ValueError("the Hilbert function is computed degree by degree")
     # w*m keeps the order of the monomials m of degree k-1
-    on_w = np.flatnonzero(_exponents(k)[:, -1])
+    w_exp = _exponents(k)[:, -1]
+    lead, on_w = np.flatnonzero(w_exp == 0), np.flatnonzero(w_exp)
     old = on_w[echelon.pivots]
-    rest = np.setdiff1d(np.arange(num_monomials(k)), old)
-    at = np.searchsorted(rest, on_w[echelon.free])
+    rest = np.concatenate([lead, on_w[echelon.free]])
+    at = np.arange(len(lead), len(rest))
     red, new = _zeros(field, (0, len(rest))), []
     if k >= d - 1 and partials:
         rows = _macaulay(field, partials, k, w_free=True)
@@ -455,6 +456,8 @@ def _hilbert_value(field, partials, d, k, echelon):
         m[:, at] -= _dot(field, rows[:, old], echelon.block)
         red, new = rref(field, m)
         red = red[:len(new)]
+    # the pivots are ascending: the w-free ones come first
+    echelon.covered = len(new) >= len(lead) and new[len(lead) - 1] < len(lead)
     keep = np.delete(np.arange(len(rest)), new)
     turned = np.isin(at, new)
     block = _zeros(field, (len(old), len(keep)))
@@ -490,13 +493,14 @@ def jacobian_hilbert(X: Surface, k_max: int = None):
 
 
 def _planes(field, partials, points):
-    """The i of the planes l_i (_regular_plane) worth ranking: the first
-    four in 1..min(p, 3m + 4) (1..3m + 4 over QQ) whose plane misses the m
-    points at which every partial vanishes.  A plane through such a point
-    never certifies: evaluation at the point is a nonzero functional on
-    R_t that vanishes on J_t + l_i*R_{t-1}.  A point P lies on at most 3
-    of the l_i, as l_i(P) is a nonzero cubic in i, so four are left when
-    p >= 3m + 4; with m = 0 they are 1..min(p, 4)."""
+    """The i of the planes l_i = w + i*x + i^2*y + i^3*z worth a pass: the
+    first four in 1..min(p, 3m + 4) (1..3m + 4 over QQ) whose plane misses
+    the m points at which every partial vanishes.  A plane through such a
+    point never certifies: evaluation at the point is a nonzero functional
+    on R_t that vanishes on J_t + l_i*R_{t-1}.  A point P lies on at most
+    3 of the l_i, as l_i(P) is a nonzero cubic in i, so four are left when
+    p >= 3m + 4; with m = 0 they are 1..min(p, 4).  The list is empty only
+    when l_p = w meets such a point."""
     if points and partials:
         # the order-0 jets are the values of the partials
         zero = ~_nonzero(field, _jets(field, points, partials, 0)).any(
@@ -513,30 +517,13 @@ def _planes(field, partials, points):
             if ok][:4]
 
 
-def _regular_plane(field, below, echelon, planes):
-    """The first i in planes (_planes) with (R/(J + l_i))_t = 0, or None,
-    from J's echelon form in degree t and its free monomials below in
-    degree t-1.
-
-    l_i = w + i*x + i^2*y + i^3*z.  The test is one rank: the normal forms
-    modulo J_t of the l*m, m free (rows of a table: unit vectors of the
-    free monomials, minus the block rows of the pivots), must span
-    (R/J)_t.  The other m add nothing, as l*J_{t-1} is in J_t.
-    """
-    t, free = echelon.k, echelon.free
-    table = _zeros(field, (num_monomials(t), len(free)))
-    table[free, np.arange(len(free))] = _values(field, field.one)
-    neg = -echelon.block
-    table[echelon.pivots] = neg % field.p if _numeric(field) else neg
-    # the normal forms of m*x, m*y, m*z and m*w for each free m
-    digits = _digits(t)
-    forms = table[_index((_exponents(t - 1)[below] @ digits)[:, None]
-                         + digits, t)]
-    for i in planes:
-        lin = _ints(field, [i, i ** 2, i ** 3, 1])[:, None]
-        if rank(field, _mul(field, forms, lin).sum(axis=1)) == len(free):
-            return i
-    return None
+def _plane_coordinates(f, i):
+    """l_i = w + i*x + i^2*y + i^3*z, and the partials of f in coordinates
+    where l_i is the variable w: those of f with w - (l_i - w) for w."""
+    x, y, z, w = (MultiPoly.variable(f.field, j) for j in range(4))
+    plane = MultiPoly.parse(f"w+{i}*x+{i ** 2}*y+{i ** 3}*z", f.field)
+    g = f.substitute([x, y, z, w - (plane - w)])
+    return plane, _partials(f.field, *_arrays(f.field, g.terms))
 
 
 def singular_scheme_degree(X: Surface):
@@ -544,56 +531,77 @@ def singular_scheme_degree(X: Surface):
     verdict, or neither (undetermined).
 
     Computes h(k) = dim (R/J)_k, J the Jacobian ideal, for k = 0, 1, ...,
-    max(4d - 5, d) in one incremental pass (see the module docstring).
-    After each value it tries the regularity certificate: k >= d, h(k) =
-    h(k-1), and (R/(J + l))_{k-1} = 0 for a plane l = w + i*x + i^2*y +
-    i^3*z, i in _planes(..., X.points) (_regular_plane).  Then
-    (R/(J + l))_k = 0 too, so multiplication by l maps (R/J)_{k-1} onto
-    (R/J)_k, and as h(k) = h(k-1) also injectively: (J : l)_{k-1} =
-    J_{k-1} and (J + l)_{k-1} = R_{k-1}.  By Bayer-Stillman (Invent. Math.
-    87, 1987, Thm 1.10 (b), j = 1) J is (k-1)-regular, so h(t) = h(k) for
-    all t >= k-1.  The degree must be k-1: a zero cokernel at k with
-    h(k) = h(k-1) is not the theorem's hypothesis.  The last value of the
-    returned list, h(k+1), is proven, not computed.  For d = 1, J is the
-    unit ideal and the certificate fires at k = 1.
+    max(4d - 5, d) in one incremental pass, in coordinates where a plane
+    l = l_i is w (_plane_coordinates; their partials span the image of J,
+    so h is unchanged): the pivots say whether (R/(J + l))_k = 0, "covered
+    at k".  Covered at t, l maps (R/J)_{k-1} onto (R/J)_k for all k > t:
+    h is non-increasing from t, and h(k) >= D, the degree, for k >= t.
 
-    If no plane certifies by k = 4d - 5: J is generated by at most four
-    forms of degree d - 1 in four variables, so if V(J) were finite, h(k)
-    would equal its degree for all k >= 4(d - 1) - 3 = 4d - 7 (D. Lazard,
-    EUROCAL '83, LNCS 162).  So h(4d-7..4d-5) not constant proves V(J)
-    positive-dimensional (lazard); constant, it proves nothing
+    The regularity certificate: k >= d, h(k) = h(k-1) and l covered at
+    k-1, l the first of _planes(..., X.points) that is; the pass of the
+    first runs on, the others only to such k-1 (no l is covered there if
+    h(k-1) > h(k-2)).  Then l is also injective on (R/J)_{k-1}: (J :
+    l)_{k-1} = J_{k-1} and (J + l)_{k-1} = R_{k-1}.  By Bayer-Stillman
+    (Invent. Math. 87, 1987, Thm 1.10 (b), j = 1) J is (k-1)-regular, so
+    h(t) = h(k) for all t >= k-1.  The degree must be k-1: a zero
+    cokernel at k with h(k) = h(k-1) is not the theorem's hypothesis.
+    The last value returned, h(k+1), is proven, not computed.  For d = 1,
+    J is the unit ideal and the certificate fires at k = 1.
+
+    If the pass reaches 4d - 5 with no certificate: J is generated by at
+    most four forms of degree d - 1 in four variables, so if V(J) were
+    finite, h(k) would equal its degree for all k >= 4(d - 1) - 3 = 4d - 7
+    (D. Lazard, EUROCAL '83, LNCS 162).  So h(4d-7..4d-5) not constant
+    proves V(J) positive-dimensional (lazard); constant, it proves nothing
     (undetermined, as when every plane tried meets V(J)).
 
-    Returns {"degree": n, "hilbert": [...], "evidence": {...}},
-    {"verdict": "positive-dimensional", "hilbert": [...], "evidence":
-    {...}} or, undetermined, {"hilbert": [...], "evidence": {...}}: a
-    "degree" key means the degree is proven.  The evidence says how it
-    was settled: "method" (regularity, lazard or undetermined), "proven"
-    (false only for undetermined), "computed_to" (the last degree
+    Returns {"hilbert": [...], "evidence": {...}} and "degree": n (proven)
+    or "verdict": "positive-dimensional" or neither.  The evidence:
+    "method" (regularity, lazard, undetermined; tjurina only in certify),
+    "proven" (false only for undetermined), "computed_to" (the last degree
     computed) and, for regularity, "plane" and "regular_from" (k-1).
     """
+    return _scheme_degree(X, 0)
+
+
+def _scheme_degree(X: Surface, lower):
+    """singular_scheme_degree, and when lower > 0 is a proven lower bound
+    for the degree D (certify's Tjurina bound) the rule tjurina: covered
+    at t <= k and h(k) = lower prove D = lower, as lower <= D <= h(k).
+    Evidence: the plane, "covered_from" t, "computed_to" k (h ends there)."""
     d = X.degree
     if d < 1:  # the rules compare h(k) with h(k-1) from k = d on
         raise ValueError("a singular scheme needs degree at least 1")
-    field, partials, top = X.field, _jacobian(X), max(4 * d - 5, d)
-    planes = _planes(field, partials, X.points)
-    echelon = last = _Echelon(field)
-    h = []
+    field, top = X.field, max(4 * d - 5, d)
+    planes = _planes(field, _jacobian(X), X.points) or [field.char]
+    passes = {}  # i: l_i, the partials, J's form and (h(t), covered at t)
+
+    def at(i, t):
+        if i not in passes:
+            passes[i] = (*_plane_coordinates(X.f, i), _Echelon(field), [])
+        _, partials, echelon, done = passes[i]
+        for k in range(len(done), t + 1):
+            done.append((_hilbert_value(field, partials, d, k, echelon),
+                         echelon.covered))
+        return done[t]
+
+    h, first = [], planes[0]
     for k in range(top + 1):
-        # _hilbert_value replaces echelon's arrays, never writes into
-        # them: keep J's form in degree k-1 and the free monomials of k-2
-        below, last = last.free, copy.copy(echelon)
-        h.append(_hilbert_value(field, partials, d, k, echelon))
-        if k >= d and h[k] == h[k - 1]:
-            i = _regular_plane(field, below, last, planes)
-            if i is not None:
-                plane = MultiPoly.parse(f"w+{i}*x+{i ** 2}*y+{i ** 3}*z",
-                                        field)
+        h.append(at(first, k)[0])
+        # l covers at k-1 only if it maps (R/J)_{k-2} onto (R/J)_{k-1}
+        if k >= d and h[k] == h[k - 1] <= h[max(k - 2, 0)]:
+            for i in (i for i in planes if at(i, k - 1)[1]):
                 return {"degree": h[k], "hilbert": h + [h[k]], "evidence": {
                     "method": "regularity", "proven": True,
-                    "plane": str(plane), "regular_from": k - 1,
+                    "plane": str(passes[i][0]), "regular_from": k - 1,
                     "computed_to": k}}
-    if d >= 2 and h[top - 2] == h[top - 1] == h[top]:
+        covered = [c for _, c in passes[first][3]]
+        if lower and h[k] == lower and covered[k]:
+            return {"degree": lower, "hilbert": h, "evidence": {
+                "method": "tjurina", "proven": True,
+                "plane": str(passes[first][0]),
+                "covered_from": covered.index(True), "computed_to": k}}
+    if d >= 2 and len(set(h[top - 2:])) == 1:
         return {"hilbert": h, "evidence": {
             "method": "undetermined", "proven": False, "computed_to": top}}
     return {"verdict": "positive-dimensional", "hilbert": h, "evidence": {
@@ -650,13 +658,18 @@ _QQ_PRIME = 32003
 
 
 def _reduction(X: Surface) -> Surface:
-    """X's polynomial scaled to coprime integer coefficients (not all zero
-    mod p, so the degree is kept) and reduced mod p = _QQ_PRIME."""
-    field, cs = Field.GF(_QQ_PRIME), X.f.terms
-    den = lcm(*(c.val.denominator for c in cs.values()))
-    num = gcd(*(c.val.numerator for c in cs.values()))
-    return Surface(MultiPoly(field, {e: field(c.val * den / num)
-                                     for e, c in cs.items()}))
+    """X mod p = _QQ_PRIME, with its declared points: each vector of
+    coefficients or coordinates scaled to coprime integers (not all 0 mod
+    p, so the degree is kept and a point stays a point)."""
+    field, f = Field.GF(_QQ_PRIME), X.f.terms
+
+    def mod_p(cs):
+        den = lcm(*(c.val.denominator for c in cs))
+        num = gcd(*(c.val.numerator for c in cs))
+        return [field(c.val * den / num) for c in cs]
+    points = [ProjPoint(field, mod_p(P.coords)) for P in X.points]
+    return Surface(MultiPoly(field, dict(zip(f, mod_p(list(f.values()))))),
+                   points=points)
 
 
 def certify(X: Surface, points=None) -> dict:
@@ -676,13 +689,19 @@ def certify(X: Surface, points=None) -> dict:
     The verdict: positive-dimensional-singular-locus where proven
     (below), else certified-exact if every listed point certifies and the
     proven degree is 8n, else certified-rational-only if they all certify
-    and at least one is listed, else failed.  degree_evidence is that of
-    singular_scheme_degree, which proved the degree (regularity) or V(J)
-    positive-dimensional (lazard), or neither (undetermined); over QQ that
-    of _reduction(X), with its "prime".  Reduction mod p can only lower
+    and at least one is listed, else failed.  degree_evidence says how the
+    pass settled it (singular_scheme_degree, and tjurina below); over QQ,
+    on _reduction(X), with its "prime".  Reduction mod p can only lower
     the rank of a Macaulay matrix of the integer partials, so h_QQ(k) <=
     h_p(k) for every k, and a degree D proven mod p bounds the degree of
     V(J) over QQ by D.
+
+    The pass also takes the lower bound 8n, n the points certified before
+    it (below): covered at t <= k and h(k) = 8n prove the degree 8n a
+    degree before regularity can (tjurina; hilbert ends at the computed
+    h(k)).  Over QQ on the reduction: covered mod p means covered over QQ,
+    so 8n <= deg_QQ <= h_QQ(k) <= h_p(k) = 8n.  A wrong bound would prove
+    a wrong degree: only certify passes one.
 
     Each of the n certified points adds exactly 8 to the degree, its
     length l_P = dim O_P/J_P.  In characteristic 0 an ordinary triple point
@@ -710,10 +729,10 @@ def certify(X: Surface, points=None) -> dict:
     certs = _certify_points(
         X, distinct_points(X.points if points is None else points),
         check=False)
-    result = singular_scheme_degree(_reduction(X) if rational else X)
+    lower = 8 * sum(isinstance(c, TriplePointCertificate) for c in certs)
+    result = _scheme_degree(_reduction(X) if rational else X, lower)
     if sweep:
-        if (all(isinstance(c, TriplePointCertificate) for c in certs)
-                and result.get("degree") == 8 * len(certs)):
+        if result.get("degree") == lower == 8 * len(certs):
             certs.sort(key=lambda c: c.point.sort_key())
         else:
             certs = _certify_points(

@@ -150,10 +150,12 @@ def test_certify_reports_how_the_degree_was_settled(capsys, tmp_path):
     run(capsys, "construct", "--family", "sextic-ten-gf31", "-o", surf)
     code, report = run(capsys, "certify", "-i", surf)
     assert code == 0
+    # h(10) = 80 = 8 * 10 where J + l covers from 9: the Tjurina bound
+    # closes the degree one degree before regularity could
     assert report["degree_evidence"] == {
-        "method": "regularity", "proven": True, "plane": "x+y+z+w",
-        "regular_from": 10, "computed_to": 11}
-    assert report["hilbert"][-3:] == [80, 80, 80]
+        "method": "tjurina", "proven": True, "plane": "x+y+z+w",
+        "covered_from": 9, "computed_to": 10}
+    assert report["hilbert"][-3:] == [85, 81, 80]
     assert "checks" not in report  # the sweep ran
 
 

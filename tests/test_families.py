@@ -340,8 +340,8 @@ def test_septic_s4_certifies_over_the_rationals(septic_qq):
             for p in report["points"]] == [(3, 15)] * 16
     assert report["verdict"] == "certified-exact"
     assert report["degree_evidence"] == {
-        "method": "regularity", "proven": True, "plane": "x+y+z+w",
-        "regular_from": 13, "computed_to": 14, "prime": 32003}
+        "method": "tjurina", "proven": True, "plane": "x+y+z+w",
+        "covered_from": 11, "computed_to": 13, "prime": 32003}
     assert report["hilbert"][-1] == report["expected_degree"] == 128
     assert "checks" not in report
 

@@ -392,25 +392,37 @@ def test_incremental_hilbert_goes_degree_by_degree():
                          ids=lambda F: F.tag)
 def test_echelon_is_the_reduced_form_of_a_fresh_macaulay_matrix(field):
     # after every degree the kept form, its pivots, free columns and
-    # block, is the RREF of J's Macaulay matrix built from scratch
+    # block, is the RREF of J's Macaulay matrix built from scratch, its
+    # columns in the order [w-free monomials | w * the order of degree
+    # k-1]; covered says that every w-free column is a pivot
     numeric = field.kind == "GF"
     rng = random.Random(field.order if field.kind != "QQ" else 0)
     for degree in range(2, 7):
         X = random_surface(rng, field, degree,
                            rng.randint(2, 12 if numeric else 6))
         partials, echelon = singular._jacobian(X), singular._Echelon(field)
+        order = np.zeros(0, dtype=np.int64)
         for k in range(10 if numeric else degree + 1):
             singular._hilbert_value(field, partials, degree, k, echelon)
+            w = singular._exponents(k)[:, -1]
+            lead = np.flatnonzero(w == 0)
+            order = np.concatenate([lead, np.flatnonzero(w)[order]])
             n = num_monomials(k)
-            red, pivots = (rref(field, singular._macaulay(field, partials, k))
+            red, pivots = (rref(field, singular._macaulay(
+                field, partials, k)[:, order])
                            if k >= degree - 1 and partials
                            else (singular._zeros(field, (0, n)), []))
             free = [j for j in range(n) if j not in pivots]
-            order = np.argsort(echelon.pivots)
-            assert echelon.pivots[order].tolist() == pivots, (str(X.f), k)
-            assert echelon.free.tolist() == free, (str(X.f), k)
-            assert np.array_equal(echelon.block[order],
+            # the kept rows, in the order of their pivots' columns
+            rows = np.argsort(np.argsort(order)[echelon.pivots])
+            assert echelon.pivots[rows].tolist() == order[pivots].tolist(), (
+                str(X.f), k)
+            assert echelon.free.tolist() == order[free].tolist(), (
+                str(X.f), k)
+            assert np.array_equal(echelon.block[rows],
                                   red[:len(pivots)][:, free]), (str(X.f), k)
+            assert echelon.covered == set(range(len(lead))).issubset(
+                pivots), (str(X.f), k)
 
 
 def test_jacobian_hilbert_fermat_sextic():
@@ -583,8 +595,8 @@ def test_partials_match_gradient(field, f):
 def first_regular_plane(field, partials, t, planes):
     """The first i in planes with (R/(J + l_i))_t = 0, or None, from a
     rank of the Macaulay matrix of J + l_i in all four variables: the
-    oracle for _regular_plane, with no echelon form and no restriction to
-    a plane."""
+    oracle for the pass's covered flag, with no echelon form and no change
+    of coordinates."""
     for i in planes:
         plane = (np.eye(4, dtype=np.int64), singular._values(
             field, [field(c) for c in (i, i ** 2, i ** 3, 1)]))
@@ -602,30 +614,34 @@ def first_regular_plane(field, partials, t, planes):
     (Field.GF(5, 2), range(2, 4), 5), (QQ, range(2, 4), 5),
 ], ids=["GF:2", "GF:3", "GF:5", "GF:13", "GF:101", "GF:5:2", "QQ"])
 def test_regular_plane_matches_macaulay_rank(field, degrees, top):
-    # at every degree t < top the plane read from J's echelon forms in
-    # degrees t-1 and t is the first of the plane list whose four-variable
-    # Macaulay rank is full
+    # at every degree t < top the pass in the coordinates where the first
+    # plane l_i of the list is w says covered exactly when J + l_i has a
+    # full four-variable Macaulay rank in degree t, never where h rises,
+    # and its h is J's
     rng = random.Random(field.order if field.kind != "QQ" else 7)
     cases = [(random_surface(rng, field, d, rng.randint(2, 8)), top)
              for d in degrees for _ in range(2)]
     if field == Field.GF(101):
-        # the planes i = 1, 2 meet its singular points; regular from 11
+        # the planes i = 1, 2 meet its singular points; covered from 9
         cases.append((fam.sextic_k3_228(F31, F31(3)), 12))
     found = set()
     for X, top in cases:
         F, partials = X.field, singular._jacobian(X)
-        planes = singular._planes(F, partials, X.points)
-        echelon = singular._Echelon(F)
+        i = (singular._planes(F, partials, X.points) or [F.char])[0]
+        _, moved = singular._plane_coordinates(X.f, i)
+        echelon, h = singular._Echelon(F), []
         for t in range(top):
-            below = echelon.free
-            singular._hilbert_value(F, partials, X.degree, t, echelon)
-            i = singular._regular_plane(F, below, echelon, planes)
-            assert i == first_regular_plane(F, partials, t, planes), (
-                str(X.f), t)
-            found.add(i)
-    assert None in found and 1 in found
+            h.append(singular._hilbert_value(F, moved, X.degree, t, echelon))
+            assert echelon.covered == (
+                first_regular_plane(F, partials, t, [i]) == i), (str(X.f), t)
+            found.add((i, echelon.covered))
+            # covered, l maps (R/J)_{t-1} onto (R/J)_t: where h rises no
+            # plane is covered, and the pass tries none
+            assert not (echelon.covered and t and h[t] > h[t - 1])
+        assert h == jacobian_hilbert(X, top - 1), str(X.f)
+    assert {c for _, c in found} == {True, False}
     if field == Field.GF(101):
-        assert 3 in found
+        assert (3, True) in found
 
 
 def test_regularity_certificate_is_checked_one_degree_below():
@@ -671,24 +687,28 @@ def test_regularity_certificate_skips_the_last_rank(monkeypatch, build,
 
 def test_planes_through_a_singular_point_are_never_tried(monkeypatch):
     # l_1, l_2, l_4, l_5 and l_8 meet declared points of the k3-228 member
-    # over GF(31), where J vanishes, so they cannot certify: only l_3, the
-    # first of the list, is ranked
+    # over GF(31), where J vanishes, so they cannot certify: one pass, in
+    # the coordinates of l_3, the first of the list
     X = fam.sextic_k3_228(F31, F31(3))
     assert singular._planes(F31, singular._jacobian(X),
                             X.points) == [3, 6, 7, 9]
-    ranked = []
-    real = singular.rank
-    monkeypatch.setattr(singular, "rank",
-                        lambda *args: ranked.append(1) or real(*args))
+    ks = _counted(monkeypatch)
     res = singular_scheme_degree(X)
-    assert len(ranked) == 1
+    assert ks == list(range(13))
     assert res["evidence"] == {
         "method": "regularity", "proven": True, "plane": "3*x+9*y+27*z+w",
         "regular_from": 11, "computed_to": 12}
-    # with no declared points all three planes are ranked, to the same end
-    ranked.clear()
+    # with no declared points l_1 runs the pass; at k = 12, its first
+    # plateau, it is not covered at 11, so l_2 and then l_3 are run to 11
+    # and tried, in the order of the list, and l_3 comes to the same end
+    tried = []
+    real = singular._plane_coordinates
+    monkeypatch.setattr(singular, "_plane_coordinates",
+                        lambda f, i: tried.append(i) or real(f, i))
+    ks.clear()
     assert singular_scheme_degree(Surface(X.f)) == res
-    assert len(ranked) == 3
+    assert tried == [1, 2, 3]
+    assert ks == list(range(13)) + 2 * list(range(12))
 
 
 def test_a_declared_smooth_point_skips_no_plane():
@@ -699,6 +719,29 @@ def test_a_declared_smooth_point_skips_no_plane():
     assert singular._planes(F31, singular._jacobian(X),
                             X.points) == [1, 2, 3, 4]
     assert singular_scheme_degree(X)["evidence"]["plane"] == "x+y+z+w"
+
+
+def test_the_reduction_mod_p_keeps_the_declared_points(monkeypatch):
+    # the cone over the Fermat cubic with vertex P = (1 : -1/2 : -1/2 : 0),
+    # on l_1: over QQ the pass runs on the reduction mod 32003, which keeps
+    # P (scaled to (2 : -1 : -1 : 0)), so l_1 is never tried
+    u, v, w = (MultiPoly.parse(t, QQ) for t in ("x+2*y", "x+2*z", "w"))
+    X = Surface(u * u * u + v * v * v + w * w * w,
+                points=[ProjPoint(QQ, [2, -1, -1, 0])])
+    R = singular._reduction(X)
+    assert R.points == [ProjPoint(R.field, [2, -1, -1, 0])]
+    assert singular._planes(R.field, singular._jacobian(R),
+                            R.points) == [2, 3, 4, 5]
+    tried = []
+    real = singular._plane_coordinates
+    monkeypatch.setattr(singular, "_plane_coordinates",
+                        lambda f, i: tried.append(i) or real(f, i))
+    report = singular.certify(X)
+    assert tried == [2]
+    assert report["verdict"] == "certified-exact"
+    assert report["degree_evidence"] == {
+        "method": "tjurina", "proven": True, "plane": "2*x+4*y+8*z+w",
+        "covered_from": 4, "computed_to": 4, "prime": 32003}
 
 
 def test_planes_miss_every_singular_point_of_k3_228_over_gf49():
@@ -736,7 +779,7 @@ def test_certify_never_calls_an_unproven_degree_exact(monkeypatch, smooth):
     if smooth:
         X, P = Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F31)), None
     h = singular_scheme_degree(X)["hilbert"]
-    monkeypatch.setattr(singular, "singular_scheme_degree", lambda X: {
+    monkeypatch.setattr(singular, "_scheme_degree", lambda X, lower: {
         "hilbert": h, "evidence": {"method": "undetermined", "proven": False,
                                    "computed_to": len(h) - 1}})
     report = certify(X, points=[P] if P else [])
@@ -866,14 +909,16 @@ def test_certify_report_finite_field():
 
 def test_certify_report_rational():
     # the degree is proven on the reduction mod 32003 and bounds the
-    # degree over QQ, which the certified point makes at least 8
+    # degree over QQ, which the certified point makes at least 8: h(7) = 8
+    # with J + l covered mod p from 5, so covered over QQ too
     X, P = triple_point_quartic(QQ)
     report = certify(X, points=[P])
     assert report["verdict"] == "certified-exact"
     assert report["degree_evidence"] == {
-        "method": "regularity", "proven": True, "plane": "x+y+z+w",
-        "regular_from": 7, "computed_to": 8, "prime": 32003}
-    assert report["hilbert"][-1] == report["expected_degree"] == 8
+        "method": "tjurina", "proven": True, "plane": "x+y+z+w",
+        "covered_from": 5, "computed_to": 7, "prime": 32003}
+    assert report["hilbert"] == [1, 4, 10, 16, 19, 16, 11, 8]
+    assert report["expected_degree"] == 8
 
 
 @pytest.mark.parametrize("f", [
@@ -1020,6 +1065,11 @@ def test_certify_sweeps_only_when_the_proof_leaves_room(monkeypatch):
         P = _random_point(rng, field)
         surfaces.append(Surface(_designed_surface(rng, field, P, 3)))
     paths = collections.Counter()
+
+    def outcome(report):
+        proven = report["degree_evidence"]["proven"]
+        return (report["verdict"], report["points"],
+                report["expected_degree"], proven and report["hilbert"][-1])
     for X in surfaces:
         every = enumerate_singular_points(X)
         want = certify(X, points=every)
@@ -1029,13 +1079,59 @@ def test_certify_sweeps_only_when_the_proof_leaves_room(monkeypatch):
         for declared in subsets:
             swept.clear()
             got = certify(Surface(X.f, points=declared))
-            assert got == want, (str(X.f), declared)
+            # the evidence depends on the points certified before the
+            # pass, the Tjurina bound 8n: compare what it proves
+            assert outcome(got) == outcome(want), (str(X.f), declared)
             covered = len(declared) == len(every) and (
                 got["verdict"] == "certified-exact"
                 and got["degree_evidence"]["proven"])
             assert bool(swept) != covered, (str(X.f), declared)
             paths[covered, len(declared) == len(every)] += 1
     assert paths[True, True] and paths[False, False]
+
+
+def test_a_tjurina_degree_is_proven_by_regularity_too():
+    # where certify stops at h(k) = 8n on a covered degree, the pass with
+    # no lower bound goes on and proves the same degree by regularity,
+    # with the same Hilbert values up to k
+    surfaces = [Surface.load(path) for path in sorted(GOLDEN.glob(
+        "*-construct*.json")) if "error" not in path.name]
+    surfaces.append(fam.septic_s4(QQ, 1, 2))
+    rng = random.Random(2026)
+    for _ in range(16):
+        field = Field.GF(rng.choice([5, 7, 11, 13]))
+        P = _random_point(rng, field)
+        surfaces.append(Surface(_designed_surface(rng, field, P, 3),
+                                points=[P]))
+    methods = collections.Counter()
+    for X in surfaces:
+        report = certify(X)
+        how, h = report["degree_evidence"], report["hilbert"]
+        methods[how["method"]] += 1
+        if how["method"] != "tjurina":
+            continue
+        assert how["covered_from"] <= how["computed_to"] == len(h) - 1
+        res = singular_scheme_degree(
+            singular._reduction(X) if X.field.kind == "QQ" else X)
+        assert res["evidence"]["method"] == "regularity", str(X.f)
+        assert res["degree"] == h[-1] == report["expected_degree"]
+        assert res["hilbert"][:len(h)] == h
+    assert methods == {"tjurina": 16, "regularity": 8, "lazard": 1}
+
+
+def test_the_tjurina_bound_counts_only_certified_points():
+    # a supplied point that fails adds nothing to 8n: the k3-228 member has
+    # h(9) = 80 on a covered degree, which 8 * 10 would take for its degree
+    X = fam.sextic_k3_228(F31, F31(3))
+    off = ProjPoint(F31, [1, 1, 1, 1])
+    assert multiplicity(X, off) == 0
+    report = certify(X, points=X.points + [off])
+    assert report["verdict"] == "failed"
+    assert report["expected_degree"] == 72
+    assert report["degree_evidence"] == {
+        "method": "tjurina", "proven": True, "plane": "3*x+9*y+27*z+w",
+        "covered_from": 9, "computed_to": 11}
+    assert report["hilbert"][-3:] == [80, 73, 72]
 
 
 # -- the batched point pass against a per-point oracle ------------------
