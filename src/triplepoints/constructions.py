@@ -1,6 +1,6 @@
 """Construction machinery: linear systems with assigned base-point
 multiplicities, the reciprocal transformation, the Cayley dianode
-surface, the Steiner curve and mixed-power systems.
+surface and the Steiner curve.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from .poly import MultiPoly, poly_determinant, exponents_of_degree
-from .linalg import _values, _elements, kernel_basis, rref
+from .linalg import _elements, kernel_basis
 from .surfaces import ProjPoint, Surface
 from .singular import _exponents, _jet_matrix
 
@@ -39,45 +39,13 @@ def forms_with_multiplicity(degree: int, assignment):
     coeffs = kernel_basis(field, np.concatenate([
         np.swapaxes(j[:, :comb(m + 2, 3)], 0, 1)
         for j, m in zip(jets, mults)]))
-    return [MultiPoly.from_coeff_vector(field, mons, _elements(field, v))
+    return [MultiPoly(field, dict(zip(mons, _elements(field, v))))
             for v in coeffs]
 
 
 def quadrics_through(points):
     """Basis of the quadrics through the given points."""
     return forms_with_multiplicity(2, [(P, 1) for P in points])
-
-
-def echelon_basis(polys):
-    """Reduced-echelon basis of the span of homogeneous forms of one
-    degree, against the graded-lex monomial order."""
-    polys = [g for g in polys if g]
-    if not polys:
-        return []
-    field = polys[0].field
-    d = polys[0].homogeneous_degree()
-    if d is None or any(g.homogeneous_degree() != d for g in polys):
-        raise ValueError("forms must be homogeneous of a common degree")
-    mons = exponents_of_degree(d)
-    red, pivots = rref(field, _values(field, [g.coeff_vector(mons)
-                                              for g in polys]))
-    return [MultiPoly.from_coeff_vector(field, mons, _elements(field, v))
-            for v in red[:len(pivots)]]
-
-
-def mixed_power_system(quadrics, k: int = 3):
-    """Basis of the span of all degree-k monomials in the given quadrics."""
-    quadrics = list(quadrics)
-    if not quadrics:
-        raise ValueError("need at least one quadric")
-    import itertools
-    products = []
-    for combo in itertools.combinations_with_replacement(quadrics, k):
-        prod = combo[0]
-        for q in combo[1:]:
-            prod = prod * q
-        products.append(prod)
-    return echelon_basis(products)
 
 
 def reciprocal_point(P: ProjPoint) -> ProjPoint:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .fields import Field, solve_quadratic
 from .poly import MultiPoly, poly_determinant, InexactDivisionError, _arrays
-from .linalg import _values, _elements, _dot, kernel_basis, rank, invert
+from .linalg import _values, _elements, _dot, kernel_basis, ranks, invert
 from .surfaces import ProjPoint, Surface
 from .singular import (CertificationFailure, DomainError,
                        common_projective_zeros, _certify_points, _jets,
@@ -90,31 +90,36 @@ def _member_search(field, gens, points, candidates, meta):
                             f"({last_error})")
 
 
-def _collinear_triple(points) -> bool:
-    field = points[0].field
-    for trio in itertools.combinations(points, 3):
-        if rank(field, _values(field, [P.coords for P in trio])) < 3:
-            return True
-    return False
+def _degenerate_subsets(field, coords, s):
+    """The s-subsets of the points with these coordinate rows, as index
+    tuples in combinations order, that span less than min(s, 4)
+    dimensions (collinear triples, coplanar quintuples), from one
+    linalg.ranks call on the stacked matrices of all s-subsets."""
+    combos = list(itertools.combinations(range(len(coords)), s))
+    if not combos:
+        return []
+    low = ranks(field, coords[np.array(combos)]) < min(s, 4)
+    return [c for c, m in zip(combos, low) if m]
 
 
 # -- quintics ------------------------------------------------------------
 
-def quintic_with_triple_points(points, selector=None, seed=0):
+def quintic_with_triple_points(points, selector=None):
     """A quintic with ordinary triple points at the given points.
 
     The linear system of quintics triple at the points is solved
     exactly.  The member is the selector's combination or the first of
-    300 seeded random ones that certifies at the points and, over a
+    300 random ones (seed 0) that certifies at the points and, over a
     finite field, has no other singular point (NoCertifiedMember if
     none does).
     """
     points = list(points)
     if not 1 <= len(points) <= 5:
         raise ValueError("between 1 and 5 points")
-    if _collinear_triple(points):
-        raise ValueError("three of the points are collinear")
     field = points[0].field
+    coords = _values(field, [P.coords for P in points])
+    if _degenerate_subsets(field, coords, 3):
+        raise ValueError("three of the points are collinear")
     basis = forms_with_multiplicity(5, [(P, 3) for P in points])
     if not basis:
         raise ValueError("empty linear system")
@@ -124,7 +129,7 @@ def quintic_with_triple_points(points, selector=None, seed=0):
             raise ValueError("selector length must match system dimension")
         candidates = [tuple(map(field, selector))]
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         candidates = (tuple(field.random_element(rng) for _ in basis)
                       for _ in range(300))
     return _member_search(field, basis, points, candidates, meta)
@@ -331,16 +336,9 @@ def _symmetric_forms(field, lam, a, b):
     return g, q
 
 
-def ten_point_conditions(lam, a, b, field=None):
+def ten_point_conditions(lam, a, b, field):
     """The two residues whose vanishing allows a tenth triple point at
     (1:1:1:1) in the symmetric elliptic family."""
-    if field is None:
-        for v in (lam, a, b):
-            if hasattr(v, "field"):
-                field = v.field
-                break
-        else:
-            raise ValueError("pass a field or field elements")
     lam, a, b = field(lam), field(a), field(b)
     r1 = a * a + 3 * a * b + 3 * b * b - 3 * a * lam
     third = field(3).inverse()
@@ -359,7 +357,7 @@ def sextic_ten_gf31():
     """
     field = Field.GF(31)
     lam, a, b = field(2), field(9), field(-11)
-    r1, r2 = ten_point_conditions(lam, a, b)
+    r1, r2 = ten_point_conditions(lam, a, b, field)
     if r1 or r2:
         raise AssertionError("parameters fail the residue equations")
     g, q = _symmetric_forms(field, lam, a, b)
@@ -499,18 +497,13 @@ def septic_determinant_factorization():
 
 
 def detect_minus_one_conics(points):
-    """All 5-point subsets lying in a common plane, with the plane."""
+    """All 5-point subsets lying in a common plane, with the plane: a
+    kernel vector of each subset that one stacked rank marks."""
     points = list(points)
     if len(points) < 5:
         raise ValueError("need at least five points")
     field = points[0].field
-    variables = _variables(field)
-    results = []
-    for combo in itertools.combinations(range(len(points)), 5):
-        kern = kernel_basis(field, _values(field, [points[i].coords
-                                                   for i in combo]))
-        if not len(kern):
-            continue
-        results.append((combo, _combination(_elements(field, kern[0]),
-                                            variables)))
-    return results
+    coords = _values(field, [P.coords for P in points])
+    return [(c, _combination(_elements(field, kernel_basis(
+        field, coords[list(c)])[0]), _variables(field)))
+        for c in _degenerate_subsets(field, coords, 5)]

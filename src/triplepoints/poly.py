@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field, FieldElement, FieldMismatchError, _power
-from .linalg import _numeric, _values, _elements, _nonzero, _mul
+from .linalg import _numeric, _ints, _values, _elements, _nonzero, _mul
 
 NVARS = 4
 VAR_NAMES = ("x", "y", "z", "w")
@@ -64,6 +64,17 @@ def _arrays(field, terms):
     exps = sorted(terms)
     return (np.array(exps, dtype=np.int64),
             _values(field, [terms[e] for e in exps]))
+
+
+def _derivative(field, exps, vals, i):
+    """The partial in variable i of (exps, vals): the one differentiation,
+    of MultiPoly.derivative and singular._partials.  e -> e - unit is
+    injective, so only the terms whose c * e[i] is zero are dropped."""
+    dv = _mul(field, vals, _ints(field, exps[:, i].tolist()))
+    keep = _nonzero(field, dv)
+    exps = exps[keep]
+    exps[:, i] -= 1
+    return exps, dv[keep]
 
 
 def _digits(k, n=NVARS):
@@ -151,10 +162,6 @@ class MultiPoly:
         e = [0] * NVARS
         e[i] = 1
         return cls(field, {tuple(e): field.one})
-
-    @classmethod
-    def from_coeff_vector(cls, field, exps_list, coeffs):
-        return cls(field, dict(zip(exps_list, coeffs)))
 
     # -- predicates and structure ---------------------------------------
 
@@ -249,16 +256,12 @@ class MultiPoly:
     # -- calculus / evaluation ------------------------------------------
 
     def derivative(self, i: int) -> "MultiPoly":
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            nc = c * e[i]
-            if nc:
-                terms[tuple(ne)] = nc
-        return MultiPoly(self.field, terms)
+        if not self.terms:
+            return self
+        exps, vals = _derivative(self.field,
+                                 *_arrays(self.field, self.terms), i)
+        return MultiPoly(self.field, dict(zip(map(tuple, exps.tolist()),
+                                              _elements(self.field, vals))))
 
     def gradient(self):
         return [self.derivative(i) for i in range(NVARS)]
@@ -299,8 +302,6 @@ class MultiPoly:
         for g in images:
             self._check(g)
         field = self.field
-        if not self.terms:
-            return self
         exps, vals = _arrays(field, self.terms)
         top = int((exps @ [max(g.degree(), 0) for g in images]).max())
         digits, highest = _digits(top), exps.max(axis=0)
@@ -356,11 +357,6 @@ class MultiPoly:
 
     def divisible_by_variable(self, i: int) -> bool:
         return bool(self.terms) and all(e[i] >= 1 for e in self.terms)
-
-    def coeff_vector(self, exps_list):
-        """Coefficients against an explicit monomial list."""
-        z = self.field.zero
-        return [self.terms.get(e, z) for e in exps_list]
 
     # -- text form -------------------------------------------------------
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .fields import Field
 from .poly import (MultiPoly, exponents_of_degree, num_monomials, _arrays,
-                   _digits)
+                   _derivative, _digits)
 from .linalg import (_numeric, _tail, _zeros, _ints, _values, _elements,
                      _nonzero, _mul, _dot, rank, ranks, rref,
                      leading_zero_rows)
@@ -66,8 +66,8 @@ def local_jet(X, P: ProjPoint, k: int) -> MultiPoly:
     if not f:
         return f
     jet = _jets(field, [P], [_arrays(field, f.terms)], k)[0, 0]
-    return MultiPoly.from_coeff_vector(
-        field, _embed(P.chart, k), _elements(field, jet))
+    return MultiPoly(field, dict(zip(_embed(P.chart, k),
+                                     _elements(field, jet))))
 
 
 def multiplicity(X: Surface, P: ProjPoint) -> int:
@@ -150,8 +150,8 @@ def _certify_points(X: Surface, points, check=True):
             out.append(CertificationFailure(P, "tangent cone singular",
                                             multiplicity=3, rank=r))
             continue
-        out.append(TriplePointCertificate(P, 3, MultiPoly.from_coeff_vector(
-            field, _embed(P.chart, 3)[10:], _elements(field, cone)), r))
+        out.append(TriplePointCertificate(P, 3, MultiPoly(field, dict(zip(
+            _embed(P.chart, 3)[10:], _elements(field, cone)))), r))
     if check:
         for c in out:
             if isinstance(c, CertificationFailure):
@@ -261,16 +261,10 @@ def _exponents(k, n=4):
 
 
 def _partials(field, exps, vals):
-    """The nonzero partial derivatives, in variable order.  The terms of a
-    partial keep distinct exponents (e -> e - unit is injective), so only
-    the terms whose coefficient times exponent is zero are dropped."""
-    out = []
-    for i, unit in enumerate(np.eye(exps.shape[1], dtype=exps.dtype)):
-        dv = _mul(field, vals, _ints(field, exps[:, i].tolist()))
-        keep = _nonzero(field, dv)
-        if keep.any():
-            out.append((exps[keep] - unit, dv[keep]))
-    return out
+    """The nonzero partial derivatives (poly._derivative), in variable
+    order."""
+    return [g for g in (_derivative(field, exps, vals, i)
+                        for i in range(exps.shape[1])) if len(g[0])]
 
 
 def _index(keys, k, n=4):

@@ -532,3 +532,19 @@ def test_main_called_again_in_one_process(capsys, tmp_path):
     a, b = (Surface.load(out) for out in outputs)
     assert a.metadata["params"]["lambda"] == "2"
     assert b.metadata["params"]["lambda"] == "3"
+
+
+@pytest.mark.parametrize("surface", [
+    {"field": "GF:3", "polynomial": "x^3+y^3+z^3+w^3",
+     "points": [["1", "0", "0", "0"]]},
+    {"field": "GF:2", "polynomial": "x^3+y^3+z^3"}], ids=["GF:3", "GF:2"])
+def test_certify_in_characteristic_2_or_3_is_one_error_line(
+        capsys, tmp_path, surface):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(surface))
+    code = main(["certify", "-i", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["error"] == (
+        "ValueError: triple-point certification unsupported in "
+        "characteristic 2, 3")

@@ -7,8 +7,7 @@ from triplepoints.poly import MultiPoly
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import local_jet, certify
 from triplepoints.constructions import (forms_with_multiplicity,
-                                        quadrics_through, echelon_basis,
-                                        mixed_power_system, reciprocal_point,
+                                        quadrics_through, reciprocal_point,
                                         reciprocal_transform, dianode_surface,
                                         steiner_curve, generic_points)
 
@@ -105,30 +104,6 @@ def test_forms_with_multiplicity_guards():
         forms_with_multiplicity(0, [(ProjPoint(QQ, [1, 0, 0, 0]), 1)])
     with pytest.raises(ValueError):
         forms_with_multiplicity(2, [])
-
-
-def test_echelon_basis():
-    f = MultiPoly.parse("x^2+y^2", QQ)
-    g = MultiPoly.parse("2*x^2+2*y^2", QQ)
-    h = MultiPoly.parse("x^2-z*w", QQ)
-    basis = echelon_basis([f, g, h, MultiPoly.zero(QQ)])
-    assert len(basis) == 2
-    assert echelon_basis(basis) == basis  # idempotent
-    with pytest.raises(ValueError):
-        echelon_basis([f, MultiPoly.parse("x^3", QQ)])
-    assert echelon_basis([]) == []
-
-
-def test_mixed_power_system():
-    x2 = MultiPoly.parse("x^2", QQ)
-    y2 = MultiPoly.parse("y^2", QQ)
-    z2 = MultiPoly.parse("z^2", QQ)
-    basis = mixed_power_system([x2, y2, z2], 3)
-    # all ten even monomials of degree 6 in x, y, z
-    assert len(basis) == 10
-    assert all(g.homogeneous_degree() == 6 for g in basis)
-    with pytest.raises(ValueError):
-        mixed_power_system([])
 
 
 def test_reciprocal_point():

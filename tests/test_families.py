@@ -1,8 +1,11 @@
+import collections
 import itertools
+import random
 
 import pytest
 
 from triplepoints.fields import Field
+from triplepoints.linalg import _elements, _values, kernel_basis, rank
 from triplepoints.poly import MultiPoly
 from triplepoints.surfaces import ProjPoint
 from triplepoints.singular import (certify, equisingular_tangent_dimension,
@@ -67,7 +70,7 @@ def test_vertex():
 
 def test_quintic_five_points():
     pts = generic_points(F31, 5, seed=0)
-    X = fam.quintic_with_triple_points(pts, seed=0)
+    X = fam.quintic_with_triple_points(pts)
     assert X.degree == 5
     assert certify(X)["verdict"] in ("certified-exact",
                                                "certified-rational-only")
@@ -76,13 +79,13 @@ def test_quintic_five_points():
 
 def test_quintic_three_points_genus_one():
     pts = generic_points(F31, 3, seed=0)
-    X = fam.quintic_with_triple_points(pts, seed=0)
+    X = fam.quintic_with_triple_points(pts)
     assert geometric_genus(X, X.points) == 1
 
 
 def test_quintic_one_point():
     pts = generic_points(F31, 1, seed=0)
-    X = fam.quintic_with_triple_points(pts, seed=0)
+    X = fam.quintic_with_triple_points(pts)
     assert geometric_genus(X, X.points) == 3
 
 
@@ -90,7 +93,7 @@ def test_quintic_member_is_swept():
     # over a finite field the member has no singular points besides the
     # declared ones, and records its coefficients
     pts = generic_points(F31, 3, seed=0)
-    X = fam.quintic_with_triple_points(pts, seed=0)
+    X = fam.quintic_with_triple_points(pts)
     assert set(singular.enumerate_singular_points(X)) == set(pts)
     coeffs = X.metadata["params"]["coefficients"]
     assert X.metadata["params"]["nu"] == 3
@@ -283,8 +286,6 @@ def test_ten_point_conditions():
     assert not r1 and not r2
     r1, r2 = fam.ten_point_conditions(1, 0, 0, field=QQ)
     assert str(r1) == "0" and str(r2) == "4"
-    with pytest.raises(ValueError):
-        fam.ten_point_conditions(1, 0, 0)
 
 
 def test_ten_point_conditions_no_rational_solutions():
@@ -386,3 +387,67 @@ def test_detect_minus_one_conics_planes_contain_their_points(e222):
 def test_detect_minus_one_conics_guard():
     with pytest.raises(ValueError):
         fam.detect_minus_one_conics(generic_points(F31, 4, seed=0))
+
+
+def _subset_oracle(points):
+    """The per-subset reference: a kernel of each 5-subset's coordinates
+    (the conics, with the str of each plane) and a rank of each triple's
+    (whether three points are collinear)."""
+    field = points[0].field
+    conics = []
+    for combo in itertools.combinations(range(len(points)), 5):
+        kern = kernel_basis(field, _values(field, [points[i].coords
+                                                   for i in combo]))
+        if len(kern):
+            conics.append((combo, str(fam._combination(
+                _elements(field, kern[0]), fam._variables(field)))))
+    collinear = any(rank(field, _values(field, [P.coords for P in trio])) < 3
+                    for trio in itertools.combinations(points, 3))
+    return conics, collinear
+
+
+def _placed_points(rng, field, n):
+    """n distinct points: random ones, and points on the plane or the line
+    of earlier ones, so that coplanar quintuples and collinear triples
+    occur."""
+    def element():
+        if field.kind == "QQ":
+            return field(rng.randint(-3, 3))
+        return field.random_element(rng)
+    points = []
+    while len(points) < n:
+        base = rng.sample(points, min(len(points), rng.choice([2, 3, 3])))
+        if len(base) < 2 or rng.random() < 0.3:
+            coords = [element() for _ in range(4)]
+        else:
+            scales = [element() for _ in base]
+            coords = [sum((a * P.coords[j] for a, P in zip(scales, base)),
+                          field.zero) for j in range(4)]
+        if any(coords):
+            P = ProjPoint(field, coords)
+            if P not in points:
+                points.append(P)
+    return points
+
+
+@pytest.mark.parametrize("field", [Field.GF(5), Field.GF(7, 2), QQ, F31],
+                         ids=lambda F: F.tag)
+def test_stacked_subset_search_matches_the_per_subset_oracle(field):
+    # one stacked rank of all the 5-subsets and of all the triples finds
+    # the same coplanar quintuples, in the same order with the same
+    # planes, and the same collinearity answer, as one kernel per subset
+    rng = random.Random(31 + field.order if field.kind != "QQ" else 0)
+    seen = collections.Counter()
+    for n in [1, 2] + [rng.randint(3, 9) for _ in range(12)]:
+        points = _placed_points(rng, field, n)
+        conics, collinear = _subset_oracle(points)
+        coords = _values(field, [P.coords for P in points])
+        assert bool(fam._degenerate_subsets(field, coords, 3)) == collinear
+        if n >= 5:
+            got = [(combo, str(plane))
+                   for combo, plane in fam.detect_minus_one_conics(points)]
+            assert got == conics
+        seen["sets"] += 1
+        seen["conics"] += bool(conics)
+        seen["collinear"] += collinear
+    assert seen["conics"] and 0 < seen["collinear"] < seen["sets"]

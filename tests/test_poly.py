@@ -417,15 +417,6 @@ def test_divisible_by_variable():
     assert not f.divisible_by_variable(1)
 
 
-def test_coeff_vector():
-    exps = exponents_of_degree(2)
-    f = MultiPoly.parse("x^2+3*z*w", F31)
-    vec = f.coeff_vector(exps)
-    assert vec[exps.index((2, 0, 0, 0))] == F31(1)
-    assert vec[exps.index((0, 0, 1, 1))] == F31(3)
-    assert sum(1 for v in vec if v) == 2
-
-
 def test_poly_determinant_against_sympy():
     rng = random.Random(15)
     for n in (2, 3, 4):

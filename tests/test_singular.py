@@ -1033,7 +1033,8 @@ def test_tjurina_length_is_eight_at_every_golden_point(name):
         at = {e: j for j, e in enumerate(cols)}
         rows = []
         for g in partials:
-            jet = local_jet(g, P, 4).coeff_vector(cols)
+            jet = [local_jet(g, P, 4).terms.get(e, field.zero)
+                   for e in cols]
             for a in cols:
                 row = [field.zero] * len(cols)
                 for e, c in zip(cols, jet):
@@ -1088,6 +1089,23 @@ def test_certify_sweeps_only_when_the_proof_leaves_room(monkeypatch):
             assert bool(swept) != covered, (str(X.f), declared)
             paths[covered, len(declared) == len(every)] += 1
     assert paths[True, True] and paths[False, False]
+
+
+def test_certify_sweeps_first_in_characteristic_2_and_3():
+    # no triple point certifies in characteristic 2 or 3, so the sweep
+    # replaces the declared points before the pass: the smooth Fermat
+    # quartic over GF(3) is certified-exact with no points, and a
+    # surface whose sweep finds a singular point raises
+    F2, F3 = Field.GF(2), Field.GF(3)
+    P = ProjPoint(F3, [1, 0, 0, 0])
+    report = certify(Surface(MultiPoly.parse("x^4+y^4+z^4+w^4", F3),
+                             points=[P]))
+    assert (report["verdict"], report["points"],
+            report["expected_degree"]) == ("certified-exact", [], 0)
+    for X in (Surface(MultiPoly.parse("x^3+y^3+z^3+w^3", F3), points=[P]),
+              Surface(MultiPoly.parse("x^3+y^3+z^3", F2))):
+        with pytest.raises(ValueError, match="characteristic 2, 3"):
+            certify(X)
 
 
 def test_a_tjurina_degree_is_proven_by_regularity_too():
