@@ -21,12 +21,11 @@ The other products of residue matrices, L11^-1 and its products here
 and linalg._dot over GF(p), are matmul_mod_p, under the same bounds.
 
 A stack of small matrices (the 18 x 15 tangent-cone matrices of all the
-points of a surface) is eliminated in one pass, eliminate_stack and
-ranks_mod_p: one Gauss step per column for every matrix at once, on
-int64 residues and fraction free, each row r becoming v*r - f*piv with
-v the pivot and f the row's entry in the pivot column.  Both products
-are below (p-1)**2 < 2**62, so their difference lies in (-2**62, 2**62),
-inside int64, as p < 2**31.
+points of a surface) is ranked in one pass, ranks_mod_p: one Gauss step
+per column for every matrix at once, on int64 residues and fraction
+free, each row r becoming v*r - f*piv with v the pivot and f the row's
+entry in the pivot column.  Both products are below (p-1)**2 < 2**62, so
+their difference lies in (-2**62, 2**62), inside int64, as p < 2**31.
 
 _mul multiplies GF(p^2) = GF(p)[u] values, u^2 = n, as (a, b) parts, for
 the sweep and for linalg's GF(p^2) arrays; reducing, it reduces the u
@@ -196,26 +195,23 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
     return len(_eliminate(a, p, above=False)[1])
 
 
-def eliminate_stack(a: np.ndarray, p: int, ncols: int):
-    """Gauss steps mod p on the first ncols columns of every matrix a[b]
-    of a stack (shape (batch, m, n)) at once.
+def ranks_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks mod p of the matrices a[b] of a stack (shape (batch, m, n)),
+    by Gauss steps on every matrix at once.
 
     Each matrix takes as pivot of column c its largest residue among the
     rows that are not pivot rows yet; every row r then becomes v*r -
     r[c]*pivot row (v the pivot), which zeroes column c outside the pivot
     rows and keeps the row space (v != 0).  A matrix with no pivot in the
-    column is left as it is.  The bound is in the module docstring.
-
-    Returns (working array, pivot-row mask).  Past the first ncols
-    columns, the rows outside the mask span the vectors of each matrix's
-    row space that vanish on those columns (which are left unwritten).
+    column is left as it is.  The rank is the number of pivot rows.  The
+    bound is in the module docstring.
     """
     if not 2 <= p < 2**31:
         raise ValueError("elimination mod p needs a prime 2 <= p < 2**31")
     a = np.mod(a, p, dtype=np.int64, order="C")
     free = np.ones(a.shape[:2], dtype=bool)
     at = np.arange(len(a))
-    for c in range(ncols if a.shape[1] else 0):
+    for c in range(a.shape[2] if a.shape[1] else 0):
         col = a[:, :, c] * free
         i = col.argmax(axis=1)
         v = col[at, i]
@@ -226,13 +222,7 @@ def eliminate_stack(a: np.ndarray, p: int, ncols: int):
         rest *= (v + (v == 0))[:, None, None]
         rest -= col[:, :, None] * pivot[:, None, :]
         rest %= p
-    return a, ~free
-
-
-def ranks_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks mod p of the matrices of a stack: eliminate_stack on all
-    their columns."""
-    return eliminate_stack(a, p, a.shape[2])[1].sum(axis=1)
+    return (~free).sum(axis=1)
 
 
 def _mul(x, y, p: int, n: int, op=np.multiply, reduce=True):

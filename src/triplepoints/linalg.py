@@ -9,17 +9,17 @@ arrays, _elements reads FieldElements back, and _mul and _dot multiply
 them (pairs through gfnum._mul), so one code path serves every field.
 
 rank, rref, kernel_basis and invert take (field, array) and return
-arrays; ranks and leading_zero_rows take a stack of matrices.  Over
-GF(p) every matrix, of any size, goes to the blocked elimination kernel
-in gfnum (rank_mod_p, rref_mod_p) and every stack to its one-pass
-elimination (eliminate_stack), whose results are exact (its module
-docstring gives the bounds).  A GF(p^2) matrix is eliminated in its real
-form (_real_form), where each row gives two GF(p) rows, its parts and
-those of u times it: the real form spans the same space read over GF(p),
-so its rank is twice the GF(p^2) rank, its pivots come in pairs (2j,
-2j+1), and its rows with even pivots are the GF(p^2) reduced rows.  Over
-QQ the rows go to exact Gaussian elimination, _rref_generic, one matrix
-at a time.  Every path gives the same pivots and reduced form.
+arrays; ranks takes a stack of matrices.  Over GF(p) every matrix, of
+any size, goes to the blocked elimination kernel in gfnum (rank_mod_p,
+rref_mod_p) and every stack to its one-pass elimination (ranks_mod_p),
+whose results are exact (its module docstring gives the bounds).  A
+GF(p^2) matrix is eliminated in its real form (_real_form), where each
+row gives two GF(p) rows, its parts and those of u times it: the real
+form spans the same space read over GF(p), so its rank is twice the
+GF(p^2) rank, its pivots come in pairs (2j, 2j+1), and its rows with
+even pivots are the GF(p^2) reduced rows.  Over QQ the rows go to exact
+Gaussian elimination, _rref_generic, one matrix at a time.  Every path
+gives the same pivots and reduced form.
 """
 from __future__ import annotations
 
@@ -178,25 +178,6 @@ def ranks(field, a):
                         dtype=np.int64).reshape(lead)
     out = gfnum.ranks_mod_p(_real_form(field, mats), field.p)
     return (out // 2 if _tail(field) else out).reshape(lead)
-
-
-def leading_zero_rows(field, a, ncols, times=None):
-    """The vectors of the row spaces of a stack of matrices a[b] that are
-    zero on the first ncols columns, restricted to the other columns: the
-    rows of one matrix that spans them all.  With times, a stack as long
-    as a, those of a[b] are multiplied by times[b] first.  Over GF(p) one
-    pass over the stack (gfnum.eliminate_stack), otherwise one rref per
-    matrix."""
-    if field.kind == "GF":
-        red, pivot = gfnum.eliminate_stack(a, field.p, ncols)
-        rows = [m[~free, ncols:] for m, free in zip(red, pivot)]
-    else:
-        rows = [m[[i for i, c in enumerate(pivots) if c >= ncols], ncols:]
-                for m, pivots in (rref(field, b) for b in a)]
-    if times is not None:
-        rows = [_dot(field, r, t) for r, t in zip(rows, times)]
-    width = a.shape[2] - ncols if times is None else times.shape[2]
-    return np.concatenate([_zeros(field, (0, width))] + rows)
 
 
 def kernel_basis(field, a):

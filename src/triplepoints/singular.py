@@ -6,18 +6,18 @@ The local analysis is one batched pass over all the points of a surface:
 _jets takes the jets at every point at once (arrays with a leading point
 axis), _certify_points reads the multiplicities and the tangent cones
 from one order-3 jet array and ranks all the cones in one elimination,
-and the tangent conditions of every point are read from one elimination
-of the stacked partial jets.  local_jet and certify_ordinary_triple_point
-are the one-point cases.
+and the equisingular tangent space is one rank of a matrix of the
+points' jets and their cones' partials.  local_jet and
+certify_ordinary_triple_point are the one-point cases.
 
 The Jacobian Hilbert function h(0), h(1), ... is one incremental pass:
-J_k = w*J_{k-1} + the multiples m*g of the partials with w not dividing
-m, so the reduced echelon form of J_k is that of J_{k-1} times w, plus
-the reduced form of those rows once one product has cleared w*J_{k-1}
-from them (_Echelon, _hilbert_value).  In coordinates where a plane l
+J_k = w*J_{k-1} + the multiples m*g of J's generators with w not
+dividing m, so the reduced echelon form of J_k is that of J_{k-1} times
+w, plus the reduced form of those rows once one product has cleared
+w*J_{k-1} from them (_Echelon, _hilbert_value).  In coordinates where a plane l
 is w, the pivots also say whether (R/(J + l))_k = 0, and the degree is
-settled by regularity, by the Tjurina bound of certify or, at 4d - 5,
-by Lazard's bound (singular_scheme_degree).
+settled by regularity, by the Tjurina bound of certify or, at the end
+of the pass, by Lazard's bound (singular_scheme_degree).
 """
 from __future__ import annotations
 
@@ -31,8 +31,7 @@ from .fields import Field
 from .poly import (MultiPoly, exponents_of_degree, num_monomials, _arrays,
                    _derivative, _digits)
 from .linalg import (_numeric, _tail, _zeros, _ints, _values, _elements,
-                     _nonzero, _mul, _dot, rank, ranks, rref,
-                     leading_zero_rows)
+                     _nonzero, _mul, _dot, rank, ranks, rref)
 from . import gfnum
 from .surfaces import ProjPoint, Surface, SCHEMA_VERSION
 
@@ -89,19 +88,24 @@ class TriplePointCertificate:
     smooth_rank: int
 
 
-def _cone_smooth_rank(field, coeffs):
-    """Ranks of degree-2-monomial multiples of the cones' partials.
-
-    coeffs: the ten coefficients of each cone cubic, on the last axis of
-    a coefficient array, in exponents_of_degree(3, 3) order of the local
-    variables; one rank per cubic.  Full rank 15 means the three partial
-    quadrics have no common projective zero, i.e. the cubic is smooth.
-    Read through _CONE_MAP (as pairs over GF(p^2)).
-    """
+def _cone_partials(field, coeffs, k):
+    """The degree-k Macaulay matrices of the three partials of cone cubics,
+    through _CONE_MAPS[k] (as pairs over GF(p^2)); for k = 2 their rows
+    are the partials.  coeffs: the ten coefficients of each cubic, on the
+    last axis of a coefficient array, in exponents_of_degree(3, 3) order
+    of the local variables."""
     tail = _tail(field)
-    mats = _dot(field, coeffs, _ints(field, _CONE_MAP) if tail else _CONE_MAP)
-    return ranks(field, mats.reshape(coeffs.shape[:-1 - len(tail)] + (18, 15)
-                                     + tail))
+    cmap = _CONE_MAPS[k]
+    mats = _dot(field, coeffs, _ints(field, cmap) if tail else cmap)
+    return mats.reshape(coeffs.shape[:-1 - len(tail)] + (
+        3 * num_monomials(k - 2, 3), num_monomials(k, 3)) + tail)
+
+
+def _cone_smooth_rank(field, coeffs):
+    """The rank of each degree-4 matrix of _cone_partials: 15 iff the
+    three partial quadrics have no common projective zero, i.e. the cubic
+    is smooth."""
+    return ranks(field, _cone_partials(field, coeffs, 4))
 
 
 def _orders(field, jets, k):
@@ -121,7 +125,7 @@ def _certify_points(X: Surface, points, check=True):
     one order-3 jet per point (_jets): the multiplicity from its degree
     blocks (order-d jets only at the rare points where it is zero), the
     cone as its degree-3 block, and the cone ranks from one product with
-    _CONE_MAP and one batched rank (_cone_smooth_rank).
+    _CONE_MAPS[4] and one batched rank (_cone_smooth_rank).
 
     Returns one TriplePointCertificate or CertificationFailure per point,
     in order; with check, the first failure is raised instead.
@@ -279,7 +283,8 @@ def _macaulay(field, gens, k, w_free=False):
     One row per generator g and monomial m of degree k - deg g (in
     exponents_of_degree order), holding the coefficients of m*g; one
     column per monomial of degree k, in exponents_of_degree order.  With
-    w_free, only the rows of the m not divisible by the last variable.
+    w_free, only the rows of the m not divisible by the last variable.  A
+    generator of degree above k has no such m, and no rows.
     """
     n = gens[0][0].shape[1]
     digits = _digits(k, n)
@@ -301,21 +306,22 @@ def _macaulay(field, gens, k, w_free=False):
     return mac
 
 
-def _cone_map():
+def _cone_map(k):
     """The integer map from the ten coefficients of a ternary cubic, in
-    exponents_of_degree order, to the flattened 18 x 15 degree-4 Macaulay
-    matrix of its three partials.  Row c is that matrix for x^c, whose
-    partials are c_j * x^(c - e_j); a zero one is written 0 * x_0^2 and
-    gives zero rows.  _macaulay does not reduce, so any GF(p) will do."""
+    exponents_of_degree order, to the flattened degree-k Macaulay matrix
+    of its three partials.  Row c is that matrix for x^c, whose partials
+    are c_j * x^(c - e_j); a zero one is written 0 * x_0^2 and gives zero
+    rows.  _macaulay does not reduce, so any GF(p) will do."""
     rows = []
     for c in _exponents(3, 3):
         rows.append(_macaulay(Field.GF(2), [
             (np.array([c - e if c[j] else (2, 0, 0)]), c[j:j + 1])
-            for j, e in enumerate(np.eye(3, dtype=np.int64))], 4).ravel())
+            for j, e in enumerate(np.eye(3, dtype=np.int64))], k).ravel())
     return np.array(rows)
 
 
-_CONE_MAP = _cone_map()
+# k = 2: the partials' coefficients; k = 4: the smoothness rank's 18 x 15
+_CONE_MAPS = {k: _cone_map(k) for k in (2, 4)}
 
 
 # -- jets ---------------------------------------------------------------
@@ -422,9 +428,9 @@ class _Echelon:
         self.covered = False
 
 
-def _hilbert_value(field, partials, d, k, echelon):
-    """h(k) = dim (R/J)_k for J generated by the nonzero partials of a
-    degree-d form, given as (exps, vals) pairs.
+def _hilbert_value(field, gens, d, k, echelon):
+    """h(k) = dim (R/J)_k for J generated by gens, the generators of J for
+    a degree-d form (_jacobian), given as (exps, vals) pairs.
 
     echelon holds J's form in degree k-1 and is moved to degree k: the
     rows N of the w-free multiples, reduced modulo w*J_{k-1}, are
@@ -444,8 +450,8 @@ def _hilbert_value(field, partials, d, k, echelon):
     rest = np.concatenate([lead, on_w[echelon.free]])
     at = np.arange(len(lead), len(rest))
     red, new = _zeros(field, (0, len(rest))), []
-    if k >= d - 1 and partials:
-        rows = _macaulay(field, partials, k, w_free=True)
+    if k >= d - 1 and gens:
+        rows = _macaulay(field, gens, k, w_free=True)
         m = rows[:, rest]
         m[:, at] -= _dot(field, rows[:, old], echelon.block)
         red, new = rref(field, m)
@@ -468,36 +474,45 @@ def _hilbert_value(field, partials, d, k, echelon):
     return len(keep)
 
 
-def _jacobian(X: Surface):
-    return _partials(X.field, *_arrays(X.field, X.f.terms))
+def _jacobian(X):
+    """The generators of J, the ideal of the singular scheme of a Surface
+    or a form f of degree d: the nonzero partials of f, and f itself when
+    the characteristic p divides d.  Otherwise Euler's relation d*f =
+    sum x_i df/dx_i puts f in the ideal of the partials."""
+    f = X.f if isinstance(X, Surface) else X
+    field, (exps, vals) = f.field, _arrays(f.field, f.terms)
+    d = int(exps[0].sum())
+    with_f = d > 0 and field.char and d % field.char == 0
+    return _partials(field, exps, vals) + [(exps, vals)] * with_f
 
 
 def jacobian_hilbert(X: Surface, k_max: int = None):
-    """Hilbert function h(0..k_max) of R modulo the Jacobian ideal;
-    k_max is 4*d by default and a ValueError below d - 1."""
+    """Hilbert function h(0..k_max) of R modulo the Jacobian ideal J
+    (_jacobian: f is among its generators when p divides d); k_max is
+    4*d by default and a ValueError below d - 1."""
     d = X.degree
     if k_max is None:
         k_max = 4 * d
     elif k_max < d - 1:
         raise ValueError(f"k_max must be at least {d - 1} for a "
                          f"degree-{d} surface")
-    partials, echelon = _jacobian(X), _Echelon(X.field)
-    return [_hilbert_value(X.field, partials, d, k, echelon)
+    gens, echelon = _jacobian(X), _Echelon(X.field)
+    return [_hilbert_value(X.field, gens, d, k, echelon)
             for k in range(k_max + 1)]
 
 
-def _planes(field, partials, points):
+def _planes(field, gens, points):
     """The i of the planes l_i = w + i*x + i^2*y + i^3*z worth a pass: the
     first four in 1..min(p, 3m + 4) (1..3m + 4 over QQ) whose plane misses
-    the m points at which every partial vanishes.  A plane through such a
-    point never certifies: evaluation at the point is a nonzero functional
-    on R_t that vanishes on J_t + l_i*R_{t-1}.  A point P lies on at most
+    the m points at which every generator of J vanishes.  A plane through
+    such a point never certifies: evaluation at the point is a nonzero
+    functional on R_t that vanishes on J_t + l_i*R_{t-1}.  A point P lies on at most
     3 of the l_i, as l_i(P) is a nonzero cubic in i, so four are left when
     p >= 3m + 4; with m = 0 they are 1..min(p, 4).  The list is empty only
     when l_p = w meets such a point."""
-    if points and partials:
-        # the order-0 jets are the values of the partials
-        zero = ~_nonzero(field, _jets(field, points, partials, 0)).any(
+    if points and gens:
+        # the order-0 jets are the values of the generators
+        zero = ~_nonzero(field, _jets(field, points, gens, 0)).any(
             axis=(1, 2))
         points = [P for P, z in zip(points, zero) if z]
     top = 3 * len(points) + 4
@@ -512,22 +527,23 @@ def _planes(field, partials, points):
 
 
 def _plane_coordinates(f, i):
-    """l_i = w + i*x + i^2*y + i^3*z, and the partials of f in coordinates
-    where l_i is the variable w: those of f with w - (l_i - w) for w."""
+    """l_i = w + i*x + i^2*y + i^3*z, and the generators of J (_jacobian)
+    in coordinates where l_i is the variable w: those of f with
+    w - (l_i - w) for w."""
     x, y, z, w = (MultiPoly.variable(f.field, j) for j in range(4))
     plane = MultiPoly.parse(f"w+{i}*x+{i ** 2}*y+{i ** 3}*z", f.field)
-    g = f.substitute([x, y, z, w - (plane - w)])
-    return plane, _partials(f.field, *_arrays(f.field, g.terms))
+    return plane, _jacobian(f.substitute([x, y, z, w - (plane - w)]))
 
 
 def singular_scheme_degree(X: Surface):
     """Degree of the singular scheme, a proven positive-dimensional
     verdict, or neither (undetermined).
 
-    Computes h(k) = dim (R/J)_k, J the Jacobian ideal, for k = 0, 1, ...,
-    max(4d - 5, d) in one incremental pass, in coordinates where a plane
-    l = l_i is w (_plane_coordinates; their partials span the image of J,
-    so h is unchanged): the pivots say whether (R/(J + l))_k = 0, "covered
+    Computes h(k) = dim (R/J)_k, J the Jacobian ideal (_jacobian), for k =
+    0, 1, ..., max(4d - 5, d), one more when p divides d, in one
+    incremental pass, in coordinates where a plane l = l_i is w
+    (_plane_coordinates; their generators span the image of J, so h is
+    unchanged): the pivots say whether (R/(J + l))_k = 0, "covered
     at k".  Covered at t, l maps (R/J)_{k-1} onto (R/J)_k for all k > t:
     h is non-increasing from t, and h(k) >= D, the degree, for k >= t.
 
@@ -542,12 +558,14 @@ def singular_scheme_degree(X: Surface):
     The last value returned, h(k+1), is proven, not computed.  For d = 1,
     J is the unit ideal and the certificate fires at k = 1.
 
-    If the pass reaches 4d - 5 with no certificate: J is generated by at
-    most four forms of degree d - 1 in four variables, so if V(J) were
-    finite, h(k) would equal its degree for all k >= 4(d - 1) - 3 = 4d - 7
-    (D. Lazard, EUROCAL '83, LNCS 162).  So h(4d-7..4d-5) not constant
-    proves V(J) positive-dimensional (lazard); constant, it proves nothing
-    (undetermined, as when every plane tried meets V(J)).
+    If the pass ends with no certificate: J is generated by at most four
+    forms of degree d - 1 in four variables (and f when p divides d), so
+    if V(J) were finite, h(k) would equal its degree for all k from the
+    sum of the four largest degrees minus 3, 4d - 7 (4d - 6 with f; D.
+    Lazard, EUROCAL '83, LNCS 162), two below the pass's end.  So h not
+    constant on the last three degrees proves V(J) positive-dimensional
+    (lazard); constant, it proves nothing (undetermined, as when every
+    plane tried meets V(J)).
 
     Returns {"hilbert": [...], "evidence": {...}} and "degree": n (proven)
     or "verdict": "positive-dimensional" or neither.  The evidence:
@@ -566,16 +584,18 @@ def _scheme_degree(X: Surface, lower):
     d = X.degree
     if d < 1:  # the rules compare h(k) with h(k-1) from k = d on
         raise ValueError("a singular scheme needs degree at least 1")
-    field, top = X.field, max(4 * d - 5, d)
-    planes = _planes(field, _jacobian(X), X.points) or [field.char]
-    passes = {}  # i: l_i, the partials, J's form and (h(t), covered at t)
+    field, gens = X.field, _jacobian(X)
+    # f, of degree d, among the generators puts Lazard's bound one later
+    top = max(4 * d - 5, d) + (int(gens[-1][0][0].sum()) == d)
+    planes = _planes(field, gens, X.points) or [field.char]
+    passes = {}  # i: l_i, J's generators, its form and (h(t), covered at t)
 
     def at(i, t):
         if i not in passes:
             passes[i] = (*_plane_coordinates(X.f, i), _Echelon(field), [])
-        _, partials, echelon, done = passes[i]
+        _, gens, echelon, done = passes[i]
         for k in range(len(done), t + 1):
-            done.append((_hilbert_value(field, partials, d, k, echelon),
+            done.append((_hilbert_value(field, gens, d, k, echelon),
                          echelon.covered))
         return done[t]
 
@@ -607,31 +627,40 @@ def _scheme_degree(X: Surface, lower):
 def equisingular_tangent_dimension(X: Surface, points) -> int:
     """Dimension of the projective equisingular tangent space at X.
 
-    A degree-d form g is tangent to the equisingular stratum iff at each
-    triple point P its order-2 jet lies in the span of the order-2 jets
-    of the four partials of f: a M_P c = 0 for every a with a J_P^T = 0,
-    c the coefficients of g, M_P the 10 x n jet matrix of the n degree-d
-    monomials and J_P the partials' jets.  Those a span the rows of
-    [J_P^T | I] that vanish on its J_P^T columns, found at all points in
-    one pass (linalg.leading_zero_rows), and each point's rows a are then
-    multiplied by its M_P.  Returns n - 1 minus the rank of the rows a M_P
-    (f itself always qualifies).  Repeated points count once.
+    A degree-d form g, with coefficients c, is tangent to the
+    equisingular stratum iff at each triple point P its 2-jet M_P c (M_P
+    the 2-jets of the n degree-d monomials, _jet_matrix) is a combination
+    of the 2-jets of the partials of f.  At an ordinary triple point the
+    three local partials df/ds_i span those, independently: their 2-jets
+    are the partials of the smooth tangent cone (_cone_partials, on the
+    quadric block), and by Euler's relation the chart partial is d*f -
+    sum (b_i + s_i) df/ds_i, b the point's local coordinates, whose 2-jet
+    is -sum b_i times theirs (jet_2 f = jet_1 df/ds_i = 0).  So with A the
+    matrix of 10 rows per point and the columns [M | the three cone
+    partials of each point], the kernel of A has dimension n + 3m - rank A
+    and maps onto the tangent c one to one (the three columns of a point
+    are independent): each of the m points adds exactly 3.  Returns
+    n - 1 + 3m - rank A (f itself always qualifies).  Repeated points
+    count once.
     """
-    field = X.field
+    field, tail = X.field, _tail(X.field)
     points = distinct_points(points)
     # the points may come from a file: check them, not just trust them
-    _certify_points(X, points)
+    certs = _certify_points(X, points)
     mons = _exponents(X.degree)
+    m, n = len(points), len(mons)
     if not points:
-        return len(mons) - 1
-    jets = np.swapaxes(_jets(field, points, _jacobian(X), 2), 1, 2)
-    k = jets.shape[1]  # the order-2 jet coordinates
-    eye = _zeros(field, (len(points), k, k))
-    eye[:, range(k), range(k)] = _values(field, field.one)
-    rows = leading_zero_rows(
-        field, np.concatenate([jets, eye], axis=2), jets.shape[2],
-        np.swapaxes(_jet_matrix(field, points, mons, 2), 1, 2))
-    return len(mons) - 1 - rank(field, rows)
+        return n - 1
+    cones = _values(field, [[c.tangent_cone.terms.get(e, field.zero)
+                             for e in _embed(c.point.chart, 3)[10:]]
+                            for c in certs])
+    lam = _zeros(field, (m, 10, m, 3))
+    # a point's own three columns, on its rows past the jets of degree <= 1
+    lam[range(m), 4:, range(m)] = np.swapaxes(
+        _cone_partials(field, cones, 2), 1, 2)
+    a = np.concatenate([np.swapaxes(_jet_matrix(field, points, mons, 2), 1, 2),
+                        lam.reshape((m, 10, 3 * m) + tail)], axis=2)
+    return n - 1 + 3 * m - rank(field, a.reshape((10 * m, n + 3 * m) + tail))
 
 
 # -- certification pipeline ---------------------------------------------
@@ -705,16 +734,14 @@ def certify(X: Surface, points=None) -> dict:
     the local variables s_0, s_1, s_2 at P.  The initial forms of the
     df/ds_i are the partials of the smooth cone cubic, a regular sequence
     with Hilbert series (1 + t)^3, so (df/ds) has colength 8 and, by
-    Nakayama, contains m^4.  If p does not divide d, Euler's relation gives
-    J_P = (df/ds, f), and f lies in (df/ds): its cone is
+    Nakayama, contains m^4.  Euler's relation d*f = sum x_i df/dx_i puts
+    the chart partial in (df/ds, f), so J_P = (df/ds, f) (f is a
+    generator of J when p divides d), and f lies in (df/ds): its cone is
     (1/3) sum s_i d(cone)/ds_i, as 3 is invertible, and the rest of f lies
-    in m^4.  If p divides d, Euler puts the chart partial in (df/ds), so
-    J_P = (df/ds).  Either way l_P = 8.  So 8n <= deg <= D, and D = 8n
-    proves that there is no other singular point, not even over the
-    algebraic closure, where the sweep sees only the rational points.  A
-    positive-dimensional locus mod p proves nothing over QQ, nor over
-    GF(p^e) when p divides the degree: Euler's relation no longer puts
-    V(J) inside X, and the singular locus is V(J) on X.
+    in m^4.  So l_P = 8, 8n <= deg <= D, and D = 8n proves that there is
+    no other singular point, not even over the algebraic closure, where
+    the sweep sees only the rational points.  A positive-dimensional locus
+    mod p proves nothing over QQ.
     """
     checks, rational = {}, X.field.kind == "QQ"
     sweep = points is None and not rational
@@ -737,7 +764,7 @@ def certify(X: Surface, points=None) -> dict:
     evidence = result["evidence"]
     if rational:
         evidence["prime"] = _QQ_PRIME
-    if "verdict" in result and not rational and X.degree % X.field.char:
+    if "verdict" in result and not rational:
         verdict = "positive-dimensional-singular-locus"
     elif all_ok and result.get("degree") == expected:
         verdict = "certified-exact"

@@ -8,8 +8,8 @@ import sympy
 from triplepoints import gfnum
 from triplepoints.fields import Field
 from triplepoints.linalg import (rref, rank, ranks, kernel_basis, invert,
-                                 leading_zero_rows, _dot, _ints, _values,
-                                 _elements, _nonzero, _rref_generic)
+                                 _dot, _ints, _values, _elements, _nonzero,
+                                 _rref_generic)
 
 QQ = Field.QQ()
 F31 = Field.GF(31)
@@ -286,57 +286,6 @@ def test_ranks_mod_p_matches_rank_mod_p(p):
     assert ranks(F31, np.zeros((2, 3, 7, 5), dtype=np.int64)).shape == (2, 3)
 
 
-@pytest.mark.parametrize("field", [Field.GF(5), Field.GF(101),
-                                   Field.GF(2**31 - 1), F49, QQ],
-                         ids=["GF5", "GF101", "GF2147483647", "GF49", "QQ"])
-def test_leading_zero_rows_span_the_annihilated_rows(field):
-    # the rows a M with a J = 0, for [J | M] split at ncols: one kernel per
-    # matrix is the oracle
-    rng = random.Random(field.char + 17)
-    for _ in range(15):
-        a = random_stack(rng, field.char if field.char else 7)
-        a = _values(field, [[[field(int(v)) for v in row] for row in m]
-                            for m in a])
-        ncols = rng.randint(0, a.shape[2])
-        got = leading_zero_rows(field, a, ncols)
-        assert got.shape[1] == a.shape[2] - ncols
-        want = [_dot(field, kernel_basis(field, np.swapaxes(
-                    m[:, :ncols], 0, 1)), m[:, ncols:]) for m in a]
-        want = [w for w in want if len(w)]
-        want = np.concatenate(want) if want else got[:0]
-        both = np.concatenate([got, want])
-        r = rank(field, both) if len(both) else 0
-        assert r == (rank(field, got) if len(got) else 0)
-        assert r == (rank(field, want) if len(want) else 0)
-
-
-@pytest.mark.parametrize("field", [Field.GF(5), Field.GF(101),
-                                   Field.GF(2**31 - 1), F49, QQ],
-                         ids=["GF5", "GF101", "GF2147483647", "GF49", "QQ"])
-def test_leading_zero_rows_times_a_stack(field):
-    # the rows a of [J | I] with a J = 0, each matrix's times its M, span
-    # what [J | M] gives: T [J | M] and (T [J | I]) M are the same rows
-    rng = random.Random(field.char + 29)
-    for _ in range(15):
-        a = random_stack(rng, field.char if field.char else 7)
-        a = _values(field, [[[field(int(v)) for v in row] for row in m]
-                            for m in a])
-        ncols = rng.randint(0, a.shape[2])
-        b, m = a.shape[:2]
-        eye = np.array([[[field.one if i == j else field.zero
-                          for j in range(m)] for i in range(m)]] * b)
-        jay = np.concatenate([a[:, :, :ncols], _values(field, eye)], axis=2)
-        got = leading_zero_rows(field, jay, ncols, a[:, :, ncols:])
-        want = leading_zero_rows(field, a, ncols)
-        assert got.shape[1] == want.shape[1] == a.shape[2] - ncols
-        assert len(got) == sum(m - rank(field, x[:, :ncols]) if ncols else m
-                               for x in a)
-        both = np.concatenate([got, want])
-        r = rank(field, both) if len(both) else 0
-        assert r == (rank(field, got) if len(got) else 0)
-        assert r == (rank(field, want) if len(want) else 0)
-
-
 EXT_FIELDS = [Field.GF(3, 2), Field.GF(5, 2), F49, Field.GF(2**31 - 1, 2)]
 
 
@@ -398,16 +347,3 @@ def test_extension_field_algebra_matches_generic_elimination(field):
                         _ints(field, np.eye(nrows, dtype=int)))
         stack = np.array(stack)
         assert ranks(field, stack).tolist() == [rank(field, m) for m in stack]
-        for ncut in {0, ncols // 2, ncols}:
-            got = leading_zero_rows(field, stack, ncut)
-            assert got.shape[1:] == (ncols - ncut, 2)
-            # the oracle: the generic reduced rows with pivots past ncut
-            want = []
-            for m in stack:
-                gen = [_elements(field, r) for r in m]
-                pivots = _rref_generic(field, gen)
-                want += [gen[i][ncut:] for i, c in enumerate(pivots)
-                         if c >= ncut]
-            want = ext_array(field, want, ncols - ncut)
-            both = np.concatenate([got, want])
-            assert rank(field, got) == rank(field, want) == rank(field, both)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplepoints import families as fam, gfnum, singular
+from triplepoints.constructions import forms_with_multiplicity
 from triplepoints.fields import Field, FieldElement
 from triplepoints.linalg import (kernel_basis, rank, rref, _elements,
                                  _nonzero, _rref_generic)
@@ -342,13 +343,21 @@ def test_sweep_refuses_sums_beyond_float64_integers():
                           1, 33554467, nonresidue=2)
 
 
+def scheme_ideal(X):
+    """The generators of J for the oracles, from MultiPoly.gradient: the
+    nonzero partials, and f when p divides d, the ideal of the pass."""
+    p, f = X.field.char, X.f
+    gens = [g for g in f.gradient() if g] + [f] * bool(p and X.degree % p == 0)
+    return [singular._arrays(X.field, g.terms) for g in gens]
+
+
 def fresh_hilbert(X, k_max):
-    """h(0..k_max) from a fresh Macaulay rank in each degree: the oracle
-    for the incremental pass of jacobian_hilbert and
-    singular_scheme_degree."""
-    field, partials = X.field, singular._jacobian(X)
+    """h(0..k_max) from a fresh Macaulay rank of J + (f) in each degree
+    (scheme_ideal): the oracle for the incremental pass of
+    jacobian_hilbert and singular_scheme_degree."""
+    field, gens = X.field, scheme_ideal(X)
     return [num_monomials(k) - (rank(field, singular._macaulay(
-        field, partials, k)) if k >= X.degree - 1 and partials else 0)
+        field, gens, k)) if k >= X.degree - 1 else 0)
         for k in range(k_max + 1)]
 
 
@@ -527,9 +536,9 @@ def test_singular_scheme_full_hilbert_sequence(build, hilbert):
 def test_regularity_certificate_is_sound():
     # whenever the plane check fires at K, the Hilbert function computed
     # directly is constant from K-1 on, and from 4d - 7 on (Lazard's
-    # bound), and matches the returned list, its proven last value
-    # included; a lazard verdict is reached at 4d - 5 with h(4d-7..4d-5)
-    # not constant
+    # bound; 4d - 6 when p divides d and f is a generator), and matches
+    # the returned list, its proven last value included; a lazard verdict
+    # is reached two degrees past that bound with h not constant there
     rng = random.Random(20261018)
     methods = collections.Counter()
     for _ in range(60):
@@ -542,16 +551,17 @@ def test_regularity_certificate_is_sound():
         res = singular_scheme_degree(X)
         how = res["evidence"]
         methods[how["method"]] += 1
+        lazard = 4 * d - 7 + (d % F.p == 0)
         if how["method"] == "lazard":
-            assert how["computed_to"] == 4 * d - 5
-            assert len(set(res["hilbert"][4 * d - 7:])) > 1, str(X.f)
+            assert how["computed_to"] == lazard + 2
+            assert len(set(res["hilbert"][lazard:])) > 1, str(X.f)
             continue
         K = how["computed_to"]
         assert how["regular_from"] == K - 1
-        top = max(K, 4 * d - 7) + 3
+        top = max(K, lazard) + 3
         h = fresh_hilbert(X, top)
         assert h[K - 1:] == [h[K]] * (top - K + 2), (str(X.f), F.tag)
-        assert len(set(h[max(0, 4 * d - 7):])) == 1, (str(X.f), F.tag)
+        assert len(set(h[max(0, lazard):])) == 1, (str(X.f), F.tag)
         assert res["hilbert"] == h[:K + 2]
     assert methods == {"regularity": 31, "lazard": 29}
 
@@ -561,13 +571,16 @@ def test_regularity_certificate_is_sound():
 def test_macaulay_matrix_rows_are_monomial_multiples(field):
     f = MultiPoly.parse("3*x^4*w-x*y*z*w^2+2*y^2*w^3+z^5-x^2*y^3+7*w^5",
                         field)
+    # over GF(25) p divides the degree 5: f is a generator too, with no
+    # rows in degree 4
+    gens = [g for g in f.gradient() if g] + [f] * (field.char == 5)
     for k in (4, 6):
         mac = singular._macaulay(field, singular._jacobian(Surface(f)), k)
         expected = [[(m * g).terms.get(e, field.zero)
                      for e in exponents_of_degree(k)]
-                    for g in f.gradient() if g
+                    for g in gens
                     for m in (MultiPoly(field, {e: field.one})
-                              for e in exponents_of_degree(k - 4))]
+                              for e in exponents_of_degree(k - g.degree()))]
         assert mac.shape[:2] == (len(expected), num_monomials(k))
         assert _elements(field, mac) == [c for row in expected for c in row]
 
@@ -588,13 +601,17 @@ def test_partials_match_gradient(field, f):
         return MultiPoly(field, dict(zip(map(tuple, exps.tolist()),
                                          _elements(field, vals))))
     partials = singular._jacobian(Surface(f))
-    assert [poly(g) for g in partials] == [g for g in f.gradient() if g]
+    # f itself follows when p divides the degree (GF:5:2, not GF:5)
+    with_f = field.char and f.degree() % field.char == 0
+    assert [poly(g) for g in partials] == [
+        g for g in f.gradient() if g] + [f] * with_f
     assert all(_nonzero(field, v).all() for _, v in partials)
 
 
 def first_regular_plane(field, partials, t, planes):
     """The first i in planes with (R/(J + l_i))_t = 0, or None, from a
-    rank of the Macaulay matrix of J + l_i in all four variables: the
+    rank of the Macaulay matrix of J + l_i in all four variables, J
+    generated by partials (scheme_ideal: f too when p divides d): the
     oracle for the pass's covered flag, with no echelon form and no change
     of coordinates."""
     for i in planes:
@@ -632,8 +649,8 @@ def test_regular_plane_matches_macaulay_rank(field, degrees, top):
         echelon, h = singular._Echelon(F), []
         for t in range(top):
             h.append(singular._hilbert_value(F, moved, X.degree, t, echelon))
-            assert echelon.covered == (
-                first_regular_plane(F, partials, t, [i]) == i), (str(X.f), t)
+            assert echelon.covered == (first_regular_plane(
+                F, scheme_ideal(X), t, [i]) == i), (str(X.f), t)
             found.add((i, echelon.covered))
             # covered, l maps (R/J)_{t-1} onto (R/J)_t: where h rises no
             # plane is covered, and the pass tries none
@@ -760,15 +777,17 @@ def test_planes_miss_every_singular_point_of_k3_228_over_gf49():
 
 @pytest.mark.parametrize("field, f, hilbert", [
     (Field.GF(2), "x*y*w+y^2*w+z^3", [1, 4, 6, 6, 6, 6, 6, 6]),
+    # p divides d = 3: f is a generator of J, and the pass runs to 4d - 4
     (Field.GF(3), "2*x*z^2+2*x*z*w+y^2*w+2*y*w^2+2*z*w^2",
-     [1, 4, 6, 5, 5, 5, 5, 5]),
+     [1, 4, 6, 4, 4, 4, 4, 4, 4]),
 ], ids=["GF:2", "GF:3"])
 def test_undetermined_when_no_plane_certifies(field, f, hilbert):
-    # h is constant on 4d-7..4d-5, so Lazard's bound proves nothing, and
-    # none of the p planes certifies: no degree and no verdict
+    # h is constant on its last three degrees, so Lazard's bound proves
+    # nothing, and none of the p planes certifies: no degree and no verdict
     res = singular_scheme_degree(Surface(MultiPoly.parse(f, field)))
     assert res == {"hilbert": hilbert, "evidence": {
-        "method": "undetermined", "proven": False, "computed_to": 7}}
+        "method": "undetermined", "proven": False,
+        "computed_to": len(hilbert) - 1}}
 
 
 @pytest.mark.parametrize("smooth", [False, True], ids=["one-point", "smooth"])
@@ -827,11 +846,98 @@ def test_equisingular_tangent_dimension_no_points():
 
 
 def test_equisingular_tangent_dimension_triple_point():
-    # the dimension is stable across fields of good characteristic, on the
-    # mod-p annihilator path (GF(p)) and the object path (QQ, GF(p^2))
+    # the dimension is stable across fields of good characteristic
     for field in (F31, QQ, Field.GF(5, 2), Field.GF(2147483647)):
         X, P = triple_point_quartic(field)
         assert equisingular_tangent_dimension(X, [P]) == 27, field
+
+
+def annihilator_tangent_dimension(X, points):
+    """T by annihilators, ranked by _rref_generic: at each point the rows
+    of [J_P^T | I] that vanish on its J_P^T columns, J_P the 2-jets of the
+    nonzero partials, give the a with a J_P^T = 0; n - 1 minus the one
+    rank of all the rows a M_P, M_P the 2-jets of the n degree-d
+    monomials."""
+    field, mons = X.field, singular._exponents(X.degree)
+    partials = [g for g in X.f.gradient() if g]
+    rows = []
+    for P, jets in zip(points, singular._jet_matrix(field, points, mons, 2)):
+        cols = singular._embed(P.chart, 2)
+        aug = [list(r) + [field(int(i == j)) for j in range(len(cols))]
+               for i, r in enumerate(zip(*(
+                   [local_jet(g, P, 2).terms.get(e, field.zero) for e in cols]
+                   for g in partials)))]
+        k = len(partials)
+        a = [r[k:] for r, c in zip(aug, _rref_generic(field, aug)) if c >= k]
+        rows += [_elements(field, r) for r in singular._dot(
+            field, singular._values(field, a), np.swapaxes(jets, 0, 1))]
+    return len(mons) - 1 - len(_rref_generic(field, rows))
+
+
+def surface_with_triple_points(rng, field, m, d=5):
+    """A random degree-d form with multiplicity at least 3 at m random
+    points (small integer coordinates over QQ), and those of its points
+    that certify as ordinary triple points."""
+    def element():
+        return (field(rng.randint(-3, 3)) if field.kind == "QQ"
+                else field.random_element(rng))
+    points = []
+    while len(points) < m:
+        chart = rng.randrange(4)
+        P = ProjPoint(field, [0] * chart + [1] + [
+            element() for _ in range(3 - chart)])
+        if P not in points:
+            points.append(P)
+    f = MultiPoly.zero(field)
+    for g in forms_with_multiplicity(d, [(P, 3) for P in points]):
+        f = f + g * MultiPoly.constant(field, element())
+    if not f:
+        return None, []
+    X = Surface(f)
+    certs = singular._certify_points(X, points, check=False)
+    return X, [c.point for c in certs
+               if isinstance(c, singular.TriplePointCertificate)]
+
+
+@pytest.mark.parametrize("field", [Field.GF(5), Field.GF(101),
+                                   Field.GF(2**31 - 1), Field.GF(7, 2), QQ],
+                         ids=["GF5", "GF101", "GF2147483647", "GF49", "QQ"])
+def test_tangent_dimension_matches_annihilator_oracle(field):
+    # the one rank of the points' jets and their cones' partials gives the
+    # dimension the annihilators of each point's partial jets give, on
+    # random surfaces with one to three certified triple points (general
+    # position: their conditions are independent, T = n - 1 - 7m)
+    rng = random.Random(field.order if field.kind != "QQ" else 5)
+    seen = set()
+    while len(seen) < 3:
+        X, points = surface_with_triple_points(rng, field, len(seen) + 1)
+        if len(points) != len(seen) + 1:
+            continue
+        seen.add(len(points))
+        assert equisingular_tangent_dimension(X, points) == \
+            annihilator_tangent_dimension(X, points), (str(X.f), points)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in GOLDEN.glob("*-construct*.json") if "error" not in p.name))
+def test_tangent_dimension_at_golden_points(path):
+    # the premise of the one rank: at each certified point the 2-jets of
+    # the four partials have rank 3, and the three partials in the local
+    # variables (not the chart's) already span them.  The points of these
+    # surfaces impose dependent conditions (T > n - 1 - 7m), where the
+    # cone partials' columns count, unlike at points in general position
+    X = Surface.load(GOLDEN / path)
+    field = X.field
+    for P in X.points:
+        cols = singular._embed(P.chart, 2)
+        jets = [[local_jet(g, P, 2).terms.get(e, field.zero) for e in cols]
+                for g in X.f.gradient()]
+        local = [j for i, j in enumerate(jets) if i != P.chart]
+        assert rank(field, singular._values(field, jets)) == 3, (path, P)
+        assert rank(field, singular._values(field, local)) == 3, (path, P)
+    T = equisingular_tangent_dimension(X, X.points)
+    assert T > num_monomials(X.degree) - 1 - 7 * len(X.points)
+    assert T == annihilator_tangent_dimension(X, X.points)
 
 
 def test_kernel_mod_p_matches_kernel_basis():
@@ -887,7 +993,7 @@ def test_cone_map_matches_macaulay_of_partials(field):
         coeffs = singular._values(field, [cone.get(e, field.zero)
                                           for e in cubics])
         mapped = singular._dot(field, coeffs,
-                               singular._ints(field, singular._CONE_MAP))
+                               singular._ints(field, singular._CONE_MAPS[4]))
         if len(partials) == 3:
             assert (mapped.reshape(mac.shape) == mac).all()
         ranks.append(singular._cone_smooth_rank(field, coeffs))
@@ -985,15 +1091,42 @@ def test_certify_positive_dimensional_verdict():
     assert report["verdict"] == "positive-dimensional-singular-locus"
 
 
+def test_certify_positive_dimensional_where_no_partial_is_nonzero():
+    # over GF(5), x^5+y^5+z^5+w^5 = (x+y+z+w)^5 has no nonzero partial:
+    # f alone generates J, and V(J) = X is proven positive-dimensional
+    X = Surface(MultiPoly.parse("x^5+y^5+z^5+w^5", Field.GF(5)))
+    report = certify(X, points=[])
+    assert report["verdict"] == "positive-dimensional-singular-locus"
+    assert report["degree_evidence"] == {
+        "method": "lazard", "proven": True, "computed_to": 16}
+
+
 def test_certify_positive_dimensional_jacobian_locus_off_the_surface():
-    # p = 5 divides d = 5, so w^5 has no partial and V(J) is the line
-    # x = y = 0; on X it is the one point (0:0:1:0), where d/dz = x^4,
-    # d/dx = y^4 + ... and f = 4*w^5 all vanish
+    # p = 5 divides d = 5, so w^5 has no partial and V(partials) is the
+    # line x = y = 0; J has f as a generator too, and V(J) is the one
+    # point (0:0:1:0), where d/dz = x^4, d/dx = y^4 + ... and f = 4*w^5
+    # all vanish: regularity proves its degree 65, and the point, of
+    # multiplicity 4, fails
     X = Surface(MultiPoly.parse("x^4*z+2*x^2*y^3+x*y^4+4*w^5", Field.GF(5)))
     report = certify(X)
-    assert report["degree_evidence"]["method"] == "lazard"
+    assert report["degree_evidence"] == {
+        "method": "regularity", "proven": True, "plane": "x+y+z+w",
+        "regular_from": 10, "computed_to": 11}
+    assert report["hilbert"][-1] == 65
     assert [p["coords"] for p in report["points"]] == [["0", "0", "1", "0"]]
     assert report["verdict"] == "failed"
+
+
+@pytest.mark.parametrize("field", [Field.GF(7), Field.GF(7, 2)],
+                         ids=["GF:7", "GF:7:2"])
+def test_septic_s4_is_certified_exact_where_p_divides_the_degree(field):
+    # p = d = 7: f is a generator of J, so V(J) is the singular locus, and
+    # its 16 certified points prove the degree 8 * 16 by the Tjurina bound
+    report = certify(fam.septic_s4(field, 1, 2))
+    how = report["degree_evidence"]
+    assert (report["verdict"], how["method"], how["proven"],
+            report["hilbert"][-1], len(report["points"])) == (
+        "certified-exact", "tjurina", True, 128, 16)
 
 
 @pytest.mark.parametrize("field,f", [
