@@ -9,7 +9,7 @@ from triplepoints import gfnum
 from triplepoints.fields import Field
 from triplepoints.linalg import (rref, rank, ranks, kernel_basis, invert,
                                  _dot, _ints, _values, _elements, _nonzero,
-                                 _rref_generic)
+                                 _rref_generic, _zeros)
 
 QQ = Field.QQ()
 F31 = Field.GF(31)
@@ -284,6 +284,76 @@ def test_ranks_mod_p_matches_rank_mod_p(p):
         assert gfnum.ranks_mod_p(a, p).tolist() == want
         assert ranks(Field.GF(p), a).tolist() == want
     assert ranks(F31, np.zeros((2, 3, 7, 5), dtype=np.int64)).shape == (2, 3)
+
+
+def leading_zero_rows(field, a, ncols, times=None):
+    """The vectors of the row spaces of a stack a[b] that are zero on the
+    first ncols columns, restricted to the other columns: each matrix's
+    reduced rows with pivots at or past ncols, times times[b] if given."""
+    rows = [m[[i for i, c in enumerate(pivots) if c >= ncols], ncols:]
+            for m, pivots in (rref(field, b) for b in a)]
+    if times is not None:
+        rows = [_dot(field, r, t) for r, t in zip(rows, times)]
+    width = a.shape[2] - ncols if times is None else times.shape[2]
+    return np.concatenate([_zeros(field, (0, width))] + rows)
+
+
+@pytest.mark.parametrize("field", [Field.GF(5), Field.GF(101),
+                                   Field.GF(2**31 - 1), F49, QQ],
+                         ids=["GF5", "GF101", "GF2147483647", "GF49", "QQ"])
+def test_leading_zero_rows_span_the_annihilated_rows(field):
+    # the rows a M with a J = 0, for [J | M] split at ncols: one kernel per
+    # matrix is the oracle; per matrix there are rank [J | M] - rank J of
+    # them, the count the one-rank tangent space reads from a stack's ranks
+    rng = random.Random(field.char + 17)
+    for _ in range(15):
+        a = random_stack(rng, field.char if field.char else 7)
+        a = _values(field, [[[field(int(v)) for v in row] for row in m]
+                            for m in a])
+        ncols = rng.randint(0, a.shape[2])
+        got = leading_zero_rows(field, a, ncols)
+        assert got.shape[1] == a.shape[2] - ncols
+        want = [_dot(field, kernel_basis(field, np.swapaxes(
+                    m[:, :ncols], 0, 1)), m[:, ncols:]) for m in a]
+        want = [w for w in want if len(w)]
+        want = np.concatenate(want) if want else got[:0]
+        both = np.concatenate([got, want])
+        r = rank(field, both) if len(both) else 0
+        assert r == (rank(field, got) if len(got) else 0)
+        assert r == (rank(field, want) if len(want) else 0)
+        counts = ranks(field, a) - ranks(field, a[:, :, :ncols])
+        assert counts.tolist() == [len(leading_zero_rows(field, m[None], ncols))
+                                   for m in a]
+
+
+@pytest.mark.parametrize("field", [Field.GF(5), Field.GF(101),
+                                   Field.GF(2**31 - 1), F49, QQ],
+                         ids=["GF5", "GF101", "GF2147483647", "GF49", "QQ"])
+def test_leading_zero_rows_times_a_stack(field):
+    # the rows a of [J | I] with a J = 0, each matrix's times its M, span
+    # what [J | M] gives: T [J | M] and (T [J | I]) M are the same rows
+    rng = random.Random(field.char + 29)
+    for _ in range(15):
+        a = random_stack(rng, field.char if field.char else 7)
+        a = _values(field, [[[field(int(v)) for v in row] for row in m]
+                            for m in a])
+        ncols = rng.randint(0, a.shape[2])
+        b, m = a.shape[:2]
+        eye = np.array([[[field.one if i == j else field.zero
+                          for j in range(m)] for i in range(m)]] * b)
+        jay = np.concatenate([a[:, :, :ncols], _values(field, eye)], axis=2)
+        got = leading_zero_rows(field, jay, ncols, a[:, :, ncols:])
+        want = leading_zero_rows(field, a, ncols)
+        assert got.shape[1] == want.shape[1] == a.shape[2] - ncols
+        assert len(got) == sum(m - rank(field, x[:, :ncols]) if ncols else m
+                               for x in a)
+        # [J | I] has rank m, so the stack's ranks count the same rows
+        assert int((ranks(field, jay) - ranks(field, a[:, :, :ncols])).sum()) \
+            == len(got)
+        both = np.concatenate([got, want])
+        r = rank(field, both) if len(both) else 0
+        assert r == (rank(field, got) if len(got) else 0)
+        assert r == (rank(field, want) if len(want) else 0)
 
 
 EXT_FIELDS = [Field.GF(3, 2), Field.GF(5, 2), F49, Field.GF(2**31 - 1, 2)]
