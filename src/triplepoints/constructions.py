@@ -4,7 +4,6 @@ surface and the Steiner curve.
 """
 from __future__ import annotations
 
-import random
 from math import comb
 
 import numpy as np
@@ -41,11 +40,6 @@ def forms_with_multiplicity(degree: int, assignment):
         for j, m in zip(jets, mults)]))
     return [MultiPoly(field, dict(zip(mons, _elements(field, v))))
             for v in coeffs]
-
-
-def quadrics_through(points):
-    """Basis of the quadrics through the given points."""
-    return forms_with_multiplicity(2, [(P, 1) for P in points])
 
 
 def reciprocal_point(P: ProjPoint) -> ProjPoint:
@@ -116,20 +110,3 @@ def steiner_curve(q1: MultiPoly, q2: MultiPoly, q3: MultiPoly):
         minors.append(poly_determinant(sub))
     return minors
 
-
-def generic_points(field, n, seed=0):
-    """n deterministic pseudorandom points of P^3 over the field."""
-    rng = random.Random(seed)
-    pts = []
-    attempts = 0
-    while len(pts) < n:
-        attempts += 1
-        if attempts > 1000 * n:
-            raise RuntimeError("could not find points in general position")
-        coords = [field.random_element(rng) for _ in range(4)]
-        if not any(coords):
-            continue
-        P = ProjPoint(field, coords)
-        if P not in pts:
-            pts.append(P)
-    return pts

@@ -12,7 +12,7 @@ import numpy as np
 
 from .fields import Field, solve_quadratic
 from .poly import MultiPoly, poly_determinant, InexactDivisionError, _arrays
-from .linalg import _values, _elements, _dot, kernel_basis, ranks, invert
+from .linalg import _values, _elements, kernel_basis, ranks, rref
 from .surfaces import ProjPoint, Surface
 from .singular import (CertificationFailure, DomainError,
                        common_projective_zeros, _certify_points, _jets,
@@ -104,14 +104,14 @@ def _degenerate_subsets(field, coords, s):
 
 # -- quintics ------------------------------------------------------------
 
-def quintic_with_triple_points(points, selector=None):
+def quintic_with_triple_points(points):
     """A quintic with ordinary triple points at the given points.
 
     The linear system of quintics triple at the points is solved
-    exactly.  The member is the selector's combination or the first of
-    300 random ones (seed 0) that certifies at the points and, over a
-    finite field, has no other singular point (NoCertifiedMember if
-    none does).
+    exactly.  The member is the first of 300 random combinations (seed 0)
+    that certifies at the points and, over a finite field, has no other
+    singular point (NoCertifiedMember if none does); its
+    params["coefficients"] records the combination.
     """
     points = list(points)
     if not 1 <= len(points) <= 5:
@@ -124,14 +124,9 @@ def quintic_with_triple_points(points, selector=None):
     if not basis:
         raise ValueError("empty linear system")
     meta = {"family": "quintic-nu", "params": {"nu": len(points)}}
-    if selector is not None:
-        if len(selector) != len(basis):
-            raise ValueError("selector length must match system dimension")
-        candidates = [tuple(map(field, selector))]
-    else:
-        rng = random.Random(0)
-        candidates = (tuple(field.random_element(rng) for _ in basis)
-                      for _ in range(300))
+    rng = random.Random(0)
+    candidates = (tuple(field.random_element(rng) for _ in basis)
+                  for _ in range(300))
     return _member_search(field, basis, points, candidates, meta)
 
 
@@ -214,7 +209,7 @@ def sextic_k3_228(field, lam, alpha=None, beta=None):
 
 def reciprocal_family(base: Surface, fundamental, exc_degrees, family_id):
     """Reciprocal transform of a family member about four of its triple
-    points: move them to the coordinate vertices, invert, re-certify."""
+    points: move them to the vertices, take reciprocals, re-certify."""
     field = base.field
     fundamental = list(fundamental)
     if len(fundamental) != 4:
@@ -226,19 +221,18 @@ def reciprocal_family(base: Surface, fundamental, exc_degrees, family_id):
                       if undeclared else fundamental)
     if undeclared:
         raise ValueError(f"{undeclared[0]} is not a declared triple point")
-    # column j of m is the j-th fundamental point
-    m = np.swapaxes(_values(field, [P.coords for P in fundamental]), 0, 1)
-    try:
-        minv = invert(field, m)
-    except ValueError:
+    # [m | c], the fundamental points then the declared ones as columns,
+    # reduces to [I | m^-1 c] exactly when m has rank 4
+    red, pivots = rref(field, np.swapaxes(
+        _values(field, [P.coords for P in fundamental + declared]), 0, 1))
+    if pivots[:4] != list(range(4)):
         raise ValueError("fundamental points are in degenerate position")
     variables = _variables(field)
     images = [_combination([P.coords[i] for P in fundamental], variables)
               for i in range(4)]
     f2 = base.f.substitute(images)
-    coords = _values(field, [P.coords for P in declared])
     moved = [ProjPoint(field, _elements(field, v))
-             for v in _dot(field, coords, np.swapaxes(minv, 0, 1))]
+             for v in np.swapaxes(red[:, 4:], 0, 1)]
     X2 = Surface(f2, base.metadata, moved)
     image, mults = reciprocal_transform(X2)
     if mults != (3, 3, 3, 3):

@@ -8,11 +8,11 @@ object array of fractions.Fraction.  _zeros, _ints and _values make such
 arrays, _elements reads FieldElements back, and _mul and _dot multiply
 them (pairs through gfnum._mul), so one code path serves every field.
 
-rank, rref, kernel_basis and invert take (field, array) and return
-arrays; ranks takes a stack of matrices.  Over GF(p) every matrix, of
-any size, goes to the blocked elimination kernel in gfnum (rank_mod_p,
-rref_mod_p) and every stack to its one-pass elimination (ranks_mod_p),
-whose results are exact (its module docstring gives the bounds).  A
+rank, rref and kernel_basis take (field, array) and return arrays;
+ranks takes a stack of matrices.  Over GF(p) every matrix, of any size,
+goes to the blocked elimination kernel in gfnum (rank_mod_p, rref_mod_p)
+and every stack to its one-pass elimination (ranks_mod_p), whose results
+are exact (its module docstring gives the bounds).  A
 GF(p^2) matrix is eliminated in its real form (_real_form), where each
 row gives two GF(p) rows, its parts and those of u times it: the real
 form spans the same space read over GF(p), so its rank is twice the
@@ -195,16 +195,3 @@ def kernel_basis(field, a):
     out[:, pivots] = neg % field.p if _numeric(field) else neg
     return out
 
-
-def invert(field, a):
-    """Inverse of a square matrix, the right half of the RREF of [a | I];
-    raises ValueError on singular input."""
-    n = len(a)
-    if a.shape != (n, n) + _tail(field):
-        raise ValueError("only square matrices are invertible")
-    aug = np.concatenate([a, _zeros(field, (n, n))], axis=1)
-    aug[range(n), range(n, 2 * n)] = _values(field, field.one)
-    red, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return red[:, n:]

@@ -180,14 +180,6 @@ def certify_ordinary_triple_point(X: Surface, P: ProjPoint) -> TriplePointCertif
     return _certify_points(X, [P])[0]
 
 
-def is_ordinary_triple_point(X, P) -> bool:
-    try:
-        certify_ordinary_triple_point(X, P)
-        return True
-    except CertificationFailure:
-        return False
-
-
 # -- enumeration over finite fields -------------------------------------
 
 _ENUM_LIMIT = 6_000_000
@@ -695,14 +687,13 @@ def _reduction(X: Surface) -> Surface:
                    points=points)
 
 
-def certify(X: Surface, points=None) -> dict:
+def certify(X: Surface) -> dict:
     """Certify the singular locus of X; returns the report, a JSON document.
 
-    The supplied points are certified; without them, the declared points
-    X.points.  A point given twice is listed and counted once.  Over a
-    finite field, with no supplied points, the sweep (_swept_points) then
-    runs only where the proof below leaves room: in characteristic 2 or 3
-    (first, in place of X.points), or when a declared point fails, no
+    The declared points X.points are certified; a point declared twice is
+    listed and counted once.  Over a finite field the sweep (_swept_points)
+    then runs only where the proof below leaves room: in characteristic 2
+    or 3 (first, in place of X.points), or when a declared point fails, no
     degree is proven or it is not 8n.  Its singular points are then
     certified in place of the declared ones, or X.points again where the
     field is too large to sweep (checks["sweep"] says why).  When the proof
@@ -737,19 +728,17 @@ def certify(X: Surface, points=None) -> dict:
     Nakayama, contains m^4.  Euler's relation d*f = sum x_i df/dx_i puts
     the chart partial in (df/ds, f), so J_P = (df/ds, f) (f is a
     generator of J when p divides d), and f lies in (df/ds): its cone is
-    (1/3) sum s_i d(cone)/ds_i, as 3 is invertible, and the rest of f lies
+    (1/3) sum s_i d(cone)/ds_i, as 3 is a unit, and the rest of f lies
     in m^4.  So l_P = 8, 8n <= deg <= D, and D = 8n proves that there is
     no other singular point, not even over the algebraic closure, where
     the sweep sees only the rational points.  A positive-dimensional locus
     mod p proves nothing over QQ.
     """
     checks, rational = {}, X.field.kind == "QQ"
-    sweep = points is None and not rational
+    points, sweep = X.points, not rational
     if sweep and X.field.char in (2, 3):  # no triple-point certificates
         points, sweep = _swept_points(X, checks), False
-    certs = _certify_points(
-        X, distinct_points(X.points if points is None else points),
-        check=False)
+    certs = _certify_points(X, distinct_points(points), check=False)
     lower = 8 * sum(isinstance(c, TriplePointCertificate) for c in certs)
     result = _scheme_degree(_reduction(X) if rational else X, lower)
     if sweep:

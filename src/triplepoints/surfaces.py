@@ -10,7 +10,8 @@ SCHEMA_VERSION = 1
 
 # the JSON type of each key of a surface document
 _TYPES = {"field": (str, "a string"), "polynomial": (str, "a string"),
-          "metadata": (dict, "an object"), "points": (list, "an array")}
+          "metadata": (dict, "an object"), "points": (list, "an array"),
+          "degree": (int, "an integer")}
 
 
 class ProjPoint:

@@ -20,12 +20,12 @@ from triplepoints.bounds import (homogeneous_surface_spectrum, spectrum_bound,
 from triplepoints.invariants import (resolved_invariants, geometric_genus)
 from triplepoints.singular import (certify, enumerate_singular_points,
                                    singular_scheme_degree,
-                                   is_ordinary_triple_point,
                                    equisingular_tangent_dimension)
 from triplepoints.constructions import (forms_with_multiplicity,
-                                        quadrics_through, dianode_surface,
-                                        reciprocal_transform, generic_points)
+                                        dianode_surface, reciprocal_transform)
 from triplepoints import families as fam
+
+from helpers import generic_points, ordinary_triple_points
 
 QQ = Field.QQ()
 F7 = Field.GF(7)
@@ -87,7 +87,7 @@ def test_acceptance_3_ten_point_sextic(report):
                and ProjPoint(F31, [1, 1, 1, 1]) in pts
                and sorted(pts, key=lambda P: P.sort_key())
                == sorted(X.points, key=lambda P: P.sort_key()))
-    cert_ok = all(is_ordinary_triple_point(X, P) for P in pts)
+    cert_ok = ordinary_triple_points(X, pts)
     hilb_ok = singular_scheme_degree(X)["degree"] == 80
     tang_ok = equisingular_tangent_dimension(X, X.points) == 18
     ok = enum_ok and cert_ok and hilb_ok and tang_ok
@@ -124,7 +124,7 @@ def test_acceptance_6_septic_s4(report):
     t0 = time.time()
     X = fam.septic_s4(QQ, 1, 2)
     cert_ok = (len(X.points) == 16
-               and all(is_ordinary_triple_point(X, P) for P in X.points))
+               and ordinary_triple_points(X, X.points))
     inv = resolved_invariants(7, 16)
     inv_ok = ((inv.c1sq, inv.c2, inv.chi) == (15, 45, 5)
               and 12 * inv.chi == inv.c1sq + inv.c2)
@@ -193,7 +193,7 @@ def test_acceptance_8_property_suites(report):
         cone = MultiPoly.parse(f"x^3+y^3+z^3+{lam}*x*y*z", F31)
         X = Surface(cone * w + quartic_tail)
         smooth = pow(lam, 3, 31) != (-27) % 31
-        checks.append(is_ordinary_triple_point(X, vertex) == smooth)
+        checks.append(ordinary_triple_points(X, [vertex]) == smooth)
     # linear-system dimensions
     for nu in range(1, 6):
         pts = generic_points(F31, nu, seed=7)
@@ -207,9 +207,10 @@ def test_acceptance_8_property_suites(report):
     cubic = forms_with_multiplicity(
         3, [(P, 2) for P in ptsq[:4]] + [(P, 1) for P in ptsq[4:]])[0]
     plane = forms_with_multiplicity(1, [(P, 1) for P in ptsq[4:]])[0]
-    delta = dianode_surface(cubic * plane, *quadrics_through(ptsq))
+    delta = dianode_surface(cubic * plane, *forms_with_multiplicity(
+        2, [(P, 1) for P in ptsq]))
     Xd = Surface(delta)
-    checks.append(all(is_ordinary_triple_point(Xd, P) for P in ptsq))
+    checks.append(ordinary_triple_points(Xd, ptsq))
     ok = all(checks)
     report(8, "property suites", ok, f"{len(checks)} checks",
             600, time.time() - t0)

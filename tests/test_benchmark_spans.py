@@ -2,8 +2,10 @@
 perfbench/tracing.py) and skips a name the package no longer defines, so
 a renamed or privatised function would make its metric read zero without
 any error.  This keeps the names of every traced module defined.  The
-gfnum list still names the two sweep evaluators that the sweep kernel
-replaced; only those are skipped.
+lists still name functions deleted on purpose, and only those are
+skipped: the two gfnum sweep evaluators that the sweep kernel replaced,
+linalg.invert, whose one caller now reads the inverse's product from one
+rref, and constructions.quadrics_through, which no package code called.
 """
 import importlib.util
 from pathlib import Path
@@ -12,7 +14,8 @@ from triplepoints import (bounds, constructions, families, gfnum, linalg,
                           poly, singular, surfaces)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-DELETED = {"gfnum": {"eval_poly_batch", "eval_poly_batch_ext"}}
+DELETED = {"gfnum": {"eval_poly_batch", "eval_poly_batch_ext"},
+           "linalg": {"invert"}, "constructions": {"quadrics_through"}}
 
 
 def _defined(module, name):

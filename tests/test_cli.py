@@ -6,8 +6,8 @@ from triplepoints.cli import build_parser, main
 from triplepoints.fields import Field
 from triplepoints.poly import MultiPoly
 from triplepoints.surfaces import Surface, save_points, ProjPoint
-from triplepoints.constructions import generic_points
-from triplepoints.singular import is_ordinary_triple_point
+
+from helpers import generic_points, ordinary_triple_points
 
 F31 = Field.GF(31)
 
@@ -416,19 +416,25 @@ def test_a_directory_in_place_of_a_file_is_a_domain_error(capsys, tmp_path,
     ({"field": 7}, "'field' must be a string"),
     ({"points": None}, "'points' must be an array"),
     ({"points": [[1, 2]]}, "'points' must hold arrays of coordinate strings"),
+    # read as a string, it used to give "stated degree 4 != actual 4"
+    ({"degree": "4"}, "'degree' must be an integer, got '4'"),
+    ({"field": "GF:2:2"}, "GF(4) is not supported (u^2 = n needs odd p)"),
+    ({"polynomial": ""}, "empty polynomial text"),
 ], ids=["polynomial-int", "polynomial-list", "field-int", "points-null",
-        "point-ints"])
+        "point-ints", "degree-string", "field-GF:2:2", "polynomial-empty"])
 def test_malformed_surface_file_is_a_domain_error(capsys, tmp_path, command,
                                                   patch, named):
-    # each of these used to end in a TypeError or AttributeError traceback
+    # each of the first five used to end in a TypeError or AttributeError
+    # traceback; every one is a single error line
     doc = {"schema_version": 1, "field": "GF:31",
            "polynomial": "x^3*w+y^3*z+z^4", "points": [["0", "0", "0", "1"]]}
     doc.update(patch)
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(doc))
-    code, data = run(capsys, command, "-i", str(path))
-    assert code == 1
-    assert data["error"].startswith(f"ValueError: {named}")
+    code = main([command, "-i", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(f"ValueError: {named}")
 
 
 def test_surface_and_points_files_of_the_wrong_shape(capsys, tmp_path):
@@ -502,7 +508,7 @@ def test_construct_over_a_quadratic_extension(capsys, tmp_path, family,
     assert code == 0 and data is None
     X = Surface.load(surf)
     assert X.field.tag == field and X.degree == 6 and len(X.points) == 9
-    assert all(is_ordinary_triple_point(X, P) for P in X.points)
+    assert ordinary_triple_points(X, X.points)
 
 
 def test_main_called_again_in_one_process(capsys, tmp_path):

@@ -7,9 +7,10 @@ from triplepoints.poly import MultiPoly
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import local_jet, certify
 from triplepoints.constructions import (forms_with_multiplicity,
-                                        quadrics_through, reciprocal_point,
-                                        reciprocal_transform, dianode_surface,
-                                        steiner_curve, generic_points)
+                                        reciprocal_point, reciprocal_transform,
+                                        dianode_surface, steiner_curve)
+
+from helpers import generic_points
 
 QQ = Field.QQ()
 F31 = Field.GF(31)
@@ -45,7 +46,8 @@ def test_forms_with_multiplicity_dimensions():
     assert len(forms_with_multiplicity(6, [(P, 3) for P in pts7])) == 14
     # quartics simply through 7 generic points: 35 - 7 = 28
     assert len(forms_with_multiplicity(4, [(P, 1) for P in pts7])) == 28
-    assert len(quadrics_through(pts7)) == 3
+    # quadrics through 7 generic points: 10 - 7 = 3
+    assert len(forms_with_multiplicity(2, [(P, 1) for P in pts7])) == 3
 
 
 # the reduced-echelon basis of test_forms_vanish_to_assigned_order, pinned
@@ -172,7 +174,7 @@ def test_dianode_surface():
     planes = forms_with_multiplicity(1, [(P, 1) for P in pts[4:]])
     assert len(cubics) == 1 and len(planes) == 1
     g = cubics[0] * planes[0]
-    q1, q2, q3 = quadrics_through(pts)
+    q1, q2, q3 = forms_with_multiplicity(2, [(P, 1) for P in pts])
     delta = dianode_surface(g, q1, q2, q3)
     assert delta.homogeneous_degree() == 6
     X = Surface(delta, points=pts)
@@ -183,7 +185,7 @@ def test_dianode_surface():
 
 def test_dianode_degenerate_inputs():
     pts = generic_points(F31, 7, seed=1)
-    q1, q2, q3 = quadrics_through(pts)
+    q1, q2, q3 = forms_with_multiplicity(2, [(P, 1) for P in pts])
     # g in the ideal of the net makes the gradients dependent everywhere
     assert not dianode_surface(q1 * q2, q1, q2, q3)
     with pytest.raises(ValueError):
@@ -194,7 +196,7 @@ def test_dianode_degenerate_inputs():
 
 def test_steiner_curve():
     pts = generic_points(F31, 7, seed=1)
-    q1, q2, q3 = quadrics_through(pts)
+    q1, q2, q3 = forms_with_multiplicity(2, [(P, 1) for P in pts])
     minors = steiner_curve(q1, q2, q3)
     assert len(minors) == 4
     assert all(m.homogeneous_degree() == 3 for m in minors if m)

@@ -5,14 +5,16 @@ import random
 import pytest
 
 from triplepoints.fields import Field
+from triplepoints.constructions import forms_with_multiplicity
 from triplepoints.linalg import _elements, _values, kernel_basis, rank
 from triplepoints.poly import MultiPoly
 from triplepoints.surfaces import ProjPoint
 from triplepoints.singular import (certify, equisingular_tangent_dimension,
                                    singular_scheme_degree)
 from triplepoints.invariants import geometric_genus, resolved_invariants
-from triplepoints.constructions import generic_points
 from triplepoints import families as fam, singular
+
+from helpers import generic_points
 
 QQ = Field.QQ()
 F7 = Field.GF(7)
@@ -91,7 +93,7 @@ def test_quintic_one_point():
 
 def test_quintic_member_is_swept():
     # over a finite field the member has no singular points besides the
-    # declared ones, and records its coefficients
+    # declared ones, and records its coefficients in the system's basis
     pts = generic_points(F31, 3, seed=0)
     X = fam.quintic_with_triple_points(pts)
     assert set(singular.enumerate_singular_points(X)) == set(pts)
@@ -99,9 +101,9 @@ def test_quintic_member_is_swept():
     assert X.metadata["params"]["nu"] == 3
     assert len(coeffs) == 56 - 10 * 3
     assert "checks" not in X.metadata
-    selected = fam.quintic_with_triple_points(
-        pts, selector=[F31.parse(c) for c in coeffs])
-    assert selected.f == X.f
+    basis = forms_with_multiplicity(5, [(P, 3) for P in pts])
+    assert X.f == sum((g.scale(F31.parse(c)) for c, g in zip(coeffs, basis)),
+                      MultiPoly.zero(F31))
 
 
 def test_quintic_guards():
@@ -113,9 +115,6 @@ def test_quintic_guards():
                  ([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0])]
     with pytest.raises(ValueError):
         fam.quintic_with_triple_points(collinear)
-    pts = generic_points(F31, 2, seed=0)
-    with pytest.raises(ValueError):
-        fam.quintic_with_triple_points(pts, selector=[1])
 
 
 # -- (4,4,4) -------------------------------------------------------------
@@ -324,7 +323,7 @@ def test_septic_s4(septic_qq):
     assert X.degree == 7
     assert len(X.points) == 16
     assert ProjPoint(QQ, [-2, 1, 2, 2]) in X.points
-    assert certify(X, points=X.points)["verdict"] == "certified-exact"
+    assert certify(X)["verdict"] == "certified-exact"
 
 
 def test_septic_s4_tangent_dimension_gf101():

@@ -7,7 +7,7 @@ import sympy
 
 from triplepoints import gfnum
 from triplepoints.fields import Field
-from triplepoints.linalg import (rref, rank, ranks, kernel_basis, invert,
+from triplepoints.linalg import (rref, rank, ranks, kernel_basis,
                                  _dot, _ints, _values, _elements, _nonzero,
                                  _rref_generic, _zeros)
 
@@ -105,31 +105,6 @@ def test_numpy_rref_matches_generic():
         assert red.dtype == np.int64
         assert list(pivots) == gen_pivots
         assert red.tolist() == [[int(e) for e in r] for r in rows]
-
-
-def test_invert():
-    rng = random.Random(26)
-    for field in (QQ, F31, F49):
-        eye = _values(field, [[field(int(i == j)) for j in range(4)]
-                              for i in range(4)]).tolist()
-        for _ in range(10):
-            m = array(field, random_int_matrix(rng, 4, 4))
-            if rank(field, m) < 4:
-                with pytest.raises(ValueError, match="singular"):
-                    invert(field, m)
-                continue
-            inv = invert(field, m)
-            assert _dot(field, m, inv).tolist() == eye
-        with pytest.raises(ValueError, match="square"):
-            invert(field, array(field, [[1, 2]]))
-    # GF(7^2) entries with a nonzero u part, as (a, b) residue pairs
-    u = F49.ext(0, 1)
-    m = _values(F49, [[u, F49.one], [F49.one, u]])  # det u^2 - 1 = 2
-    assert m.tolist() == [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]
-    assert _dot(F49, invert(F49, m), m).tolist() == [[[1, 0], [0, 0]],
-                                                     [[0, 0], [1, 0]]]
-    with pytest.raises(ValueError, match="singular"):
-        invert(F49, _values(F49, [[u, u], [F49.one, F49.one]]))
 
 
 # 2**31 - 1 runs in int64 with width-1 panels; 33554393 (near 2**25) runs
@@ -407,13 +382,5 @@ def test_extension_field_algebra_matches_generic_elimination(field):
                     v[c] = -gen[r][j]
                 want += v
             assert _elements(field, kernel_basis(field, a)) == want
-            if nrows == ncols and nrows:
-                if len(pivots) < nrows:
-                    with pytest.raises(ValueError, match="singular"):
-                        invert(field, a)
-                else:
-                    assert np.array_equal(
-                        _dot(field, a, invert(field, a)),
-                        _ints(field, np.eye(nrows, dtype=int)))
         stack = np.array(stack)
         assert ranks(field, stack).tolist() == [rank(field, m) for m in stack]

@@ -329,6 +329,23 @@ def test_symmetric_substitution_fixes_symmetric_poly():
     assert f.substitute([y, x, z, w]) == f
 
 
+@pytest.mark.parametrize("field", [QQ, F31, F49], ids=["QQ", "GF31", "GF49"])
+def test_equal_polynomials_hash_equal(field):
+    # built in different orders and by different operations, with terms
+    # that cancel: equal polynomials are one key of a set or a dict
+    x, y, z = (MultiPoly.variable(field, i) for i in range(3))
+    pairs = [((x + y) * (x + y), MultiPoly.parse("y^2+2*x*y+x^2", field)),
+             ((x + z) - z, x),
+             (y * z - z * y, MultiPoly.zero(field)),
+             (MultiPoly.parse("x^3-y", field).scale(field(3)),
+              MultiPoly.parse("3*x^3", field) - y - y - y)]
+    for p, q in pairs:
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1
+        assert {p: 1}[q] == 1
+    assert len({p for pair in pairs for p in pair}) == len(pairs)
+
+
 def test_homogeneity():
     f = MultiPoly.parse("x^3+y^2*w", F31)
     assert f.homogeneous_degree() == 3

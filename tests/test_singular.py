@@ -17,7 +17,6 @@ from triplepoints.poly import MultiPoly, exponents_of_degree, num_monomials
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import (CertificationFailure, local_jet,
                                    multiplicity, certify_ordinary_triple_point,
-                                   is_ordinary_triple_point,
                                    common_projective_zeros,
                                    enumerate_singular_points,
                                    jacobian_hilbert, singular_scheme_degree,
@@ -85,7 +84,6 @@ def test_certify_ordinary_triple_point():
         assert cert.multiplicity == 3
         assert cert.smooth_rank == 15
         assert cert.tangent_cone == MultiPoly.parse("x^3+y^3+z^3", field)
-        assert is_ordinary_triple_point(X, P)
 
 
 def test_certify_rejects_wrong_multiplicity():
@@ -93,7 +91,8 @@ def test_certify_rejects_wrong_multiplicity():
     with pytest.raises(CertificationFailure) as exc:
         certify_ordinary_triple_point(X, ProjPoint(QQ, [0, 1, -1, 0]))
     assert exc.value.reason == "multiplicity"
-    assert not is_ordinary_triple_point(X, ProjPoint(QQ, [1, 0, 0, 0]))
+    with pytest.raises(CertificationFailure, match="multiplicity"):
+        certify_ordinary_triple_point(X, ProjPoint(QQ, [1, 0, 0, 0]))
 
 
 def test_multiplicity_four_is_reported():
@@ -469,9 +468,11 @@ def test_singular_scheme_degree_computes_past_k_max():
 def test_lazard_bound_is_attained_by_the_fermat_surfaces(d):
     # J = (x^(d-1), y^(d-1), z^(d-1), w^(d-1)): the last nonzero value of
     # h is at 4(d - 2) = 4d - 8, and h is its degree 0 from 4d - 7 on,
-    # the bound the positive-dimensional verdict rests on
+    # the bound the positive-dimensional verdict rests on.  4d is also
+    # the default k_max
     X = Surface(MultiPoly.parse("+".join(f"{v}^{d}" for v in "xyzw"), F31))
-    h = jacobian_hilbert(X, 4 * d)
+    h = jacobian_hilbert(X)
+    assert len(h) == 4 * d + 1 and h == jacobian_hilbert(X, 4 * d)
     assert h[4 * d - 8] == 1
     assert h[4 * d - 7:] == [0] * 8
 
@@ -801,7 +802,7 @@ def test_certify_never_calls_an_unproven_degree_exact(monkeypatch, smooth):
     monkeypatch.setattr(singular, "_scheme_degree", lambda X, lower: {
         "hilbert": h, "evidence": {"method": "undetermined", "proven": False,
                                    "computed_to": len(h) - 1}})
-    report = certify(X, points=[P] if P else [])
+    report = certify(Surface(X.f, points=[P] if P else []))
     assert report["hilbert"][-1] == report["expected_degree"]
     assert report["verdict"] == ("failed" if smooth
                                  else "certified-rational-only")
@@ -1018,7 +1019,7 @@ def test_certify_report_rational():
     # degree over QQ, which the certified point makes at least 8: h(7) = 8
     # with J + l covered mod p from 5, so covered over QQ too
     X, P = triple_point_quartic(QQ)
-    report = certify(X, points=[P])
+    report = certify(Surface(X.f, points=[P]))
     assert report["verdict"] == "certified-exact"
     assert report["degree_evidence"] == {
         "method": "tjurina", "proven": True, "plane": "x+y+z+w",
@@ -1055,7 +1056,7 @@ def test_certify_rational_positive_dimensional_mod_p_only():
     # smooth over QQ (t^3 + t + 1 has discriminant -31), singular along
     # x = y = 0 mod 32003: that proves nothing over QQ
     X = Surface(MultiPoly.parse("x^3+x*y^2+y^3+32003*z^3+32003*w^3", QQ))
-    report = certify(X, points=[])
+    report = certify(X)
     assert report["verdict"] == "failed"
     assert (report["degree_evidence"]["method"],
             report["degree_evidence"]["prime"]) == ("lazard", 32003)
@@ -1065,7 +1066,7 @@ def test_certify_report_failure():
     # the cone x^3 is singular; the singular scheme is the one point, of
     # degree 2 * 3 * 3, so the Hilbert pass over GF(31) keeps "failed"
     X = Surface(MultiPoly.parse("x^3*w+y^4+z^4", F31))
-    data = certify(X, points=[ProjPoint(F31, [0, 0, 0, 1])])
+    data = certify(Surface(X.f, points=[ProjPoint(F31, [0, 0, 0, 1])]))
     assert data["verdict"] == "failed"
     assert data["points"][0]["failure"] == "tangent cone singular"
     assert (data["points"][0]["multiplicity"],
@@ -1075,19 +1076,21 @@ def test_certify_report_failure():
 
 
 def test_certify_degree_mismatch_is_rational_only():
-    # every supplied point certifies and the degree is proven, but it is
-    # 80, not 8 * 9: a singular point is missing from the list
-    X = fam.sextic_ten_gf31()
-    data = certify(X, points=X.points[:9])
+    # every declared point certifies and the degree is proven, but it is
+    # 128, not 8 * 15: a singular point is missing from the list.  Over QQ
+    # nothing is swept (over GF(31) the sweep would find the tenth point
+    # of the ten-point sextic), so the verdict reads the declared points
+    X = fam.septic_s4(QQ, 1, 2)
+    data = certify(Surface(X.f, X.metadata, X.points[:15]))
     assert data["verdict"] == "certified-rational-only"
-    assert data["expected_degree"] == 72
-    assert data["hilbert"][-1] == 80
+    assert data["expected_degree"] == 120
+    assert data["hilbert"][-1] == 128
     assert data["degree_evidence"]["proven"] is True
 
 
 def test_certify_positive_dimensional_verdict():
     X = Surface(MultiPoly.parse("x^3+x*y^2+y^3", F31))
-    report = certify(X, points=[])
+    report = certify(X)
     assert report["verdict"] == "positive-dimensional-singular-locus"
 
 
@@ -1095,7 +1098,7 @@ def test_certify_positive_dimensional_where_no_partial_is_nonzero():
     # over GF(5), x^5+y^5+z^5+w^5 = (x+y+z+w)^5 has no nonzero partial:
     # f alone generates J, and V(J) = X is proven positive-dimensional
     X = Surface(MultiPoly.parse("x^5+y^5+z^5+w^5", Field.GF(5)))
-    report = certify(X, points=[])
+    report = certify(X)
     assert report["verdict"] == "positive-dimensional-singular-locus"
     assert report["degree_evidence"] == {
         "method": "lazard", "proven": True, "computed_to": 16}
@@ -1136,11 +1139,10 @@ def test_septic_s4_is_certified_exact_where_p_divides_the_degree(field):
 def test_no_points_need_no_point_certificate_in_char_2_3(field, f):
     # the Hilbert evidence works for p < 5; only a point's cone test does not
     X = Surface(MultiPoly.parse(f, field))
-    for points in (None, []):
-        doc = certify(X, points=points)
-        assert doc["points"] == []
-        assert doc["expected_degree"] == 0
-        assert doc["verdict"] == "certified-exact"
+    doc = certify(X)
+    assert doc["points"] == []
+    assert doc["expected_degree"] == 0
+    assert doc["verdict"] == "certified-exact"
     n = num_monomials(X.degree, 4)
     assert singular.equisingular_tangent_dimension(X, []) == n - 1
     P = ProjPoint(field, [0, 0, 0, 1])
@@ -1183,7 +1185,7 @@ def test_tjurina_length_is_eight_at_every_golden_point(name):
 
 
 def test_certify_sweeps_only_when_the_proof_leaves_room(monkeypatch):
-    # certify(X) equals certify(X, points=<the swept singular points>):
+    # certify(X) equals certify with the swept singular points declared:
     # with no sweep when the declared points are all of them and certify
     # to a proven degree 8n, with a sweep when they are a strict subset
     swept = []
@@ -1206,7 +1208,7 @@ def test_certify_sweeps_only_when_the_proof_leaves_room(monkeypatch):
                 report["expected_degree"], proven and report["hilbert"][-1])
     for X in surfaces:
         every = enumerate_singular_points(X)
-        want = certify(X, points=every)
+        want = certify(Surface(X.f, points=every))
         subsets = [rng.sample(every, len(every))]
         if every:
             subsets.append(rng.sample(every, rng.randrange(len(every))))
@@ -1271,13 +1273,16 @@ def test_a_tjurina_degree_is_proven_by_regularity_too():
 
 
 def test_the_tjurina_bound_counts_only_certified_points():
-    # a supplied point that fails adds nothing to 8n: the k3-228 member has
-    # h(9) = 80 on a covered degree, which 8 * 10 would take for its degree
+    # a declared point that fails adds nothing to 8n: the k3-228 member
+    # has h(9) = 80 on a covered degree, which 8 * 10 would take for its
+    # degree.  The pass proves 72 from the nine certified points, and the
+    # failed point makes the sweep replace the declared ones
     X = fam.sextic_k3_228(F31, F31(3))
     off = ProjPoint(F31, [1, 1, 1, 1])
     assert multiplicity(X, off) == 0
-    report = certify(X, points=X.points + [off])
-    assert report["verdict"] == "failed"
+    report = certify(Surface(X.f, X.metadata, X.points + [off]))
+    assert report["verdict"] == "certified-exact"
+    assert len(report["points"]) == 9
     assert report["expected_degree"] == 72
     assert report["degree_evidence"] == {
         "method": "tjurina", "proven": True, "plane": "3*x+9*y+27*z+w",
