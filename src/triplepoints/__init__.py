@@ -2,7 +2,7 @@
 ordinary triple points."""
 
 from .fields import Field, FieldElement, FieldMismatchError, solve_quadratic
-from .poly import MultiPoly, InexactDivisionError, poly_determinant
+from .poly import MultiPoly, poly_determinant
 from .linalg import rank, kernel_basis, rref
 from .surfaces import ProjPoint, Surface
 from .singular import (local_jet, multiplicity, certify_ordinary_triple_point,
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "FieldElement", "FieldMismatchError", "solve_quadratic",
-    "MultiPoly", "InexactDivisionError", "poly_determinant",
+    "MultiPoly", "poly_determinant",
     "rank", "kernel_basis", "rref",
     "ProjPoint", "Surface",
     "local_jet", "multiplicity", "certify_ordinary_triple_point",

@@ -4,6 +4,7 @@ surface and the Steiner curve.
 """
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 import numpy as np
@@ -63,13 +64,9 @@ def reciprocal_transform(X: Surface):
         if f.divisible_by_variable(i):
             raise ValueError("a coordinate plane is a component of X")
     d = X.degree
-    maxes = [max(e[i] for e in f.terms) for i in range(4)]
-    mults = tuple(d - maxes[i] for i in range(4))
-    terms = {}
-    for e, c in f.terms.items():
-        ne = tuple(d - e[i] - mults[i] for i in range(4))
-        terms[ne] = c
-    g = MultiPoly(f.field, terms)
+    mults = tuple(d - max(e[i] for e in f.terms) for i in range(4))
+    g = MultiPoly(f.field, {tuple(d - e[i] - mults[i] for i in range(4)): c
+                            for e, c in f.terms.items()})
     meta = {k: v for k, v in X.metadata.items() if k != "exc_degrees"}
     mapped = []
     for P in X.points:
@@ -103,10 +100,6 @@ def steiner_curve(q1: MultiPoly, q2: MultiPoly, q3: MultiPoly):
         if q.homogeneous_degree() != 2:
             raise ValueError("expected three quadrics")
     jac = [q.gradient() for q in (q1, q2, q3)]
-    import itertools
-    minors = []
-    for cols in itertools.combinations(range(4), 3):
-        sub = [[row[c] for c in cols] for row in jac]
-        minors.append(poly_determinant(sub))
-    return minors
+    return [poly_determinant([[row[c] for c in cols] for row in jac])
+            for cols in itertools.combinations(range(4), 3)]
 

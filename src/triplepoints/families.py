@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from .fields import Field, solve_quadratic
-from .poly import MultiPoly, poly_determinant, InexactDivisionError, _arrays
+from .poly import MultiPoly, _arrays
 from .linalg import _values, _elements, kernel_basis, ranks, rref
 from .surfaces import ProjPoint, Surface
 from .singular import (CertificationFailure, DomainError,
@@ -144,10 +145,13 @@ def sextic_k3_444(field, a1, a2, a3, b1, b2, b3, alpha=None, beta=None):
     q3 = y * y + x * w * a[2] + y * w * b[2] - x * y * (a[2] + b[2] + one)
     aw = [MultiPoly.constant(field, v) * w for v in a]
     bw = [MultiPoly.constant(field, v) * w for v in b]
-    # the two xyz terms cancel, so every remaining term carries a w
+    # the two xyz terms cancel, so w divides every term: q = q_cubic / w
     q_cubic = ((aw[0] - z) * (aw[1] - x) * (aw[2] - y)
                + (bw[0] + z) * (bw[1] + x) * (bw[2] + y))
-    q = q_cubic.divide_exact(w)
+    if any(not e[3] for e in q_cubic.terms):
+        raise ArithmeticError(f"{q_cubic} is not divisible by w")
+    q = MultiPoly(field, {e[:3] + (e[3] - 1,): c
+                          for e, c in q_cubic.terms.items()})
     for P in (vertex(field, 3), ProjPoint(field, [1, 1, 1, 1])):
         if not q.evaluate(P.coords):
             raise ValueError(f"degenerate parameters: q vanishes at {P}")
@@ -439,55 +443,79 @@ SEPTIC_FACTORS = [
 ]
 
 
-def septic_determinant_factorization():
-    """Verify the factorization of the 7x7 determinant governing the
-    S4-symmetric septics with a triple point at (lambda:mu:nu:nu).
+def _on_grid(g, grid):
+    """The values of a nonzero form g in x, y, z with integer coefficients
+    at (a : b : 1) for a, b in the grid (an object array), indexed [a, b]."""
+    a, b = grid[:, None], grid[None, :]
+    return sum(int(c) * a ** e[0] * b ** e[1] for e, c in g.terms.items())
 
-    lambda, mu, nu are carried symbolically as the variables x, y, z.
-    Returns a report with the residual constant and the verified
-    multiplicities.
+
+def _bareiss(m):
+    """The determinant of a square integer matrix, a list of rows that it
+    overwrites, by Bareiss's fraction-free elimination."""
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return 0
+        m[k], m[p], sign = m[p], m[k], sign if p == k else -sign
+        for i in range(k + 1, len(m)):  # each division is exact
+            m[i] = [(a * m[k][k] - m[i][k] * b) // prev
+                    for a, b in zip(m[i], m[k])]
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def septic_determinant_factorization():
+    """Prove det = c * prod g_i^m_i for the 7x7 determinant behind the
+    S4-symmetric septics with a triple point at (lambda:mu:nu:nu), in
+    x, y, z, for the factors g_i and multiplicities m_i of SEPTIC_FACTORS.
+
+    Each row's entries are forms of one degree, so det is a form of degree
+    D, the sum of the row degrees (35), or zero; sum m_i deg g_i must be D
+    too, or a wrong power of z, which is 1 at z = 1, would pass.  Forms of
+    degree D that agree at z = 1 are equal, and there both sides have
+    degree at most D in x and in y, so they agree once they agree on the
+    (D + 1) x (D + 1) integer grid, where det is exact by Bareiss.  The g_i
+    are irreducible (linear, or quadrics whose Gram matrix has rank 3) and
+    pairwise non-proportional, so by unique factorization the identity
+    fixes c and every m_i.  det vanishes on lambda = -nu as a factor does.
     """
     field = Field.QQ()
     s1, s2, s3, s4 = elementary_symmetric(field)
     basis = [s1 ** 3 * s4, s1 * s1 * s2 * s3, s1 * s2 ** 3, s1 * s2 * s4,
              s1 * s3 * s3, s2 * s2 * s3, s3 * s4]
     x, y, z, w = _variables(field)
-    subs = [x, y, z, z]  # evaluate at (lambda : mu : nu : nu)
-    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (2, 3)]
-    rows = []
-    for i, j in pairs:
-        row = []
-        for g in basis:
-            row.append(g.derivative(i).derivative(j).substitute(subs))
-        rows.append(row)
-    det = poly_determinant(rows)
+    # second partials at (lambda : mu : nu : nu), with integer coefficients
+    rows = [[g.derivative(i).derivative(j).substitute([x, y, z, z])
+             for g in basis] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1),
+                                          (1, 2), (2, 2), (2, 3))]
+    row_degrees = [{e.homogeneous_degree() for e in row} for row in rows]
+    if any(len(d) != 1 or None in d for d in row_degrees):
+        raise ArithmeticError("a row's entries are not forms of one degree")
+    degree = sum(d.pop() for d in row_degrees)
     factors = [(MultiPoly.parse(text, field), mult)
                for text, mult in SEPTIC_FACTORS]
-    rest = det
-    for g, mult in factors:
-        for _ in range(mult):
-            rest = rest.divide_exact(g)
-        try:
-            rest.divide_exact(g)
-        except InexactDivisionError:
-            pass
-        else:
-            raise ArithmeticError(f"multiplicity of {g} exceeds the stated "
-                                  f"{mult}")
-    if rest.degree() != 0:
-        raise ArithmeticError(f"nonconstant residual {rest}")
-    constant = rest.terms[(0, 0, 0, 0)]
-    # sanity: the determinant dies on lambda = -nu
-    at_minus = det.substitute([-z, y, z, w])
-    if at_minus:
+    if sum(mult * g.homogeneous_degree() for g, mult in factors) != degree:
+        raise ArithmeticError(f"the factors' degree is not {degree}")
+    grid = np.array(range(degree + 1), dtype=object)
+    entries = np.array([[_on_grid(e, grid) for e in row] for row in rows])
+    det = np.array([_bareiss(m) for m in np.moveaxis(entries, (0, 1), (2, 3))
+                    .reshape(-1, len(rows), len(rows)).tolist()], dtype=object)
+    rhs = np.prod([_on_grid(g, grid).ravel() ** mult for g, mult in factors],
+                  axis=0)
+    k = np.flatnonzero(rhs)[0]
+    constant = Fraction(det[k], rhs[k])
+    if not constant or (det * constant.denominator
+                        != rhs * constant.numerator).any():
+        raise ArithmeticError("the determinant is not c times the product "
+                              "of the stated factors")
+    if all(g.substitute([-z, y, z, w]) for g, _ in factors):
         raise ArithmeticError("determinant does not vanish at lambda = -nu")
-    return {
-        "constant": str(constant),
-        "factors": [{"factor": text, "multiplicity": mult}
-                    for text, mult in SEPTIC_FACTORS],
-        "degree": det.degree(),
-        "vanishes_at_lambda_eq_minus_nu": True,
-    }
+    return {"constant": str(constant),
+            "factors": [{"factor": text, "multiplicity": mult}
+                        for text, mult in SEPTIC_FACTORS],
+            "degree": degree, "vanishes_at_lambda_eq_minus_nu": True}
 
 
 def detect_minus_one_conics(points):

@@ -6,7 +6,6 @@ graded lexicographic with x > y > z > w.
 """
 from __future__ import annotations
 
-import heapq
 import re
 from functools import lru_cache
 
@@ -20,22 +19,9 @@ VAR_NAMES = ("x", "y", "z", "w")
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2, "w": 3, "t": 3}  # t is an alias of w
 
 
-class InexactDivisionError(ArithmeticError):
-    """Division left a nonzero remainder; the witness is `.remainder`."""
-
-    def __init__(self, remainder):
-        super().__init__(f"inexact division, remainder {remainder}")
-        self.remainder = remainder
-
-
 def grlex_key(exps):
     """Sort key; larger key = larger monomial in graded lex, x > y > z > w."""
     return (sum(exps), exps)
-
-
-def _neg_grlex(exps):
-    """Min-heap entry that puts the grlex-largest exponent first."""
-    return (-sum(exps), tuple(-a for a in exps), exps)
 
 
 @lru_cache(maxsize=None)
@@ -186,11 +172,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def leading(self):
-        """(exponents, coefficient) of the grlex-leading term."""
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]),
                       reverse=True)
@@ -324,37 +305,6 @@ class MultiPoly:
         return MultiPoly(field, dict(zip(map(tuple, exps.tolist()),
                                          _elements(field, vals))))
 
-    def divide_exact(self, g: "MultiPoly") -> "MultiPoly":
-        """Quotient h with self = g*h, else InexactDivisionError."""
-        self._check(g)
-        if not g:
-            raise ZeroDivisionError("division by the zero polynomial")
-        ge, gc = g.leading()
-        gcinv = gc.inverse()
-        zero = self.field.zero
-        q_terms = {}
-        r = dict(self.terms)  # the remainder, updated in place
-        # a max-heap of the remainder's exponents by grlex; an exponent
-        # whose term has cancelled stays in it until it surfaces
-        heap = [_neg_grlex(e) for e in r]
-        heapq.heapify(heap)
-        while heap:
-            re = heapq.heappop(heap)[-1]
-            if re not in r:
-                continue
-            ne = tuple(a - b for a, b in zip(re, ge))
-            if min(ne) < 0:
-                raise InexactDivisionError(MultiPoly(self.field, r))
-            qc = r[re] * gcinv
-            q_terms[ne] = qc
-            for e, c in g.terms.items():
-                k = (e[0] + ne[0], e[1] + ne[1], e[2] + ne[2], e[3] + ne[3])
-                v = r.pop(k, zero) - qc * c
-                if v:
-                    r[k] = v
-                    heapq.heappush(heap, _neg_grlex(k))
-        return MultiPoly(self.field, q_terms)
-
     def divisible_by_variable(self, i: int) -> bool:
         return bool(self.terms) and all(e[i] >= 1 for e in self.terms)
 
@@ -421,9 +371,8 @@ def poly_determinant(rows) -> MultiPoly:
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("matrix is not square")
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
     if n > 8:
         raise ValueError("determinant supported only for n <= 8")
     field = rows[0][0].field
@@ -441,8 +390,7 @@ def poly_determinant(rows) -> MultiPoly:
                 entry = rows[r][c]
                 if not entry:
                     continue
-                sub = minor(cols[:j] + cols[j + 1:])
-                term = entry * sub
+                term = entry * minor(cols[:j] + cols[j + 1:])
                 val = val + term if j % 2 == 0 else val - term
         memo[cols] = val
         return val

@@ -8,7 +8,8 @@ from .poly import MultiPoly
 
 SCHEMA_VERSION = 1
 
-# the JSON type of each key of a surface document
+# the JSON type of each key of a surface document, matched exactly, as
+# Python counts a JSON true or false (a bool) as an int
 _TYPES = {"field": (str, "a string"), "polynomial": (str, "a string"),
           "metadata": (dict, "an object"), "points": (list, "an array"),
           "degree": (int, "an integer")}
@@ -108,7 +109,7 @@ class Surface:
         if not isinstance(data, dict):
             raise ValueError("a surface must be a JSON object")
         for key, (kind, name) in _TYPES.items():
-            if key in data and not isinstance(data[key], kind):
+            if key in data and type(data[key]) is not kind:
                 raise ValueError(f"{key!r} must be {name}, got {data[key]!r}")
         field = Field.parse_tag(data["field"])
         f = MultiPoly.parse(data["polynomial"], field)

@@ -5,7 +5,10 @@ any error.  This keeps the names of every traced module defined.  The
 lists still name functions deleted on purpose, and only those are
 skipped: the two gfnum sweep evaluators that the sweep kernel replaced,
 linalg.invert, whose one caller now reads the inverse's product from one
-rref, and constructions.quadrics_through, which no package code called.
+rref, constructions.quadrics_through, which no package code called, and
+MultiPoly.divide_exact: the septic determinant check now proves its
+factorization on an integer grid, and k3-444's q_cubic / w lowers the
+exponent of w.
 """
 import importlib.util
 from pathlib import Path
@@ -15,7 +18,8 @@ from triplepoints import (bounds, constructions, families, gfnum, linalg,
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 DELETED = {"gfnum": {"eval_poly_batch", "eval_poly_batch_ext"},
-           "linalg": {"invert"}, "constructions": {"quadrics_through"}}
+           "linalg": {"invert"}, "constructions": {"quadrics_through"},
+           "poly": {"MultiPoly.divide_exact"}}
 
 
 def _defined(module, name):

@@ -145,6 +145,18 @@ def test_construct_without_certified_member_is_a_domain_error(capsys):
     assert data["error"].startswith("NoCertifiedMember")
 
 
+def test_construct_k3_444_where_q_vanishes_is_a_domain_error(capsys):
+    # with every a and b zero the two cubics cancel, so q_cubic = q * w is
+    # zero and q vanishes everywhere
+    code = main(["construct", "--family", "k3-444", "--field", "GF:29",
+                 "--params", "a1=0,a2=0,a3=0,b1=0,b2=0,b3=0"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out) == {
+        "schema_version": 1,
+        "error": "ValueError: degenerate parameters: q vanishes at (0:0:0:1)"}
+
+
 def test_certify_reports_how_the_degree_was_settled(capsys, tmp_path):
     surf = str(tmp_path / "ten.json")
     run(capsys, "construct", "--family", "sextic-ten-gf31", "-o", surf)
@@ -420,8 +432,14 @@ def test_a_directory_in_place_of_a_file_is_a_domain_error(capsys, tmp_path,
     ({"degree": "4"}, "'degree' must be an integer, got '4'"),
     ({"field": "GF:2:2"}, "GF(4) is not supported (u^2 = n needs odd p)"),
     ({"polynomial": ""}, "empty polynomial text"),
+    # a JSON true is a bool, which Python counts as the integer 1: the
+    # plane used to be certified and exit 0
+    ({"polynomial": "x+y", "degree": True},
+     "'degree' must be an integer, got True"),
+    ({"degree": False}, "'degree' must be an integer, got False"),
 ], ids=["polynomial-int", "polynomial-list", "field-int", "points-null",
-        "point-ints", "degree-string", "field-GF:2:2", "polynomial-empty"])
+        "point-ints", "degree-string", "field-GF:2:2", "polynomial-empty",
+        "degree-true", "degree-false"])
 def test_malformed_surface_file_is_a_domain_error(capsys, tmp_path, command,
                                                   patch, named):
     # each of the first five used to end in a TypeError or AttributeError

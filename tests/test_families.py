@@ -365,13 +365,59 @@ def test_septic_s4_guards():
             fam.septic_s4(QQ, mu, nu)
 
 
+SEPTIC_TABLE = [("z", 5), ("x-y", 4), ("x-z", 5), ("y-z", 5), ("x+z", 1),
+                ("y+z", 1), ("x+y+2*z", 4), ("x*y-z^2", 1),
+                ("2*x*y+x*z+y*z", 1), ("x*y+2*x*z+2*y*z+z^2", 3)]
+
+
 def test_septic_determinant_factorization():
     report = fam.septic_determinant_factorization()
-    assert report["constant"] == "6048"
-    assert report["degree"] == 35
-    assert report["vanishes_at_lambda_eq_minus_nu"] is True
+    assert report == {
+        "constant": "6048",
+        "factors": [{"factor": text, "multiplicity": mult}
+                    for text, mult in SEPTIC_TABLE],
+        "degree": 35, "vanishes_at_lambda_eq_minus_nu": True}
     assert sum(f["multiplicity"] * MultiPoly.parse(f["factor"], QQ).degree()
                for f in report["factors"]) == 35
+
+
+@pytest.mark.parametrize("changes", [
+    {"z": ("z", 4)}, {"z": ("z", 6)},
+    {"x-y": ("x-y", 3)}, {"x*y+2*x*z+2*y*z+z^2": ("x*y+2*x*z+2*y*z+z^2", 4)},
+    {"y+z": None},
+    {"x+z": ("x+2*z", 1)},
+    {"x-y": ("x-y", 5), "x-z": ("x-z", 4)},
+    {"z": ("z", 4), "x+z": ("x+z", 2)},
+], ids=["z^4", "z^6", "(x-y)^3", "quadric^4", "no-y+z", "x+2z",
+        "(x-y)^5-(x-z)^4", "z^4-(x+z)^2"])
+def test_septic_determinant_rejects_a_wrong_table(monkeypatch, changes):
+    # z^4 and z^6 agree with the determinant at z = 1, so only the degree
+    # check rejects them; the last two keep the degree 35 and the factor
+    # x+z, so only the grid does
+    table = [changes.get(text, (text, mult))
+             for text, mult in fam.SEPTIC_FACTORS]
+    monkeypatch.setattr(fam, "SEPTIC_FACTORS", [e for e in table if e])
+    with pytest.raises(ArithmeticError):
+        fam.septic_determinant_factorization()
+
+
+def test_septic_factors_are_irreducible_and_pairwise_coprime():
+    # linear forms are irreducible, and so is a quadric in x, y, z whose
+    # Gram matrix (half its Hessian) has rank 3, a smooth conic;
+    # irreducible forms that are not proportional are coprime, so the
+    # proven identity fixes every multiplicity
+    factors = [MultiPoly.parse(text, QQ) for text, _ in fam.SEPTIC_FACTORS]
+    exps = sorted({e for g in factors for e in g.terms})
+    for f, g in itertools.combinations(factors, 2):
+        assert rank(QQ, _values(QQ, [[h.terms.get(e, QQ.zero) for e in exps]
+                                     for h in (f, g)])) == 2
+    for g in factors:
+        assert all(not e[3] for e in g.terms)
+        assert g.homogeneous_degree() in (1, 2)
+        if g.homogeneous_degree() == 2:
+            hessian = [[g.derivative(i).derivative(j).evaluate([0] * 4)
+                        for j in range(3)] for i in range(3)]
+            assert rank(QQ, _values(QQ, hessian)) == 3
 
 
 # -- coplanar detection --------------------------------------------------
