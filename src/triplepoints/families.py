@@ -13,7 +13,7 @@ import numpy as np
 
 from .fields import Field, solve_quadratic
 from .poly import MultiPoly, _arrays
-from .linalg import _values, _elements, kernel_basis, ranks, rref
+from .linalg import _bareiss, _values, _elements, kernel_basis, ranks, rref
 from .surfaces import ProjPoint, Surface
 from .singular import (CertificationFailure, DomainError,
                        common_projective_zeros, _certify_points, _jets,
@@ -450,22 +450,6 @@ def _on_grid(g, grid):
     return sum(int(c) * a ** e[0] * b ** e[1] for e, c in g.terms.items())
 
 
-def _bareiss(m):
-    """The determinant of a square integer matrix, a list of rows that it
-    overwrites, by Bareiss's fraction-free elimination."""
-    sign, prev = 1, 1
-    for k in range(len(m) - 1):
-        p = next((i for i in range(k, len(m)) if m[i][k]), None)
-        if p is None:
-            return 0
-        m[k], m[p], sign = m[p], m[k], sign if p == k else -sign
-        for i in range(k + 1, len(m)):  # each division is exact
-            m[i] = [(a * m[k][k] - m[i][k] * b) // prev
-                    for a, b in zip(m[i], m[k])]
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def septic_determinant_factorization():
     """Prove det = c * prod g_i^m_i for the 7x7 determinant behind the
     S4-symmetric septics with a triple point at (lambda:mu:nu:nu), in
@@ -500,8 +484,10 @@ def septic_determinant_factorization():
         raise ArithmeticError(f"the factors' degree is not {degree}")
     grid = np.array(range(degree + 1), dtype=object)
     entries = np.array([[_on_grid(e, grid) for e in row] for row in rows])
-    det = np.array([_bareiss(m) for m in np.moveaxis(entries, (0, 1), (2, 3))
-                    .reshape(-1, len(rows), len(rows)).tolist()], dtype=object)
+    mats = np.moveaxis(entries, (0, 1), (2, 3)).reshape(-1, 7, 7)
+    # the last pivot is det at full rank; below it det = 0
+    det = np.array([d if len(pivots) == 7 else 0 for pivots, d in (
+        _bareiss(m) for m in mats.tolist())], dtype=object)
     rhs = np.prod([_on_grid(g, grid).ravel() ** mult for g, mult in factors],
                   axis=0)
     k = np.flatnonzero(rhs)[0]

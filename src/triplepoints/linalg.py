@@ -17,14 +17,15 @@ GF(p^2) matrix is eliminated in its real form (_real_form), where each
 row gives two GF(p) rows, its parts and those of u times it: the real
 form spans the same space read over GF(p), so its rank is twice the
 GF(p^2) rank, its pivots come in pairs (2j, 2j+1), and its rows with
-even pivots are the GF(p^2) reduced rows.  Over QQ the rows go to exact
-Gaussian elimination, _rref_generic, one matrix at a time.  Every path
-gives the same pivots and reduced form.
+even pivots are the GF(p^2) reduced rows.  Over QQ each row is scaled to
+coprime integers for _bareiss, fraction-free elimination on Python ints,
+one matrix at a time.  Every path gives the same pivots and reduced form.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import gcd, lcm
 
 import numpy as np
 
@@ -109,46 +110,60 @@ def _real_form(field, a):
     return np.stack([a, ua], axis=-3).reshape(a.shape[:-3] + (2 * m, 2 * n))
 
 
-def _rref_generic(field, rows):
-    """In-place RREF on a list of lists of Fractions or FieldElements;
-    returns the pivot columns.  Exact Gaussian elimination: rref and rank
-    over QQ, and the tests' oracle for every field."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
+def _coprime(values):
+    """Rationals scaled by one positive factor to coprime integers."""
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints) or 1
+    return [v // g for v in ints]
+
+
+def _bareiss(rows, above=False):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) in place
+    on a list of integer rows; returns (pivot columns, det), det the last
+    pivot signed by the row swaps: the determinant at full rank.
+    Step j, with pivot v_j = q[c] in row q, takes each row r with r[c] != 0
+    to (v_j*r - r[c]*q) // v_{j-1}, exact by Sylvester's identity.  A row
+    with r[c] = 0 would only be scaled by v_j / v_{j-1}: it is scaled when
+    next touched instead, by v_j / v_l at once, l the last step it reached
+    (the pivot row reaches j + 1).  As in gfnum._eliminate, rows above the
+    pivot are cleared only when `above` is set; each pivot row divided by
+    its pivot is then a row of the reduced echelon form.
+    """
+    dets, reached, pivots, sign = [1], [0] * len(rows), [], 1
+    for c in range(len(rows[0]) if rows else 0):
+        j = len(pivots)
+        i = next((i for i in range(j, len(rows)) if rows[i][c]), None)
+        if i is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [v * inv for v in rows[r]]
-        lead = rows[r]
-        for i in range(nrows):
-            if i == r or not rows[i][c]:
-                continue
-            factor = rows[i][c]
-            rows[i] = [a - factor * b if b else a
-                       for a, b in zip(rows[i], lead)]
+        rows[i], rows[j], sign = rows[j], rows[i], sign if i == j else -sign
+        reached[i], reached[j] = reached[j], reached[i]
+        touched = [i for i in range(0 if above else j, len(rows))
+                   if rows[i][c]]
+        for i in touched:
+            if reached[i] < j:  # catch up to step j
+                v, u = dets[j], dets[reached[i]]
+                rows[i] = [x * v // u for x in rows[i]]
+            reached[i] = j + 1
+        q, v, u = rows[j], rows[j][c], dets[j]
+        for i in touched:
+            if i != j:
+                f = rows[i][c]
+                rows[i] = [(v * x - f * y) // u for x, y in zip(rows[i], q)]
+        dets.append(v)
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+    return pivots, sign * dets[-1]
 
 
 def rref(field, a):
     """(reduced row echelon form, pivot column list) of a matrix."""
     if not _numeric(field):
-        rows = a.tolist()
-        pivots = _rref_generic(field, rows)
-        return np.array(rows, dtype=object).reshape(a.shape), pivots
+        rows = [_coprime(row) for row in a.tolist()]
+        pivots, _ = _bareiss(rows, above=True)
+        out = _zeros(field, a.shape)
+        for i, c in enumerate(pivots):
+            out[i] = [Fraction(x, rows[i][c]) for x in rows[i]]
+        return out, pivots
     red, pivots = gfnum.rref_mod_p(_real_form(field, a), field.p)
     if not _tail(field):
         return red, pivots
@@ -161,7 +176,7 @@ def rref(field, a):
 
 def rank(field, a) -> int:
     if not _numeric(field):
-        return len(_rref_generic(field, a.tolist()))
+        return len(_bareiss([_coprime(row) for row in a.tolist()])[0])
     r = gfnum.rank_mod_p(_real_form(field, a), field.p)
     return r // 2 if _tail(field) else r
 

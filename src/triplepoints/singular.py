@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .fields import Field
 from .poly import (MultiPoly, exponents_of_degree, num_monomials, _arrays,
                    _derivative, _digits)
 from .linalg import (_numeric, _tail, _zeros, _ints, _values, _elements,
-                     _nonzero, _mul, _dot, rank, ranks, rref)
+                     _nonzero, _mul, _dot, _coprime, rank, ranks, rref)
 from . import gfnum
 from .surfaces import ProjPoint, Surface, SCHEMA_VERSION
 
@@ -679,9 +679,7 @@ def _reduction(X: Surface) -> Surface:
     field, f = Field.GF(_QQ_PRIME), X.f.terms
 
     def mod_p(cs):
-        den = lcm(*(c.val.denominator for c in cs))
-        num = gcd(*(c.val.numerator for c in cs))
-        return [field(c.val * den / num) for c in cs]
+        return [field(v) for v in _coprime([c.val for c in cs])]
     points = [ProjPoint(field, mod_p(P.coords)) for P in X.points]
     return Surface(MultiPoly(field, dict(zip(f, mod_p(list(f.values()))))),
                    points=points)

@@ -326,6 +326,10 @@ def test_septic_s4(septic_qq):
     assert certify(X)["verdict"] == "certified-exact"
 
 
+def test_septic_s4_tangent_dimension(septic_qq):
+    assert equisingular_tangent_dimension(septic_qq, septic_qq.points) == 16
+
+
 def test_septic_s4_tangent_dimension_gf101():
     X = fam.septic_s4(Field.GF(101), 1, 2)
     assert len(X.points) == 16

@@ -8,8 +8,9 @@ import sympy
 from triplepoints import gfnum
 from triplepoints.fields import Field
 from triplepoints.linalg import (rref, rank, ranks, kernel_basis,
-                                 _dot, _ints, _values, _elements, _nonzero,
-                                 _rref_generic, _zeros)
+                                 _bareiss, _dot, _ints, _values, _elements,
+                                 _nonzero, _zeros)
+from helpers import _rref_generic
 
 QQ = Field.QQ()
 F31 = Field.GF(31)
@@ -53,6 +54,72 @@ def test_rref_against_sympy():
                 assert isinstance(red[i, j], Fraction)
                 assert sympy.Rational(red[i, j].numerator,
                                       red[i, j].denominator) == sred[i, j]
+
+
+
+def test_kernel_determinants_against_sympy():
+    # the last pivot of _bareiss, signed by its row swaps, is det at full
+    # rank, with or without clearing above; a zero (0, 0) entry forces a
+    # swap at the first step
+    rng = random.Random(26)
+    swapped = singular = 0
+    for t in range(240):
+        n = rng.randint(1, 7)
+        ints = random_int_matrix(rng, n, n, -5, 5)
+        if t % 2:
+            ints[0][0] = 0
+        if t % 3 == 0 and n > 2:  # a dependent row
+            ints[-1] = [a - 2 * b for a, b in zip(ints[0], ints[1])]
+        m = sympy.Matrix(ints)
+        want = m.det()
+        swapped += not ints[0][0] and any(r[0] for r in ints)
+        singular += want == 0
+        for above in (False, True):
+            pivots, det = _bareiss([list(r) for r in ints], above)
+            assert len(pivots) == m.rank()
+            assert (det if len(pivots) == n else 0) == want
+    assert swapped > 80 and singular > 40
+
+
+def sparse_rational_rows(rng, nrows, ncols):
+    """Rows of Fractions, mostly 0, with a zero row, a zero column and a
+    dependent row when the shape has room for them."""
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+             if rng.random() < 0.35 else Fraction(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows > 1:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if ncols > 1:
+        j = rng.randrange(ncols)
+        for r in rows:
+            r[j] = Fraction(0)
+    if nrows > 2:
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def test_qq_rref_and_rank_against_the_oracle_on_sparse_rationals():
+    rng = random.Random(27)
+    shapes = [(0, 0), (0, 5), (4, 0), (1, 1), (1, 6), (6, 1), (3, 7),
+              (7, 3), (6, 6), (10, 14), (14, 10)]
+    for nrows, ncols in shapes:
+        stack = []
+        for _ in range(8):
+            rows = sparse_rational_rows(rng, nrows, ncols)
+            a = np.array(rows, dtype=object).reshape(nrows, ncols)
+            stack.append(a)
+            gen = [list(r) for r in rows]
+            pivots = _rref_generic(QQ, gen)
+            red, got = rref(QQ, a)
+            assert got == pivots and red.shape == a.shape
+            assert all(type(v) is Fraction for v in red.flat)
+            assert red[:len(pivots)].tolist() == gen[:len(pivots)]
+            assert not any(red[len(pivots):].flat)
+            assert rank(QQ, a) == len(pivots)
+            assert a.tolist() == rows  # the input is not overwritten
+        stack = np.array(stack, dtype=object).reshape(8, nrows, ncols)
+        assert ranks(QQ, stack).tolist() == [rank(QQ, m) for m in stack]
 
 
 def test_kernel_is_killed_by_matrix():

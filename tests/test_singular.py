@@ -12,7 +12,7 @@ from triplepoints import families as fam, gfnum, singular
 from triplepoints.constructions import forms_with_multiplicity
 from triplepoints.fields import Field, FieldElement
 from triplepoints.linalg import (kernel_basis, rank, rref, _elements,
-                                 _nonzero, _rref_generic)
+                                 _nonzero)
 from triplepoints.poly import MultiPoly, exponents_of_degree, num_monomials
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import (CertificationFailure, local_jet,
@@ -21,6 +21,8 @@ from triplepoints.singular import (CertificationFailure, local_jet,
                                    enumerate_singular_points,
                                    jacobian_hilbert, singular_scheme_degree,
                                    equisingular_tangent_dimension, certify)
+
+from helpers import _rref_generic
 
 QQ = Field.QQ()
 F7 = Field.GF(7)
