@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from triplepoints import families as fam, gfnum, singular
 from triplepoints.constructions import forms_with_multiplicity
 from triplepoints.fields import Field, FieldElement
-from triplepoints.linalg import (kernel_basis, rank, rref, _elements,
-                                 _nonzero)
+from triplepoints.linalg import kernel_basis, rank, rref, _elements, _nonzero
 from triplepoints.poly import MultiPoly, exponents_of_degree, num_monomials
 from triplepoints.surfaces import ProjPoint, Surface
 from triplepoints.singular import (CertificationFailure, local_jet,
